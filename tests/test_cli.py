@@ -7,6 +7,7 @@ import sys
 from cising.cli import main
 
 JOBS = pathlib.Path(__file__).parent / "jobs"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 GOLDEN = [
     ("tangent", "tangent_cone.json"),
@@ -187,13 +188,19 @@ def test_window_flag_overrides(capsys):
 
 
 def test_all_golden_jobs_byte_identical(capsys):
+    """Every bundled job renders exactly its pinned report, in both formats.
+
+    The pins under ``tests/golden/`` are regenerated only on purpose, when
+    an answer is meant to change.
+    """
     for command, name in GOLDEN:
-        for fmt in ("text", "json"):
-            first = run_cli(capsys, command, str(JOBS / name), "--format", fmt)
-            second = run_cli(capsys, command, str(JOBS / name), "--format", fmt)
-            assert first[0] == 0 and second[0] == 0, name
-            assert first[1] == second[1], (name, fmt)
-            assert first[1].endswith("\n")
+        stem = name.removesuffix(".json")
+        for fmt, suffix in (("text", "txt"), ("json", "json")):
+            code, out, err = run_cli(capsys, command, str(JOBS / name),
+                                     "--format", fmt)
+            assert code == 0 and err == "", (name, fmt)
+            pinned = (GOLDEN_DIR / f"{stem}.{suffix}").read_bytes()
+            assert out.encode("utf-8") == pinned, (name, fmt)
 
 
 def test_subprocess_byte_identical():
