@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .exactq import Mat, rank
 from .polyring import Poly, PolyRing
 
@@ -186,7 +186,8 @@ def ce_cohomology(ce, degree):
                 incoming = slices.matrix(p + 1, e - 2)
                 outgoing = slices.matrix(p, e)
                 if incoming.ncols and outgoing.nrows:
-                    assert outgoing.mul(incoming).is_zero(), \
-                        "cochain differential does not square to zero"
+                    if not outgoing.mul(incoming).is_zero():
+                        raise InvariantError(
+                            "cochain differential does not square to zero")
         table.append(row)
     return GradedDims(table=table, degree=degree)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .errors import (
     GradingError,
+    InvariantError,
     NotRegularSequenceError,
     ReduceVariablesError,
     ResourceLimitError,
@@ -249,12 +250,12 @@ def _cancel_units(rp, twists, columns):
 # ---------------------------------------------------------------------------
 
 
-def _require_graded_ci(rp):
+def _require_graded_ci(rp, max_monomials=DEFAULT_MAX_MONOMIALS):
     try:
         rp.require_homogeneous()
     except GradingError as e:
         raise GradingError(f"{e}{_GRADED_HINT}") from None
-    if not is_regular_sequence(rp.ring, rp.ideal):
+    if not is_regular_sequence(rp.ring, rp.ideal, max_monomials=max_monomials):
         raise NotRegularSequenceError(
             "the ideal generators do not form a regular sequence; "
             "the quotient is not a complete intersection presented this way")
@@ -301,7 +302,7 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
         raise ValidationError("resolution length must be nonnegative")
     if module.rp.ring != rp.ring or module.rp.ideal != rp.ideal:
         raise ValidationError("module is presented over a different ring")
-    _require_graded_ci(rp)
+    _require_graded_ci(rp, max_monomials)
 
     twists0, relations = _cancel_units(rp, module.twists, module.relations)
     current, degrees = minimal_generators(rp, twists0, relations)
@@ -328,7 +329,9 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
 
 
 def _assert_resolution(res):
-    assert res.is_minimal()
+    """Raise :class:`InvariantError` unless ``res`` is minimal and d o d = 0."""
+    if not res.is_minimal():
+        raise InvariantError("resolution differential has a unit entry")
     rp = res.rp
     for i in range(1, res.length):
         outer = res.differentials[i - 1]
@@ -338,7 +341,10 @@ def _assert_resolution(res):
                 for k, coeff in enumerate(v):
                     if not coeff.is_zero():
                         s = s + coeff * outer[k][r]
-                assert rp.normal_form(s).is_zero()
+                if not rp.normal_form(s).is_zero():
+                    raise InvariantError(
+                        f"differentials d_{i} and d_{i + 1} do not compose "
+                        "to zero")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,8 @@ def _ideal_cofactors(rp, p):
     using the Groebner basis and its build certificate."""
     ring = rp.ring
     nf, cofs = normal_form_with_cofactors(p, rp.gb)
-    assert nf.is_zero(), "entry expected to lie in the ideal"
+    if not nf.is_zero():
+        raise InvariantError("entry expected to lie in the ideal")
     out = [ring.zero() for _ in rp.ideal]
     for k, q in enumerate(cofs):
         if q.is_zero():
@@ -503,7 +510,7 @@ def ext_module(rp, module, length, rng=None, max_width=DEFAULT_MAX_WIDTH,
 
     Dimensions are the Betti numbers of the minimal resolution; the
     operator family is attached via :func:`eisenbud_ops`.  Operators
-    pairwise commute on Ext; that is asserted up to degree ``length - 4``.
+    pairwise commute on Ext; that is checked up to degree ``length - 4``.
     """
     resolution = minimal_resolution(rp, module, length, max_width=max_width,
                                     max_monomials=max_monomials)
@@ -515,6 +522,7 @@ def ext_module(rp, module, length, rng=None, max_width=DEFAULT_MAX_WIDTH,
 
 
 def _assert_commuting(ext):
+    """Raise :class:`InvariantError` unless the operators pairwise commute."""
     c = len(ext.operators)
     top = ext.top_degree
     for j in range(c):
@@ -522,7 +530,10 @@ def _assert_commuting(ext):
             for i in range(max(0, top - 3)):
                 left = ext.operators[l][i + 2].mul(ext.operators[j][i])
                 right = ext.operators[j][i + 2].mul(ext.operators[l][i])
-                assert left == right
+                if left != right:
+                    raise InvariantError(
+                        f"operators {j + 1} and {l + 1} do not commute on "
+                        f"Ext^{i}")
 
 
 # ---------------------------------------------------------------------------

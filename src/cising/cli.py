@@ -7,9 +7,14 @@ computation runs.  Reports are deterministic: the same job bytes produce
 byte-identical output, and every report embeds the SHA-256 digest of the
 job file so golden tests catch input drift.
 
+Every job is parsed once, by :class:`Job`: ``validate`` prints its
+findings, and the other commands refuse a job with any.  Report
+cross-checks are the library's own, which raise :class:`InvariantError`.
+
 Exit codes: 0 success; 1 parse or validation problem; 2 mathematical
 precondition violated (point off the zero locus, inhomogeneous input, not a
-regular sequence, nonzero linear part); 3 resource cap exceeded.
+regular sequence, nonzero linear part); 3 resource cap exceeded; 4 an
+internal cross-check failed.
 """
 
 import argparse
@@ -33,6 +38,7 @@ from .ciext import (
 )
 from .errors import (
     GradingError,
+    InvariantError,
     NotRegularSequenceError,
     OffLocusError,
     ParseError,
@@ -48,7 +54,7 @@ from .polyring import (
     square_zero_filtration,
     tower_ring,
 )
-from .tangentlie import hessian_direct, hessian_snake, tangent_lie
+from .tangentlie import tangent_lie
 
 COMMANDS = ("tangent", "chevalley", "resolve", "ext", "fgcheck",
             "tower", "squarezero", "minimize")
@@ -56,8 +62,8 @@ COMMANDS = ("tangent", "chevalley", "resolve", "ext", "fgcheck",
 _TOP_KEYS = {"command", "variables", "weights", "order", "map", "point",
              "module", "dg", "degree", "window", "n"}
 
-_DEGREE_DEFAULTS = {"chevalley": 8, "resolve": 10, "ext": 10,
-                    "fgcheck": 10, "tower": 10, "minimize": 10}
+# degree bound of a command whose job sets none; any other command: 10
+_DEGREE_DEFAULTS = {"chevalley": 8}
 
 _MAX_DEGREE = 64
 _MAX_N = 64
@@ -89,320 +95,224 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_fraction(value):
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"not a rational: {value!r}")
+def _list_of(value, test=None, length=None):
+    """Whether ``value`` is a list, of ``length`` items if given, each of
+    which passes ``test`` if given."""
+    return isinstance(value, list) and length in (None, len(value)) \
+        and (test is None or all(test(item) for item in value))
 
 
-class _JobChecker:
-    """Collects validation findings for one job without running it."""
+class Job:
+    """The typed inputs of one job, parsed once for validate and for runs.
+
+    Each problem becomes a line of ``findings``; parsing never raises.  With
+    no findings every input is set, defaults applied, and the flags in
+    ``options`` (the parsed command line) override the job's fields:
+    ``ring``; ``polys`` (the ``map``); ``point`` (the origin by default);
+    ``module`` as ``(twists, relation columns)``, ``None`` for the residue
+    field; ``dg`` as ``(degrees, differential rows)``; ``degree``, ``n``,
+    ``window``.  ``validate`` parses for the command the file declares, if
+    that is a known one.
+    """
 
     def __init__(self, data, command, options):
-        self.data = data
-        self.command = command
-        self.options = options
         self.findings = []
-        self.ring = None
+        self.ring = self.point = self.module = self.dg = None
+        self.polys = []
+        self._note_unknown(data, _TOP_KEYS, "field")
+        if command == "validate":
+            command = data.get("command")
+            command = command if command in COMMANDS else None
+        data = dict(data)
+        for key in ("order", "degree", "n", "window"):
+            if getattr(options, key) is not None:
+                data[key] = getattr(options, key)
+        self._parse_command(data.get("command"), command)
+        self._parse_ring(data)
+        self._parse_map(data.get("map"), command)
+        self._parse_point(data.get("point"))
+        self._parse_module(data.get("module"))
+        self._parse_dg(data.get("dg"), command)
+        self._parse_parameters(data, command)
 
-    def note(self, message):
+    def _note(self, message):
         self.findings.append(message)
 
-    def run(self):
-        for key in sorted(set(self.data) - _TOP_KEYS):
-            self.note(f"unknown field {key!r}")
-        self._check_command()
-        self._check_ring()
-        self._check_map()
-        self._check_point()
-        self._check_module()
-        self._check_dg()
-        self._check_parameters()
-        return self.findings
+    def _note_unknown(self, obj, known, what):
+        for key in sorted(set(obj) - known):
+            self._note(f"unknown {what} {key!r}")
 
-    def _check_command(self):
-        declared = self.data.get("command")
+    def _parse_command(self, declared, command):
         if declared is None:
             return
         if declared not in COMMANDS:
-            self.note(f"unknown command {declared!r}")
-        elif self.command is not None and declared != self.command:
-            self.note(f"job file declares command {declared!r} but "
-                      f"{self.command!r} was requested")
+            self._note(f"unknown command {declared!r}")
+        elif command is not None and declared != command:
+            self._note(f"job file declares command {declared!r} but "
+                       f"{command!r} was requested")
 
-    def _check_ring(self):
-        variables = self.data.get("variables")
-        if not isinstance(variables, list) or not variables \
-                or not all(isinstance(v, str) for v in variables):
-            self.note("'variables' must be a nonempty list of names")
+    def _parse_ring(self, data):
+        variables = data.get("variables")
+        if not variables \
+                or not _list_of(variables, lambda v: isinstance(v, str)):
+            self._note("'variables' must be a nonempty list of names")
             return
-        weights = self.data.get("weights")
-        if weights is not None:
-            if not isinstance(weights, list) \
-                    or len(weights) != len(variables) \
-                    or not all(_is_int(w) and w >= 1 for w in weights):
-                self.note("'weights' must list a positive integer per variable")
-                weights = None
-        order = self.options.order or self.data.get("order") or "grevlex"
+        weights = data.get("weights")
+        if weights is not None and not _list_of(
+                weights, lambda w: _is_int(w) and w >= 1, len(variables)):
+            self._note("'weights' must list a positive integer per variable")
+            weights = None
+        order = data.get("order") or "grevlex"
         if order not in ("grevlex", "lex"):
-            self.note(f"unknown monomial order {order!r}")
+            self._note(f"unknown monomial order {order!r}")
             order = "grevlex"
         try:
             self.ring = PolyRing(variables, weights=weights, order=order)
         except (ParseError, ValidationError) as err:
-            self.note(str(err))
+            self._note(str(err))
 
     def _parse_all(self, field, strings):
+        """Parsed polynomials, or ``None`` after noting the first bad one."""
         out = []
         for k, text in enumerate(strings):
             if not isinstance(text, str):
-                self.note(f"{field}[{k}] must be a polynomial string")
+                self._note(f"{field}[{k}] must be a polynomial string")
                 return None
             try:
                 out.append(self.ring.parse(text))
             except ParseError as err:
-                self.note(f"{field}[{k}]: {err}")
+                self._note(f"{field}[{k}]: {err}")
                 return None
         return out
 
-    def _check_map(self):
-        polys = self.data.get("map")
+    def _parse_map(self, polys, command):
         if polys is None:
-            if self.command not in (None, "minimize"):
-                self.note("'map' is required for this command")
+            if command not in (None, "minimize"):
+                self._note("'map' is required for this command")
             return
         if not isinstance(polys, list):
-            self.note("'map' must be a list of polynomial strings")
-            return
-        if self.ring is not None:
-            self._parse_all("map", polys)
+            self._note("'map' must be a list of polynomial strings")
+        elif self.ring is not None:
+            self.polys = self._parse_all("map", polys)
 
-    def _check_point(self):
-        point = self.data.get("point")
+    def _parse_point(self, point):
         if point is None:
+            if self.ring is not None:
+                self.point = [Fraction(0)] * self.ring.nvars
             return
         if not isinstance(point, list):
-            self.note("'point' must be a list of rationals")
+            self._note("'point' must be a list of rationals")
             return
+        self.point = []
         for k, value in enumerate(point):
             try:
-                _as_fraction(value)
+                if not (_is_int(value) or isinstance(value, str)):
+                    raise ValueError
+                self.point.append(Fraction(value))
             except (ValueError, ZeroDivisionError):
-                self.note(f"point[{k}] is not a rational: {value!r}")
+                self._note(f"point[{k}] is not a rational: {value!r}")
         if self.ring is not None and len(point) != self.ring.nvars:
-            self.note(f"point has {len(point)} coordinates for "
-                      f"{self.ring.nvars} variables")
+            self._note(f"point has {len(point)} coordinates for "
+                       f"{self.ring.nvars} variables")
 
-    def _check_module(self):
-        module = self.data.get("module")
+    def _parse_module(self, module):
         if module is None:
             return
         if not isinstance(module, dict):
-            self.note("'module' must be an object with twists and relations")
+            self._note("'module' must be an object with twists and relations")
             return
-        for key in sorted(set(module) - {"twists", "relations"}):
-            self.note(f"unknown module field {key!r}")
+        self._note_unknown(module, {"twists", "relations"}, "module field")
         twists = module.get("twists")
-        if not isinstance(twists, list) or not twists \
-                or not all(_is_int(t) for t in twists):
-            self.note("module 'twists' must be a nonempty list of integers")
+        if not twists or not _list_of(twists, _is_int):
+            self._note("module 'twists' must be a nonempty list of integers")
             return
         relations = module.get("relations", [])
         if not isinstance(relations, list):
-            self.note("module 'relations' must be a list of columns")
+            self._note("module 'relations' must be a list of columns")
             return
+        columns = []
         for k, column in enumerate(relations):
             if not isinstance(column, list) or len(column) != len(twists):
-                self.note(f"relation column {k} must list one entry per "
-                          f"generator ({len(twists)})")
+                self._note(f"relation column {k} must list one entry per "
+                           f"generator ({len(twists)})")
                 return
             if self.ring is not None:
-                if self._parse_all(f"relations[{k}]", column) is None:
+                column = self._parse_all(f"relations[{k}]", column)
+                if column is None:
                     return
+                columns.append(column)
+        self.module = (twists, columns)
 
-    def _check_dg(self):
-        dg = self.data.get("dg")
+    def _parse_dg(self, dg, command):
         if dg is None:
-            if self.command == "minimize":
-                self.note("'dg' is required for minimize")
+            if command == "minimize":
+                self._note("'dg' is required for minimize")
             return
         if not isinstance(dg, dict):
-            self.note("'dg' must be an object with degrees and matrix")
+            self._note("'dg' must be an object with degrees and matrix")
             return
-        for key in sorted(set(dg) - {"degrees", "matrix"}):
-            self.note(f"unknown dg field {key!r}")
+        self._note_unknown(dg, {"degrees", "matrix"}, "dg field")
         degrees = dg.get("degrees")
-        if not isinstance(degrees, list) or not all(_is_int(d) for d in degrees):
-            self.note("dg 'degrees' must be a list of integers")
+        if not _list_of(degrees, _is_int):
+            self._note("dg 'degrees' must be a list of integers")
             return
         matrix = dg.get("matrix")
         n = len(degrees)
-        if not isinstance(matrix, list) or len(matrix) != n \
-                or not all(isinstance(row, list) and len(row) == n
-                           for row in matrix):
-            self.note(f"dg 'matrix' must be a {n} by {n} list of rows")
+        if not _list_of(matrix, lambda row: _list_of(row, length=n), n):
+            self._note(f"dg 'matrix' must be a {n} by {n} list of rows")
             return
         if self.ring is None:
             return
         if any(w != 2 for w in self.ring.weights):
-            self.note("dg rings must give every variable weight 2")
+            self._note("dg rings must give every variable weight 2")
             return
-        self._parse_all("dg matrix", [p for row in matrix for p in row])
+        entries = self._parse_all("dg matrix", [p for row in matrix for p in row])
+        if entries is not None:
+            self.dg = (degrees, [entries[r * n:(r + 1) * n] for r in range(n)])
 
-    def _check_parameters(self):
-        degree = self.options.degree
-        if degree is None:
-            degree = self.data.get("degree")
-            if degree is not None and not _is_int(degree):
-                self.note("'degree' must be an integer")
-                degree = None
-        if degree is not None and not 0 <= degree <= _MAX_DEGREE:
-            self.note(f"degree {degree} outside 0..{_MAX_DEGREE}")
-            degree = None
-        n = self.options.n
-        if n is None:
-            n = self.data.get("n")
-            if n is not None and not _is_int(n):
-                self.note("'n' must be an integer")
-                n = None
-        if n is not None and not 1 <= n <= _MAX_N:
-            self.note(f"n = {n} outside 1..{_MAX_N}")
-        window = self.options.window
-        if window is None:
-            window = self.data.get("window")
-            if window is not None and (
-                    not isinstance(window, list) or len(window) != 2
-                    or not all(_is_int(w) for w in window)):
-                self.note("'window' must be a pair of integers")
-                window = None
-        if window is not None:
-            lo, hi = window
-            top = degree if degree is not None \
-                else _DEGREE_DEFAULTS.get(self.command or "", 10)
-            if lo > hi:
-                self.note(f"window start {lo} exceeds end {hi}")
-            elif lo < 2 or hi < lo + 2:
-                self.note(f"window [{lo}, {hi}] too narrow: need "
-                          "start >= 2 and end >= start + 2")
-            elif hi > top:
-                self.note(f"window end {hi} exceeds computed degree {top}")
+    def _integer(self, data, key, label, low, high, default):
+        """The field ``key`` if it is an integer in ``low..high``."""
+        value = data.get(key)
+        if value is None:
+            return default
+        if not _is_int(value):
+            self._note(f"{key!r} must be an integer")
+        elif not low <= value <= high:
+            self._note(f"{label} {value} outside {low}..{high}")
+        else:
+            return value
+        return default
 
-
-def validate_job(data, command=None, options=None):
-    """All validation findings for a job, without running it."""
-    options = options or _Options()
-    return _JobChecker(data, command, options).run()
-
-
-# ---------------------------------------------------------------------------
-# effective options
-# ---------------------------------------------------------------------------
-
-
-class _Options:
-    """Command-line overrides plus resource caps."""
-
-    __slots__ = ("fmt", "degree", "window", "order", "n",
-                 "max_monomials", "max_width")
-
-    def __init__(self, fmt="text", degree=None, window=None, order=None,
-                 n=None, max_monomials=DEFAULT_MAX_MONOMIALS,
-                 max_width=DEFAULT_MAX_WIDTH):
-        self.fmt = fmt
-        self.degree = degree
-        self.window = window
-        self.order = order
-        self.n = n
-        self.max_monomials = max_monomials
-        self.max_width = max_width
-
-
-def _effective_degree(command, data, options):
-    degree = options.degree
-    if degree is None:
-        degree = data.get("degree", _DEGREE_DEFAULTS.get(command, 10))
-    if not _is_int(degree) or not 0 <= degree <= _MAX_DEGREE:
-        raise ValidationError(f"degree {degree!r} outside 0..{_MAX_DEGREE}")
-    return degree
-
-
-def _effective_window(data, options, top):
-    window = options.window
-    if window is None:
+    def _parse_parameters(self, data, command):
+        self.degree = self._integer(data, "degree", "degree", 0, _MAX_DEGREE,
+                                    _DEGREE_DEFAULTS.get(command, 10))
+        self.n = self._integer(data, "n", "n =", 1, _MAX_N, 2)
         window = data.get("window")
-    if window is None:
-        return default_window(top)
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ValidationError("'window' must be a pair of integers")
-    return (int(window[0]), int(window[1]))
+        if window is not None and not _list_of(window, _is_int, 2):
+            self._note("'window' must be a pair of integers")
+            window = None
+        if window is None:
+            self.window = default_window(self.degree)
+            return
+        lo, hi = self.window = tuple(window)
+        if lo > hi:
+            self._note(f"window start {lo} exceeds end {hi}")
+        elif lo < 2 or hi < lo + 2:
+            self._note(f"window [{lo}, {hi}] too narrow: need "
+                       "start >= 2 and end >= start + 2")
+        elif hi > self.degree:
+            self._note(f"window end {hi} exceeds computed degree "
+                       f"{self.degree}")
 
 
-def _effective_n(data, options):
-    n = options.n
-    if n is None:
-        n = data.get("n", 2)
-    if not _is_int(n) or not 1 <= n <= _MAX_N:
-        raise ValidationError(f"n = {n!r} outside 1..{_MAX_N}")
-    return n
+def parse_job(data, command, options):
+    """Parse a job for ``command``; returns ``(job, findings)``.
 
-
-def _build_ring(data, options):
-    variables = data.get("variables")
-    if not isinstance(variables, list) or not variables:
-        raise ValidationError("'variables' must be a nonempty list of names")
-    weights = data.get("weights")
-    order = options.order or data.get("order") or "grevlex"
-    if order not in ("grevlex", "lex"):
-        raise ValidationError(f"unknown monomial order {order!r}")
-    return PolyRing(variables, weights=weights, order=order)
-
-
-def _parse_map(ring, data, required=True):
-    polys = data.get("map")
-    if polys is None:
-        if required:
-            raise ValidationError("'map' is required for this command")
-        return []
-    if not isinstance(polys, list):
-        raise ValidationError("'map' must be a list of polynomial strings")
-    return [ring.parse(text) for text in polys]
-
-
-def _parse_point(ring, data):
-    point = data.get("point")
-    if point is None:
-        return [Fraction(0)] * ring.nvars
-    if not isinstance(point, list) or len(point) != ring.nvars:
-        raise ValidationError(
-            f"'point' must list {ring.nvars} rational coordinates")
-    try:
-        return [_as_fraction(value) for value in point]
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValidationError(f"bad point coordinate: {err}") from err
-
-
-def _parse_module(rp, data):
-    module = data.get("module")
-    if module is None:
-        return residue_field_module(rp)
-    if not isinstance(module, dict) or "twists" not in module:
-        raise ValidationError("'module' must be an object with 'twists'")
-    twists = module["twists"]
-    relations = module.get("relations", [])
-    columns = [[rp.ring.parse(text) for text in column]
-               for column in relations]
-    return GradedModulePresentation(rp, twists, columns)
-
-
-def _parse_dg(ring, data):
-    dg = data.get("dg")
-    if not isinstance(dg, dict) or "degrees" not in dg or "matrix" not in dg:
-        raise ValidationError("'dg' must be an object with degrees and matrix")
-    degrees = [int(d) for d in dg["degrees"]]
-    matrix = [[ring.parse(text) for text in row] for row in dg["matrix"]]
-    return DGModule(ring=ring, degrees=degrees, differential=matrix)
+    ``validate`` reports ``findings`` as they are; a run refuses the job
+    unless ``findings`` is empty.
+    """
+    job = Job(data, command, options)
+    return job, job.findings
 
 
 # ---------------------------------------------------------------------------
@@ -410,49 +320,42 @@ def _parse_dg(ring, data):
 # ---------------------------------------------------------------------------
 
 
-def _matrix_strings(mat):
-    return [[str(entry) for entry in row] for row in mat.rows]
+def _strings(rows):
+    return [[str(entry) for entry in row] for row in rows]
 
 
 def _columns_to_rows(columns, nrows):
     return [[str(column[r]) for column in columns] for r in range(nrows)]
 
 
-def _run_tangent(data, options):
-    ring = _build_ring(data, options)
-    polys = _parse_map(ring, data)
-    point = _parse_point(ring, data)
-    fiber, direct = hessian_direct(polys, point)
-    snake_fiber, snaked = hessian_snake(polys, point)
-    agree = direct == snaked and fiber.jacobian == snake_fiber.jacobian
+def _run_tangent(job, options):
+    # tangent_lie raises InvariantError unless both constructions agree
+    lie = tangent_lie(job.polys, job.point)
+    fiber, bracket = lie.fiber, lie.bracket
     bracket_tables = [
-        [[str(direct[a][b][c]) for b in range(fiber.g1_dim)]
+        [[str(bracket[a][b][c]) for b in range(fiber.g1_dim)]
          for a in range(fiber.g1_dim)]
         for c in range(fiber.g2_dim)]
     result = {
         "point": [str(c) for c in fiber.point],
-        "jacobian": _matrix_strings(fiber.jacobian),
+        "jacobian": _strings(fiber.jacobian.rows),
         "g1_dim": fiber.g1_dim,
         "g2_dim": fiber.g2_dim,
-        "kernel_basis": [[str(c) for c in vec] for vec in fiber.kernel],
+        "kernel_basis": _strings(fiber.kernel),
         "bracket": bracket_tables,
     }
-    return result, {"direct = snake": agree}
+    return result, {"direct = snake": True}
 
 
-def _run_chevalley(data, options):
-    ring = _build_ring(data, options)
-    polys = _parse_map(ring, data)
-    point = _parse_point(ring, data)
-    degree = _effective_degree("chevalley", data, options)
-    lie = tangent_lie(polys, point)
+def _run_chevalley(job, options):
+    lie = tangent_lie(job.polys, job.point)
     ce = chevalley_cochain(lie)
-    dims = ce_cohomology(ce, degree)
+    dims = ce_cohomology(ce, job.degree)
     result = {
         "even_generators": ce.even_count,
         "odd_generators": ce.odd_count,
         "differentials": [str(q) for q in ce.differentials],
-        "degree": degree,
+        "degree": job.degree,
         "cohomology": [dims.row(p) for p in range(ce.odd_count + 1)],
         "positive_cohomology_vanishes": all(
             value == 0 for p in range(1, ce.odd_count + 1)
@@ -461,31 +364,20 @@ def _run_chevalley(data, options):
     return result, {"bracket round trip": extract_bracket(ce) == lie.bracket}
 
 
-def _presentation_and_module(data, options):
-    ring = _build_ring(data, options)
-    ideal = _parse_map(ring, data)
-    rp = RingPresentation(ring, ideal, max_monomials=options.max_monomials)
-    module = _parse_module(rp, data)
-    return rp, module
+def _quotient_module(job, options):
+    """The quotient by the job's map, and the job's module over it."""
+    rp = RingPresentation(job.ring, job.polys,
+                          max_monomials=options.max_monomials)
+    if job.module is None:
+        return rp, residue_field_module(rp)
+    return rp, GradedModulePresentation(rp, *job.module)
 
 
-def _complex_composes_to_zero(rp, res):
-    for i in range(1, res.length):
-        outer = res.differential(i)
-        for column in res.differential(i + 1):
-            acc = [rp.ring.zero()] * res.betti[i - 1]
-            for k, coefficient in enumerate(column):
-                for r, entry in enumerate(outer[k]):
-                    acc[r] = acc[r] + coefficient * entry
-            if any(not rp.normal_form(p).is_zero() for p in acc):
-                return False
-    return True
-
-
-def _run_resolve(data, options):
-    rp, module = _presentation_and_module(data, options)
-    degree = _effective_degree("resolve", data, options)
-    res = minimal_resolution(rp, module, degree,
+def _run_resolve(job, options):
+    rp, module = _quotient_module(job, options)
+    # minimal_resolution raises InvariantError unless the result is minimal
+    # and its differentials compose to zero
+    res = minimal_resolution(rp, module, job.degree,
                              max_width=options.max_width,
                              max_monomials=options.max_monomials)
     result = {
@@ -496,43 +388,28 @@ def _run_resolve(data, options):
             _columns_to_rows(res.differential(i), res.betti[i - 1])
             for i in range(1, res.length + 1)],
     }
-    checks = {
-        "differentials compose to zero": _complex_composes_to_zero(rp, res),
-        "no unit entries": res.is_minimal(),
-    }
-    return result, checks
+    return result, {"differentials compose to zero": True,
+                    "no unit entries": True}
 
 
-def _operators_commute(ext):
-    for j in range(len(ext.operators)):
-        for l in range(j + 1, len(ext.operators)):
-            for i in range(max(0, ext.top_degree - 3)):
-                left = ext.operators[l][i + 2].mul(ext.operators[j][i])
-                right = ext.operators[j][i + 2].mul(ext.operators[l][i])
-                if left != right:
-                    return False
-    return True
-
-
-def _run_ext(data, options):
-    rp, module = _presentation_and_module(data, options)
-    degree = _effective_degree("ext", data, options)
-    ext = ext_module(rp, module, degree, max_width=options.max_width,
+def _run_ext(job, options):
+    rp, module = _quotient_module(job, options)
+    # ext_module raises InvariantError unless the operators commute
+    ext = ext_module(rp, module, job.degree, max_width=options.max_width,
                      max_monomials=options.max_monomials)
     result = {
         "dims": list(ext.dims),
         "betti": list(ext.resolution.betti),
-        "operators": [[_matrix_strings(op) for op in family]
+        "operators": [[_strings(op.rows) for op in family]
                       for family in ext.operators],
     }
-    return result, {"operators commute": _operators_commute(ext)}
+    return result, {"operators commute": True}
 
 
-def _run_fgcheck(data, options):
-    rp, module = _presentation_and_module(data, options)
-    degree = _effective_degree("fgcheck", data, options)
-    window = _effective_window(data, options, degree)
-    report = coherence_report(rp, module, window,
+def _run_fgcheck(job, options):
+    rp, module = _quotient_module(job, options)
+    # built on ext_module, which checks that the operators commute
+    report = coherence_report(rp, module, job.window,
                               max_width=options.max_width,
                               max_monomials=options.max_monomials)
     verdict = report.verdict
@@ -544,22 +421,20 @@ def _run_fgcheck(data, options):
         "generator_degrees": list(verdict.generator_degrees),
         "certificate": verdict.certificate,
     }
-    return result, {"operators commute": _operators_commute(report.ext)}
+    return result, {"operators commute": True}
 
 
-def _run_tower(data, options):
-    ring = _build_ring(data, options)
-    gens = _parse_map(ring, data)
-    degree = _effective_degree("tower", data, options)
-    n = _effective_n(data, options)
-    tower = tower_ring(ring, gens, n, max_monomials=options.max_monomials)
-    ambient = RingPresentation(ring, [], max_monomials=options.max_monomials)
-    values = hilbert_function(tower, degree)
-    ambient_values = hilbert_function(ambient, degree)
-    agree = [d for d in range(degree + 1)
+def _run_tower(job, options):
+    tower = tower_ring(job.ring, job.polys, job.n,
+                       max_monomials=options.max_monomials)
+    ambient = RingPresentation(job.ring, [],
+                               max_monomials=options.max_monomials)
+    values = hilbert_function(tower, job.degree)
+    ambient_values = hilbert_function(ambient, job.degree)
+    agree = [d for d in range(job.degree + 1)
              if values[:d + 1] == ambient_values[:d + 1]]
     result = {
-        "n": n,
+        "n": job.n,
         "hilbert": values,
         "ambient_hilbert": ambient_values,
         "agrees_with_ambient_through": max(agree, default=-1),
@@ -567,31 +442,26 @@ def _run_tower(data, options):
     return result, {}
 
 
-def _run_squarezero(data, options):
-    ring = _build_ring(data, options)
-    gens = _parse_map(ring, data)
-    n = _effective_n(data, options)
-    stages = square_zero_filtration(ring, gens, n,
+def _run_squarezero(job, options):
+    stages = square_zero_filtration(job.ring, job.polys, job.n,
                                     max_monomials=options.max_monomials)
-    return ({"n": n, "stages": stages},
+    return ({"n": job.n, "stages": stages},
             {"all stages square to zero": all(stages)})
 
 
-def _run_minimize(data, options):
-    ring = _build_ring(data, options)
-    dg = _parse_dg(ring, data)
-    degree = _effective_degree("minimize", data, options)
-    outcome = minimize_dg(dg, through=degree)
+def _run_minimize(job, options):
+    dg = DGModule(job.ring, *job.dg)
+    outcome = minimize_dg(dg, through=job.degree)
     minimal = outcome.minimal
     lo = min(dg.degrees, default=0) - 1
-    preserved = hstar_dims(dg, lo, degree) == hstar_dims(minimal, lo, degree)
+    preserved = hstar_dims(dg, lo, job.degree) \
+        == hstar_dims(minimal, lo, job.degree)
     no_units = all(p.constant_coefficient() == 0
                    for row in minimal.differential for p in row)
     result = {
         "input_degrees": list(dg.degrees),
         "minimal_degrees": list(minimal.degrees),
-        "minimal_differential": [[str(p) for p in row]
-                                 for row in minimal.differential],
+        "minimal_differential": _strings(minimal.differential),
         "perfect": outcome.perfect,
         "hstar": [[t, outcome.hstar[t]] for t in sorted(outcome.hstar)],
     }
@@ -614,10 +484,6 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
-
-
-def _render_json(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _aligned(rows, indent="  "):
@@ -764,10 +630,6 @@ def _render_text(report):
     return "\n".join(lines) + "\n"
 
 
-def _render(report, fmt):
-    return _render_json(report) if fmt == "json" else _render_text(report)
-
-
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -776,35 +638,29 @@ def _render(report, fmt):
 def run_job(command, path, options=None):
     """Execute one job; returns ``(exit_code, rendered_report)``.
 
+    ``options`` is the parsed command line; ``None`` means no flags.
     Raises the package exceptions on bad input; :func:`main` maps them onto
-    exit codes and stderr messages.
+    exit codes and stderr messages.  A run refuses, with
+    :class:`ValidationError`, every job that ``validate`` would flag.
     """
-    options = options or _Options()
+    options = options or build_parser().parse_args([command, "--", path])
     data, digest = load_job(path)
+    job, findings = parse_job(data, command, options)
     if command == "validate":
-        declared = data.get("command")
-        check_command = declared if declared in COMMANDS else None
-        findings = validate_job(data, check_command, options)
-        report = {
-            "command": "validate",
-            "input_sha256": digest,
-            "result": {"findings": findings},
-            "cross_checks": {},
-        }
-        return 0, _render(report, options.fmt)
-    declared = data.get("command")
-    if declared is not None and declared != command:
-        raise ValidationError(
-            f"job file declares command {declared!r} but {command!r} "
-            "was requested")
-    result, checks = _HANDLERS[command](data, options)
+        result, checks = {"findings": findings}, {}
+    elif findings:
+        raise ValidationError("; ".join(findings))
+    else:
+        result, checks = _HANDLERS[command](job, options)
     report = {
         "command": command,
         "input_sha256": digest,
         "result": result,
         "cross_checks": checks,
     }
-    return 0, _render(report, options.fmt)
+    if options.format == "json":
+        return 0, json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return 0, _render_text(report)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -812,14 +668,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _parse_window_flag(text):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ParseError(f"window must look like D0:D, got {text!r}")
+def _window_flag(text):
+    lo, _, hi = text.partition(":")
     try:
-        return [int(parts[0]), int(parts[1])]
-    except ValueError as err:
-        raise ParseError(f"window must be integers D0:D, got {text!r}") from err
+        return [int(lo), int(hi)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"window must look like D0:D with integers, got {text!r}") from None
 
 
 def build_parser():
@@ -834,13 +689,13 @@ def build_parser():
     parser.add_argument("jobfile", help="path to a JSON job file")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report rendering (default text)")
-    parser.add_argument("--degree", type=int, default=None,
+    parser.add_argument("--degree", type=int,
                         help="degree bound override")
-    parser.add_argument("--window", default=None,
+    parser.add_argument("--window", type=_window_flag,
                         help="verdict window as D0:D")
-    parser.add_argument("--order", choices=("grevlex", "lex"), default=None,
+    parser.add_argument("--order", choices=("grevlex", "lex"),
                         help="monomial order override")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=int,
                         help="thickening order override")
     parser.add_argument("--max-monomials", type=int,
                         default=DEFAULT_MAX_MONOMIALS,
@@ -850,29 +705,24 @@ def build_parser():
     return parser
 
 
+# the exit code of each error main reports; any other error is a bug
+_EXIT_CODES = {
+    ParseError: 1, ValidationError: 1,
+    GradingError: 2, OffLocusError: 2, NotRegularSequenceError: 2,
+    ReduceVariablesError: 2,
+    ResourceLimitError: 3,
+    InvariantError: 4,
+}
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        options = _Options(
-            fmt=args.format,
-            degree=args.degree,
-            window=_parse_window_flag(args.window) if args.window else None,
-            order=args.order,
-            n=args.n,
-            max_monomials=args.max_monomials,
-            max_width=args.max_width,
-        )
-        code, rendered = run_job(args.command, args.jobfile, options)
-    except (ParseError, ValidationError) as err:
+        options = build_parser().parse_args(argv)
+        code, rendered = run_job(options.command, options.jobfile, options)
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (GradingError, OffLocusError, NotRegularSequenceError,
-            ReduceVariablesError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return next(exit_code for kind, exit_code in _EXIT_CODES.items()
+                    if isinstance(err, kind))
     sys.stdout.write(rendered)
     return code
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: parse/validation problems exit 1,
-mathematical precondition failures exit 2, resource caps exit 3.
+mathematical precondition failures exit 2, resource caps exit 3, and a
+failed internal cross-check exits 4.
 """
 
 
@@ -43,3 +44,11 @@ class CommutativityError(CisingError, ValueError):
 
 class ResourceLimitError(CisingError, RuntimeError):
     """A configured resource cap (monomial count, resolution width) was hit."""
+
+
+class InvariantError(CisingError, RuntimeError):
+    """A computed object broke an identity it must satisfy (a cross-check).
+
+    Raised in place of ``assert`` so that the checks also run under
+    ``python -O``.
+    """

@@ -15,7 +15,7 @@ full syzygy module of the inputs.
 import heapq
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Poly,
@@ -224,7 +224,7 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
             s = [mi * a - mj * b for a, b in zip(mgb.basis[i], mgb.basis[j])]
             remainder, cofs = _reduce_vec_with_cofactors(ring, s, mgb.basis, budget)
             if not vec_is_zero(remainder):
-                raise AssertionError(
+                raise InvariantError(
                     "S-vector failed to reduce to zero against a Groebner basis")
             z = [-q for q in cofs]
             z[i] = z[i] + mi
@@ -237,7 +237,7 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     for c in columns:
         remainder, cofs = _reduce_vec_with_cofactors(ring, c, mgb.basis, budget)
         if not vec_is_zero(remainder):
-            raise AssertionError(
+            raise InvariantError(
                 "input column failed to reduce against its own Groebner basis")
         input_cofactors.append(cofs)
 

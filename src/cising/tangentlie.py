@@ -22,7 +22,7 @@ shared with the quadratic differentials in :mod:`cising.chevalley`.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OffLocusError, ValidationError
+from .errors import InvariantError, OffLocusError, ValidationError
 from .exactq import Mat, cokernel_presentation, kernel_basis, snake_boundary, solve
 
 ZERO = Fraction(0)
@@ -220,7 +220,7 @@ def hessian_snake(polys, point, rng=None):
                     sym[pair_index[(lo, hi)]] += k[a][i] * k[b][j]
             coords = solve(domain, sym)
             if coords is None:
-                raise AssertionError(
+                raise InvariantError(
                     "symmetrized kernel pair escaped the boundary domain")
             row.append(sq.matrix.vec(coords))
         bracket.append(row)
@@ -236,5 +236,5 @@ def tangent_lie(polys, point):
     fiber, direct = hessian_direct(polys, point)
     snake_fiber, snaked = hessian_snake(polys, point)
     if direct != snaked or fiber.jacobian != snake_fiber.jacobian:
-        raise AssertionError("the two bracket constructions disagree")
+        raise InvariantError("the two bracket constructions disagree")
     return TangentLieAlgebra(fiber=fiber, bracket=direct)

@@ -1,14 +1,21 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cising
+import cising.ciext
 from cising.ciext import (
     DGModule,
     ExtModule,
     FG_CERTIFIED,
     FG_NOT,
     FG_WINDOW,
+    FreeResolution,
     GradedModulePresentation,
     coherence_report,
     cyclic_module,
@@ -26,6 +33,7 @@ from cising.ciext import (
 )
 from cising.errors import (
     GradingError,
+    InvariantError,
     NotRegularSequenceError,
     ReduceVariablesError,
     ValidationError,
@@ -584,3 +592,83 @@ def test_minimize_preserves_cohomology_randomized():
         assert before == after
         assert all(p.constant_coefficient() == 0
                    for row in result.minimal.differential for p in row)
+
+
+# ---------------------------------------------------------------------------
+# library cross-checks raise InvariantError, also under python -O
+# ---------------------------------------------------------------------------
+
+
+def _bad_resolution():
+    """d1 = (x), d2 = (y) over k[x,y]/(x^2): minimal, but d1 d2 = xy != 0."""
+    rp = presentation(["x", "y"], ["x^2"])
+    x, y = rp.ring.var("x"), rp.ring.var("y")
+    return FreeResolution(rp=rp, twists=[[0], [1], [2]],
+                          differentials=[[[x]], [[y]]])
+
+
+def test_assert_resolution_rejects_nonzero_composite():
+    with pytest.raises(InvariantError, match="compose to zero"):
+        cising.ciext._assert_resolution(_bad_resolution())
+
+
+def test_assert_resolution_rejects_unit_entry():
+    rp = presentation(["x"], ["x^2"])
+    res = FreeResolution(rp=rp, twists=[[0], [0]],
+                         differentials=[[[rp.ring.one()]]])
+    with pytest.raises(InvariantError, match="unit entry"):
+        cising.ciext._assert_resolution(res)
+
+
+def test_assert_resolution_survives_python_O():
+    script = (
+        "import sys\n"
+        "assert False, 'asserts must be stripped'\n"
+        "from cising.ciext import FreeResolution, _assert_resolution\n"
+        "from cising.errors import InvariantError\n"
+        "from cising.polyring import PolyRing, RingPresentation\n"
+        "ring = PolyRing(['x', 'y'])\n"
+        "rp = RingPresentation(ring, [ring.parse('x^2')])\n"
+        "x, y = ring.var('x'), ring.var('y')\n"
+        "res = FreeResolution(rp=rp, twists=[[0], [1], [2]],\n"
+        "                     differentials=[[[x]], [[y]]])\n"
+        "try:\n"
+        "    _assert_resolution(res)\n"
+        "except InvariantError:\n"
+        "    print('InvariantError', sys.flags.optimize)\n"
+    )
+    src = str(pathlib.Path(cising.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "InvariantError 1\n"
+
+
+def test_assert_commuting_rejects_noncommuting_operators():
+    swap = Mat([[0, 1], [1, 0]], 2)
+    diag = Mat([[1, 0], [0, 2]], 2)
+    ext = ExtModule(dims=[2, 2, 2, 2, 2],
+                    operators=[[swap, swap, swap], [diag, diag, diag]])
+    with pytest.raises(InvariantError, match="do not commute"):
+        cising.ciext._assert_commuting(ext)
+
+
+def test_ideal_cofactors_rejects_element_outside_ideal():
+    rp = presentation(["x", "y"], ["x^2"])
+    with pytest.raises(InvariantError, match="lie in the ideal"):
+        cising.ciext._ideal_cofactors(rp, rp.ring.parse("x*y"))
+
+
+def test_regular_sequence_check_gets_the_monomial_cap(monkeypatch):
+    seen = []
+    original = cising.ciext.is_regular_sequence
+
+    def spy(ring, gens, max_monomials=None):
+        seen.append(max_monomials)
+        return original(ring, gens, max_monomials=max_monomials)
+
+    monkeypatch.setattr(cising.ciext, "is_regular_sequence", spy)
+    rp = presentation(["x", "y"], ["x^2", "y^2"])
+    minimal_resolution(rp, residue_field_module(rp), 2, max_monomials=4321)
+    assert seen == [4321]

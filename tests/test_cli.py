@@ -4,6 +4,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import cising.tangentlie
 from cising.cli import main
 
 JOBS = pathlib.Path(__file__).parent / "jobs"
@@ -185,6 +188,68 @@ def test_window_flag_overrides(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["window"] == [6, 10]
+
+
+# Malformed jobs that validate flags. A run must refuse each with exit 1 and a
+# one-line error: no traceback, and no silent default for a misspelt field.
+MALFORMED = {
+    "map_number": ("tangent", {"variables": ["x"], "map": [3]}),
+    "relation_number": ("resolve", {
+        "variables": ["x", "y"], "map": ["x^2", "y^2"],
+        "module": {"twists": [0], "relations": [[1]]}}),
+    "weights_not_integers": ("resolve", {
+        "variables": ["x", "y"], "weights": ["a", 1], "map": ["x^2"]}),
+    "twists_not_integers": ("resolve", {
+        "variables": ["x"], "map": ["x^2"],
+        "module": {"twists": ["a"], "relations": []}}),
+    "dg_degrees_not_integers": ("minimize", {
+        "variables": ["ch1"], "weights": [2],
+        "dg": {"degrees": ["a"], "matrix": [["0"]]}}),
+    "window_not_integers": ("fgcheck", {
+        "variables": ["x"], "map": ["x^2"], "window": ["a", 4]}),
+    "dg_entry_number": ("minimize", {
+        "variables": ["ch1"], "weights": [2],
+        "dg": {"degrees": [0, 1], "matrix": [[0, "ch1"], ["0", "0"]]}}),
+    "degree_typo": ("resolve", {
+        "variables": ["x"], "map": ["x^2"], "degre": 3}),
+}
+
+BUNDLED = sorted(path.name for path in JOBS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED) + BUNDLED)
+def test_run_refuses_exactly_what_validate_flags(capsys, tmp_path, name):
+    if name in MALFORMED:
+        command, data = MALFORMED[name]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(dict(data, command=command)))
+    else:
+        path = JOBS / name
+        command = json.loads(path.read_text())["command"]
+    code, out, _ = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert code == 0
+    findings = json.loads(out)["result"]["findings"]
+    assert findings or name not in MALFORMED
+    code, out, err = run_cli(capsys, command, str(path))
+    assert bool(findings) == (code == 1), (findings, code, err)
+    if findings:
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_failed_cross_check_exits_4(capsys, monkeypatch):
+    original = cising.tangentlie.hessian_snake
+
+    def skewed(polys, point, rng=None):
+        fiber, bracket = original(polys, point, rng=rng)
+        bracket[0][0] = [c + 1 for c in bracket[0][0]]
+        return fiber, bracket
+
+    monkeypatch.setattr(cising.tangentlie, "hessian_snake", skewed)
+    code, out, err = run_cli(capsys, "tangent", str(JOBS / "tangent_cone.json"))
+    assert code == 4
+    assert out == ""
+    assert err == "error: the two bracket constructions disagree\n"
 
 
 def test_all_golden_jobs_byte_identical(capsys):

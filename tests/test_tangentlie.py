@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cising.errors import OffLocusError
+import cising.tangentlie
+from cising.errors import InvariantError, OffLocusError
 from cising.exactq import Mat, rank
 from cising.polyring import PolyRing
 from cising.tangentlie import (
@@ -169,3 +170,16 @@ def test_base_change_invariance():
         assert lie.fiber.g1_dim == lie_moved.fiber.g1_dim
         assert lie.fiber.g2_dim == lie_moved.fiber.g2_dim
         assert bracket_rank(lie) == bracket_rank(lie_moved)
+
+
+def test_tangent_lie_rejects_disagreeing_constructions(monkeypatch):
+    original = cising.tangentlie.hessian_snake
+
+    def skewed(polys, point, rng=None):
+        fiber, bracket = original(polys, point, rng=rng)
+        bracket[0][0] = [2 * c + 1 for c in bracket[0][0]]
+        return fiber, bracket
+
+    monkeypatch.setattr(cising.tangentlie, "hessian_snake", skewed)
+    with pytest.raises(InvariantError, match="disagree"):
+        tangent_lie(pmap(["x", "y"], ["x^2 + y^2"]), origin(2))
