@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvariantError, ValidationError
-from .exactq import Mat, rank
-from .polyring import Poly, PolyRing
+from .exactq import span_of
+from .polyring import GradedSlice, Poly, PolyRing
 
 HALF = Fraction(1, 2)
 
@@ -54,6 +54,15 @@ class ChevalleyComplex:
     @property
     def odd_count(self):
         return len(self.differentials)
+
+    def slice(self, p, e):
+        """Coordinates of bidegree (p, e): exterior ``p``-subsets of the odd
+        generators times even monomials of degree ``e``."""
+        if p < 0 or p > self.odd_count or e < 0:
+            return GradedSlice([])
+        monos = self.even_ring.monomials_of_degree(e)
+        return GradedSlice((s, monos)
+                           for s in combinations(range(self.odd_count), p))
 
 
 @dataclass
@@ -111,55 +120,17 @@ def extract_bracket(ce):
     return bracket
 
 
-class _SliceComplex:
-    """Bidegree slices of the cochain model and their differentials."""
-
-    def __init__(self, ce):
-        self.ce = ce
-        self._bases = {}
-        self._ranks = {}
-        self._mats = {}
-
-    def basis(self, p, e):
-        key = (p, e)
-        if key not in self._bases:
-            if p < 0 or p > self.ce.odd_count or e < 0:
-                self._bases[key] = []
-            else:
-                subsets = list(combinations(range(self.ce.odd_count), p))
-                monos = self.ce.even_ring.monomials_of_degree(e)
-                self._bases[key] = [(s, m) for s in subsets for m in monos]
-        return self._bases[key]
-
-    def matrix(self, p, e):
-        """Differential from slice (p, e) to slice (p-1, e+2)."""
-        key = (p, e)
-        if key not in self._mats:
-            source = self.basis(p, e)
-            target = self.basis(p - 1, e + 2)
-            index = {be: i for i, be in enumerate(target)}
-            columns = []
-            for subset, mono in source:
-                col = [Fraction(0)] * len(target)
-                for t, j in enumerate(subset):
-                    reduced = tuple(x for x in subset if x != j)
-                    sign = -1 if t % 2 else 1
-                    product = self.ce.differentials[j] * \
-                        self.ce.even_ring.monomial(mono)
-                    for expo, coeff in product.terms.items():
-                        col[index[(reduced, expo)]] += sign * coeff
-                columns.append(col)
-            self._mats[key] = Mat.from_columns(columns, len(target))
-        return self._mats[key]
-
-    def rank(self, p, e):
-        key = (p, e)
-        if key not in self._ranks:
-            if not self.basis(p, e):
-                self._ranks[key] = 0
-            else:
-                self._ranks[key] = rank(self.matrix(p, e))
-        return self._ranks[key]
+def _differential(ce, p, e):
+    """Images of the basis of slice (p, e) in slice (p-1, e+2), as sparse
+    columns in the coordinates of ``ce.slice(p - 1, e + 2)``."""
+    target = ce.slice(p - 1, e + 2)
+    columns = []
+    for subset, mono in ce.slice(p, e):
+        m = ce.even_ring.monomial(mono)
+        columns.append(target.encode(
+            (subset[:t] + subset[t + 1:], ce.differentials[j] * m * (-1) ** t)
+            for t, j in enumerate(subset)))
+    return columns
 
 
 def ce_cohomology(ce, degree):
@@ -172,22 +143,32 @@ def ce_cohomology(ce, degree):
     degree = int(degree)
     if degree < 0:
         raise ValidationError("truncation degree must be nonnegative")
-    slices = _SliceComplex(ce)
     b = ce.odd_count
+    columns = {(p, e): _differential(ce, p, e)
+               for p in range(b + 2) for e in range(degree + 1)}
+    ranks = {key: span_of(cols).dim for key, cols in columns.items()}
     table = []
     for p in range(b + 1):
         row = []
         for e in range(degree + 1):
-            dim_here = len(slices.basis(p, e))
-            rank_out = slices.rank(p, e) if dim_here else 0
-            rank_in = slices.rank(p + 1, e - 2) if e >= 2 else 0
-            row.append(dim_here - rank_out - rank_in)
-            if dim_here and e >= 2 and p >= 1:
-                incoming = slices.matrix(p + 1, e - 2)
-                outgoing = slices.matrix(p, e)
-                if incoming.ncols and outgoing.nrows:
-                    if not outgoing.mul(incoming).is_zero():
-                        raise InvariantError(
-                            "cochain differential does not square to zero")
+            rank_in = ranks[(p + 1, e - 2)] if e >= 2 else 0
+            row.append(len(ce.slice(p, e)) - ranks[(p, e)] - rank_in)
+            if e >= 2 and not _composes_to_zero(columns[(p, e)],
+                                                columns[(p + 1, e - 2)]):
+                raise InvariantError(
+                    "cochain differential does not square to zero")
         table.append(row)
     return GradedDims(table=table, degree=degree)
+
+
+def _composes_to_zero(outer, inner):
+    """True when every sparse column of ``inner``, pushed through the
+    columns ``outer``, gives zero."""
+    for col in inner:
+        image = {}
+        for c, a in col.items():
+            for r, x in outer[c].items():
+                image[r] = image.get(r, 0) + a * x
+        if any(image.values()):
+            return False
+    return True

@@ -26,9 +26,10 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .exactq import IncrementalSpan, Mat, rank
+from .exactq import IncrementalSpan, Mat, span_of
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
+    GradedSlice,
     Poly,
     PolyRing,
     RingPresentation,
@@ -159,24 +160,6 @@ class FreeResolution:
 # ---------------------------------------------------------------------------
 
 
-def _slice_index(rp, twists, e):
-    """Coordinates of the degree-``e`` slice of the twisted free module:
-    one per (generator, standard monomial) pair, in that order."""
-    index = {}
-    for k, t in enumerate(twists):
-        for mono in rp.standard_monomials(e - t):
-            index[(k, mono)] = len(index)
-    return index
-
-
-def _slice_coords(index, v):
-    vec = [Fraction(0)] * len(index)
-    for k, p in enumerate(v):
-        for expo, coeff in p.terms.items():
-            vec[index[(k, expo)]] = coeff
-    return vec
-
-
 def minimal_generators(rp, twists, columns):
     """Minimal homogeneous generating set of the span of ``columns``.
 
@@ -195,18 +178,31 @@ def minimal_generators(rp, twists, columns):
             cols.append((d, j, nf))
     accepted = []
     for e in sorted({d for d, _, _ in cols}):
-        index = _slice_index(rp, twists, e)
+        coords = GradedSlice((k, rp.standard_monomials(e - t))
+                             for k, t in enumerate(twists))
         span = IncrementalSpan()
         for d, _, v in cols:
             if d < e:
                 for mono in rp.standard_monomials(e - d):
-                    shifted = [rp.normal_form(ring.monomial(mono) * p) for p in v]
-                    span.add(_slice_coords(index, shifted))
+                    m = ring.monomial(mono)
+                    span.add(coords.encode((k, rp.normal_form(m * p))
+                                           for k, p in enumerate(v)))
         for d, j, v in cols:
-            if d == e and span.add(_slice_coords(index, v)):
+            if d == e and span.add(coords.encode(enumerate(v))):
                 accepted.append((d, j, v))
     accepted.sort(key=lambda item: (item[0], item[1]))
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
+
+
+def _first_unit(table):
+    """``(a, b, c0)`` for the first entry ``table[a][b]``, scanning rows in
+    order, whose constant coefficient ``c0`` is nonzero; None if there is
+    none."""
+    for a, row in enumerate(table):
+        for b, p in enumerate(row):
+            if p.constant_coefficient():
+                return a, b, p.constant_coefficient()
+    return None
 
 
 def _cancel_units(rp, twists, columns):
@@ -215,19 +211,8 @@ def _cancel_units(rp, twists, columns):
     is unchanged up to isomorphism; afterwards the generators are minimal."""
     twists = list(twists)
     columns = [list(c) for c in columns]
-    while True:
-        found = None
-        for j, column in enumerate(columns):
-            for i, p in enumerate(column):
-                c0 = p.constant_coefficient()
-                if c0:
-                    found = (i, j, c0)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        i, j, c0 = found
+    while (found := _first_unit(columns)) is not None:
+        j, i, c0 = found
         inv = 1 / c0
         pivot = columns[j]
         for jp in range(len(columns)):
@@ -563,18 +548,9 @@ def new_generator_counts(ext, through):
         raise ValidationError("requested degree exceeds the computed range")
     counts = []
     for i in range(through + 1):
-        if i <= 1:
-            counts.append(ext.dims[i])
-            continue
-        columns = []
-        for ops in ext.operators:
-            op = ops[i - 2]
-            for cdx in range(op.ncols):
-                columns.append(op.column(cdx))
-        if columns:
-            counts.append(ext.dims[i] - rank(Mat.from_columns(columns, ext.dims[i])))
-        else:
-            counts.append(ext.dims[i])
+        images = [ops[i - 2] for ops in ext.operators] if i >= 2 else []
+        reached = span_of(op.column(c) for op in images for c in range(op.ncols))
+        counts.append(ext.dims[i] - reached.dim)
     return counts
 
 
@@ -684,43 +660,23 @@ def hstar_dims(dg, lo, hi):
     """Cohomology dimensions of the DG module in total degrees lo..hi."""
     ring = dg.ring
 
-    def slice_basis(tau):
-        out = []
-        for k, dk in enumerate(dg.degrees):
-            for mono in ring.monomials_of_degree(tau - dk):
-                out.append((k, mono))
-        return out
+    def coords(tau):
+        return GradedSlice((k, ring.monomials_of_degree(tau - dk))
+                           for k, dk in enumerate(dg.degrees))
 
-    ranks = {}
+    def boundary_images(tau):
+        target = coords(tau + 1)
+        for k, mono in coords(tau):
+            m = ring.monomial(mono)
+            yield target.encode((r, m * row[k])
+                                for r, row in enumerate(dg.differential)
+                                if not row[k].is_zero())
 
-    def boundary_rank(tau):
-        if tau in ranks:
-            return ranks[tau]
-        src = slice_basis(tau)
-        tgt = slice_basis(tau + 1)
-        if not src or not tgt:
-            ranks[tau] = 0
-            return 0
-        index = {b: i for i, b in enumerate(tgt)}
-        columns = []
-        for k, mono in src:
-            mp = ring.monomial(mono)
-            vec = [Fraction(0)] * len(tgt)
-            for r in range(dg.rank):
-                p = dg.differential[r][k]
-                if p.is_zero():
-                    continue
-                for expo, coeff in (mp * p).terms.items():
-                    vec[index[(r, expo)]] = coeff
-            columns.append(vec)
-        ranks[tau] = rank(Mat.from_columns(columns, len(tgt)))
-        return ranks[tau]
-
-    out = {}
-    for tau in range(int(lo), int(hi) + 1):
-        out[tau] = (len(slice_basis(tau)) - boundary_rank(tau)
-                    - boundary_rank(tau - 1))
-    return out
+    lo, hi = int(lo), int(hi)
+    ranks = {tau: span_of(boundary_images(tau)).dim
+             for tau in range(lo - 1, hi + 1)}
+    return {tau: len(coords(tau)) - ranks[tau] - ranks[tau - 1]
+            for tau in range(lo, hi + 1)}
 
 
 @dataclass
@@ -743,22 +699,10 @@ def minimize_dg(dg, through=None):
     """
     degrees = list(dg.degrees)
     matrix = [list(row) for row in dg.differential]
-    while True:
-        n = len(degrees)
-        found = None
-        for r in range(n):
-            for c in range(n):
-                c0 = matrix[r][c].constant_coefficient()
-                if c0:
-                    found = (r, c, c0)
-                    break
-            if found:
-                break
-        if found is None:
-            break
+    while (found := _first_unit(matrix)) is not None:
         b, a, c0 = found
         inv = 1 / c0
-        keep = [k for k in range(n) if k not in (a, b)]
+        keep = [k for k in range(len(degrees)) if k not in (a, b)]
         matrix = [[matrix[y][x] - matrix[y][a] * inv * matrix[b][x]
                    for x in keep] for y in keep]
         degrees = [degrees[k] for k in keep]

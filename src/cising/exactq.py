@@ -1,11 +1,17 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals on one sparse echelon kernel.
 
 Everything here runs on ``fractions.Fraction`` -- no floating point, no
-tolerances.  The routines are deterministic by convention, and downstream
-code leans on those conventions, so they are contract rather than accident:
+tolerances.  :class:`IncrementalSpan` is the only elimination routine: it
+keeps a subspace as sparse rows ``{column: Fraction}`` in reduced echelon
+form, each row pivoting on its first nonzero column.  ``rref``, ``rank``,
+``kernel_basis``, ``cokernel_presentation`` and ``solve`` are built on it,
+and the dense :class:`Mat` is kept for small fixed-size maps (tangent
+fibers, snake diagrams, operators on Ext).  The routines are deterministic
+by convention, and downstream code leans on those conventions, so they are
+contract rather than accident:
 
-* row reduction picks the first usable pivot in each column, scanning top
-  to bottom;
+* the pivots are those of the unique reduced row echelon form: a column is
+  a pivot exactly when it is independent of the columns before it;
 * ``kernel_basis`` emits one vector per non-pivot column, free coordinate
   set to 1, in column order;
 * ``cokernel_presentation`` projects onto the non-pivot coordinates of the
@@ -101,42 +107,110 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
+class IncrementalSpan:
+    """A subspace grown one vector at a time, kept in reduced echelon form.
+
+    ``rows`` maps each pivot column to a sparse row ``{column: Fraction}``
+    holding no zero entries.  Every row is 1 at its pivot, which is its
+    first nonzero column, and 0 at every other pivot.  ``add`` reduces the
+    incoming vector against the rows and either absorbs it -- returning
+    True, the vector was independent -- or rejects it as already in the
+    span.  ``add`` and ``contains`` take a sequence or a ``{column: value}``
+    mapping.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, vec):
+        v = {}
+        for c, a in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
+            if not isinstance(a, Fraction):
+                a = Fraction(a)
+            if a:
+                v[c] = a
+        rows = self.rows
+        # a row is zero at every other pivot, so each pivot entry of v is
+        # read before any subtraction can touch it
+        for p in [c for c in v if c in rows]:
+            f = v[p]
+            for c, a in rows[p].items():
+                s = v.get(c, ZERO) - f * a
+                if s:
+                    v[c] = s
+                else:
+                    del v[c]
+        return v
+
+    def add(self, vec):
+        v = self._reduce(vec)
+        if not v:
+            return False
+        p = min(v)
+        if v[p] != 1:
+            inv = ONE / v[p]
+            v = {c: a * inv for c, a in v.items()}
+        for row in self.rows.values():
+            f = row.get(p)
+            if f:
+                for c, a in v.items():
+                    s = row.get(c, ZERO) - f * a
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+        self.rows[p] = v
+        return True
+
+    def contains(self, vec):
+        return not self._reduce(vec)
+
+
+def span_of(vectors):
+    """The :class:`IncrementalSpan` of ``vectors``, added in order."""
+    span = IncrementalSpan()
+    for v in vectors:
+        span.add(v)
+    return span
+
+
 def rref(m):
     """Reduced row echelon form.
 
     Returns ``(reduced, pivots)`` where ``pivots`` lists the pivot columns in
-    order.  The pivot for each column is the first nonzero entry among the
-    unused rows, top to bottom.
+    order; zero rows follow the pivot rows.  The reduced form of a row space
+    is unique, so it does not depend on the order the rows are reduced in.
     """
-    rows = [list(row) for row in m.rows]
-    pivots = []
-    prow = 0
-    for col in range(m.ncols):
-        if prow >= m.nrows:
-            break
-        sel = None
-        for r in range(prow, m.nrows):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        if sel != prow:
-            rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = ONE / rows[prow][col]
-        rows[prow] = [e * inv for e in rows[prow]]
-        lead = rows[prow]
-        for r in range(m.nrows):
-            if r != prow and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
-        pivots.append(col)
-        prow += 1
-    return Mat(rows, m.ncols), pivots
+    rows = span_of(m.rows).rows
+    pivots = sorted(rows)
+    reduced = [[rows[p].get(c, ZERO) for c in range(m.ncols)] for p in pivots]
+    reduced += [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
+    return Mat(reduced, m.ncols), pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return span_of(m.rows).dim
+
+
+def _free_basis(rows, n):
+    """One vector per non-pivot coordinate ``f`` of the reduced ``rows``:
+    1 at ``f``, minus the ``f`` entry of each row at that row's pivot."""
+    basis = []
+    for f in range(n):
+        if f in rows:
+            continue
+        v = [ZERO] * n
+        v[f] = ONE
+        for p, row in rows.items():
+            v[p] = -row.get(f, ZERO)
+        basis.append(v)
+    return basis
 
 
 def kernel_basis(m):
@@ -145,18 +219,7 @@ def kernel_basis(m):
     One vector per non-pivot column: that free coordinate is 1, pivot
     coordinates are filled from the reduced form, everything else is 0.
     """
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for col in range(m.ncols):
-        if col in pivot_set:
-            continue
-        v = [ZERO] * m.ncols
-        v[col] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced.rows[i][col]
-        basis.append(v)
-    return basis
+    return _free_basis(span_of(m.rows).rows, m.ncols)
 
 
 def cokernel_presentation(m):
@@ -164,77 +227,43 @@ def cokernel_presentation(m):
 
     Returns a ``(nrows - rank) x nrows`` matrix ``q`` with ``q * m = 0``
     whose rows are indexed by the non-pivot coordinates of the column space
-    (computed from the transpose), in coordinate order.  ``q`` restricted to
-    those coordinates is the identity, so it is onto.
+    (reduced from the columns of ``m``), in coordinate order.  ``q``
+    restricted to those coordinates is the identity, so it is onto.
     """
-    reduced, pivots = rref(m.transpose())
-    pivot_set = set(pivots)
-    free = [c for c in range(m.nrows) if c not in pivot_set]
-    rows = []
-    for fc in free:
-        row = [ZERO] * m.nrows
-        row[fc] = ONE
-        for j, pc in enumerate(pivots):
-            row[pc] = -reduced.rows[j][fc]
-        rows.append(row)
-    return Mat(rows, m.nrows)
+    columns = span_of(m.column(j) for j in range(m.ncols)).rows
+    return Mat(_free_basis(columns, m.nrows), m.nrows)
 
 
-class IncrementalSpan:
-    """A subspace grown one vector at a time, kept in reduced echelon form.
+def solver(m):
+    """``b -> solve(m, b)`` with ``m`` reduced once, as ``[m | identity]``:
+    a row pivoting in ``m`` carries the combination of ``b`` that gives that
+    coordinate of the solution, any other row a condition ``b`` must meet."""
+    n = m.ncols
+    span = IncrementalSpan()
+    for i, row in enumerate(m.rows):
+        v = dict(enumerate(row))
+        v[n + i] = ONE
+        span.add(v)
+    rows = span.rows
 
-    ``add`` reduces the incoming vector against the stored rows (distinct
-    pivots, mutually reduced) and either absorbs it -- returning True, the
-    vector was independent -- or rejects it as already in the span.
-    """
+    def solve_one(b):
+        if len(b) != m.nrows:
+            raise ValueError("right-hand side length does not match row count")
+        x = [ZERO] * n
+        for p, row in rows.items():
+            s = sum((a * b[c - n] for c, a in row.items() if c >= n), ZERO)
+            if p < n:
+                x[p] = s
+            elif s:
+                return None
+        return x
 
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        v = [e if isinstance(e, Fraction) else Fraction(e) for e in vec]
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        v = self._reduce(vec)
-        p = next((i for i, a in enumerate(v) if a), None)
-        if p is None:
-            return False
-        inv = ONE / v[p]
-        v = [a * inv for a in v]
-        for idx, (pivot, row) in enumerate(self.rows):
-            c = row[p]
-            if c:
-                self.rows[idx] = (pivot, [a - c * b for a, b in zip(row, v)])
-        self.rows.append((p, v))
-        return True
-
-    def contains(self, vec):
-        return all(a == 0 for a in self._reduce(vec))
+    return solve_one
 
 
 def solve(m, b):
     """One exact solution of ``m x = b`` (free coordinates 0), or None."""
-    if len(b) != m.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    aug = Mat([list(row) + [bv] for row, bv in zip(m.rows, b)], m.ncols + 1)
-    reduced, pivots = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [ZERO] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced.rows[i][m.ncols]
-    return x
+    return solver(m)(b)
 
 
 @dataclass
@@ -290,15 +319,16 @@ def snake_boundary(top, bottom, verticals, rng=None):
     kernel = kernel_basis(gamma)
     projection = cokernel_presentation(alpha)
     lift_freedom = kernel_basis(b) if rng is not None else []
+    lift, pull_back = solver(b), solver(a2)
     columns = []
     for c in kernel:
-        u = solve(b, c)
+        u = lift(c)
         if rng is not None:
             for kv in lift_freedom:
                 coeff = Fraction(rng.randint(-4, 4))
                 u = [ui + coeff * ki for ui, ki in zip(u, kv)]
         w = beta.vec(u)
-        v = solve(a2, w)
+        v = pull_back(w)
         if v is None:
             raise ExactnessError("pushed lift is not in the image of the bottom row")
         columns.append(projection.vec(v))

@@ -699,6 +699,39 @@ class RingPresentation:
                     f"ideal generator {k + 1} is not homogeneous: {g}")
 
 
+class GradedSlice:
+    """Coordinates of one graded slice of a free module: one per ``(label,
+    monomial)`` pair, in the order of ``pieces`` = ``(label, monomials)``.
+    ``encode`` gives the sparse vectors :class:`exactq.IncrementalSpan` takes.
+    """
+
+    def __init__(self, pieces):
+        self.index = {}
+        for label, monomials in pieces:
+            for mono in monomials:
+                self.index[(label, mono)] = len(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def encode(self, entries):
+        """Sparse coordinates of ``sum(label * poly for label, poly in
+        entries)``; every term must lie in the slice."""
+        vec = {}
+        for label, poly in entries:
+            for expo, coeff in poly.terms.items():
+                c = self.index[(label, expo)]
+                s = vec.get(c, ZERO) + coeff
+                if s:
+                    vec[c] = s
+                else:
+                    del vec[c]
+        return vec
+
+
 def hilbert_function(presentation, degree):
     """Dimensions of the graded pieces of the quotient, degrees 0..degree.
 
@@ -743,6 +776,20 @@ def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
     return best == n - len(gens)
 
 
+def _capped_product(factors, max_monomials):
+    """Product of the nonempty list ``factors``, refused with
+    :class:`ResourceLimitError` once a partial product has more than
+    ``max_monomials`` terms, before :func:`buchberger` would charge it."""
+    product = factors[0]
+    for f in factors[1:]:
+        product = product * f
+        if max_monomials is not None and len(product.terms) > max_monomials:
+            raise ResourceLimitError(
+                f"monomial cap {max_monomials} exceeded while expanding a "
+                "product of generators")
+    return product
+
+
 def tower_ring(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Presentation of the order-``n`` thickening: quotient by the n-th
     powers of the given generators.  ``n`` must be at least 1."""
@@ -752,7 +799,8 @@ def tower_ring(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
     gens = list(gens)
     if not gens:
         raise ValidationError("need at least one generator")
-    return RingPresentation(ring, [g**n for g in gens],
+    return RingPresentation(ring, [_capped_product([g] * n, max_monomials)
+                                   for g in gens],
                             max_monomials=max_monomials)
 
 
@@ -783,15 +831,10 @@ def square_zero_filtration(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
         raise ValidationError("need at least one generator")
 
     def products(k):
-        out = []
-        for combo in combinations_with_replacement(range(len(gens)), k):
-            p = ring.one()
-            for i in combo:
-                p = p * gens[i]
-            out.append(p)
-        return out
+        return [_capped_product(combo, max_monomials)
+                for combo in combinations_with_replacement(gens, k)]
 
-    pure = [g**n for g in gens]
+    pure = [_capped_product([g] * n, max_monomials) for g in gens]
     stages = []
     for k in range(n - 1, 0, -1):
         stage = RingPresentation(ring, products(k + 1) + pure,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, OffLocusError, ValidationError
-from .exactq import Mat, cokernel_presentation, kernel_basis, snake_boundary, solve
+from .exactq import Mat, cokernel_presentation, kernel_basis, snake_boundary, solver
 
 ZERO = Fraction(0)
 
@@ -38,7 +38,7 @@ def _validate_map(polys, point):
     if len(point) != ring.nvars:
         raise ValidationError("point length does not match variable count")
     point = [Fraction(c) for c in point]
-    off = [(j, p.subs(point)) for j, p in enumerate(polys) if p.subs(point) != 0]
+    off = [(j, v) for j, v in enumerate(p.subs(point) for p in polys) if v]
     if off:
         detail = ", ".join(f"f_{j + 1} = {val}" for j, val in off)
         raise OffLocusError(f"point is not on the zero locus: {detail}")
@@ -206,7 +206,7 @@ def hessian_snake(polys, point, rng=None):
     sq = snake_boundary(diagram.top, diagram.bottom, diagram.verticals, rng=rng)
     spairs = diagram.source_pairs
     pair_index = {pair: idx for idx, pair in enumerate(spairs)}
-    domain = Mat.from_columns(sq.domain_basis, len(spairs))
+    coordinates = solver(Mat.from_columns(sq.domain_basis, len(spairs)))
 
     k = fiber.kernel
     bracket = []
@@ -218,7 +218,7 @@ def hessian_snake(polys, point, rng=None):
                 for j in range(len(k[b])):
                     lo, hi = (i, j) if i <= j else (j, i)
                     sym[pair_index[(lo, hi)]] += k[a][i] * k[b][j]
-            coords = solve(domain, sym)
+            coords = coordinates(sym)
             if coords is None:
                 raise InvariantError(
                     "symmetrized kernel pair escaped the boundary domain")

@@ -89,6 +89,20 @@ def test_non_regular_sequence_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["tower", "squarezero"])
+def test_power_cap_exits_3(capsys, tmp_path, command):
+    names = ["a", "b", "c", "d", "e"]
+    quadric = " + ".join(f"{u}*{v}" for i, u in enumerate(names)
+                         for v in names[i:])
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": command, "variables": names,
+                                "map": [quadric], "n": 64}))
+    code, out, err = run_cli(capsys, "--max-monomials", "1000", command,
+                             str(path))
+    assert code == 3 and out == ""
+    assert "monomial cap 1000" in err
+
+
 def test_width_cap_exits_3(capsys):
     code, _, err = run_cli(capsys, "resolve",
                            str(JOBS / "resolve_two_quadrics.json"),

@@ -1,0 +1,115 @@
+"""Property tests of the exact kernel against sympy as an independent oracle.
+
+sympy is used here only; the library never imports it.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cising.exactq import (
+    IncrementalSpan,
+    Mat,
+    cokernel_presentation,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+    solver,
+)
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+EMPTY_ROWS = Mat([], 3)           # 0 x 3
+EMPTY_COLUMNS = Mat([[], []], 0)  # 2 x 0
+
+entries = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def matrices(draw, max_side=5):
+    """Small rational matrices, 0 x n and n x 0 included."""
+    nrows = draw(st.integers(0, max_side))
+    ncols = draw(st.integers(0, max_side))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    return Mat(rows, ncols)
+
+
+def oracle(m):
+    return sympy.Matrix(m.nrows, m.ncols,
+                        [sympy.Rational(e.numerator, e.denominator)
+                         for row in m.rows for e in row])
+
+
+def fractions(values):
+    return [Fraction(int(v.p), int(v.q)) for v in values]
+
+
+@PROPERTY
+@given(matrices())
+@example(EMPTY_ROWS)
+@example(EMPTY_COLUMNS)
+def test_rref_and_rank_match_sympy(m):
+    expected, pivots = oracle(m).rref()
+    reduced, got = rref(m)
+    assert got == list(pivots)
+    assert reduced.rows == [fractions(expected.row(i)) for i in range(m.nrows)]
+    assert rank(m) == len(pivots)
+
+
+@PROPERTY
+@given(matrices())
+@example(EMPTY_ROWS)
+@example(EMPTY_COLUMNS)
+def test_kernel_and_cokernel_match_sympy(m):
+    sm = oracle(m)
+    assert kernel_basis(m) == [fractions(v) for v in sm.nullspace()]
+    q = cokernel_presentation(m)
+    assert q.ncols == m.nrows
+    assert q.rows == [fractions(v) for v in sm.T.nullspace()]
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_solve_matches_sympy(m, data):
+    if data.draw(st.booleans()):   # a right-hand side in the image
+        x = data.draw(st.lists(entries, min_size=m.ncols, max_size=m.ncols))
+        b = m.vec(x)
+    else:
+        b = data.draw(st.lists(entries, min_size=m.nrows, max_size=m.nrows))
+    augmented = Mat([row + [bv] for row, bv in zip(m.rows, b)], m.ncols + 1)
+    expected, pivots = oracle(augmented).rref()
+    if m.ncols in pivots:
+        want = None
+    else:
+        want = [Fraction(0)] * m.ncols
+        for i, p in enumerate(pivots):
+            want[p] = fractions([expected[i, m.ncols]])[0]
+    got = solve(m, b)
+    assert got == want
+    if got is not None:
+        assert m.vec(got) == b
+    assert solver(m)(b) == want
+
+
+@PROPERTY
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), max_size=6)))
+def test_span_takes_lists_and_dicts_alike(vectors):
+    as_lists, as_dicts = IncrementalSpan(), IncrementalSpan()
+    seq_lists = [as_lists.add(v) for v in vectors]
+    seq_dicts = [as_dicts.add({c: a for c, a in enumerate(v) if a})
+                 for v in vectors]
+    assert seq_lists == seq_dicts
+    assert as_lists.rows == as_dicts.rows
+    for p, row in as_lists.rows.items():
+        assert min(row) == p and row[p] == 1
+        assert all(a != 0 for a in row.values())
+        assert all(q == p or q not in row for q in as_lists.rows)
+    if vectors:
+        n = len(vectors[0])
+        assert as_lists.dim == rank(Mat(vectors, n)) == oracle(Mat(vectors, n)).rank()
+    assert all(as_lists.contains(v) for v in vectors)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import cising.polyring
 from cising.errors import (
     GradingError,
     ParseError,
@@ -363,3 +364,17 @@ def test_square_zero_filtration_randomized():
         gens = [ring.parse(rng.choice(pool)) for _ in range(count)]
         n = rng.randint(1, 3)
         assert all(square_zero_filtration(ring, gens, n))
+
+
+@pytest.mark.parametrize("build", [tower_ring, square_zero_filtration])
+@pytest.mark.parametrize("n", [12, 64])
+def test_power_expansion_refused_before_buchberger(monkeypatch, build, n):
+    # all 15 degree-2 monomials in 5 variables: q^5 already has 1001 terms
+    ring = PolyRing(["a", "b", "c", "d", "e"])
+    q = sum((ring.monomial(m) for m in ring.monomials_of_degree(2)), ring.zero())
+    entered = []
+    monkeypatch.setattr(cising.polyring, "buchberger",
+                        lambda *args, **kwargs: entered.append(args))
+    with pytest.raises(ResourceLimitError, match="product of generators"):
+        build(ring, [q], n, max_monomials=1000)
+    assert entered == []
