@@ -81,15 +81,20 @@ class Mat:
             raise ValueError("shape mismatch in matrix product")
         out = []
         for row in self.rows:
-            out.append([sum((row[k] * other.rows[k][j] for k in range(self.ncols)),
-                            ZERO) for j in range(other.ncols)])
+            acc = [ZERO] * other.ncols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
         return Mat(out, other.ncols)
 
     def vec(self, v):
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return [sum((row[k] * v[k] for k in range(self.ncols)), ZERO)
+        return [sum((a * x for a, x in zip(row, v) if a), ZERO)
                 for row in self.rows]
 
     def is_zero(self):

@@ -6,6 +6,12 @@ input generators, normal forms, Hilbert functions of graded quotients,
 a regular-sequence test, and the square-zero machinery for nilpotent
 thickening towers.
 
+One Buchberger engine (``_groebner``) and one reduction routine
+(``_reduce``) serve ideals and free modules alike.  Both work on module
+vectors -- lists of polynomials ordered term over position -- and an ideal is
+the rank-1 case: :func:`buchberger` interreduces the engine's rank-1 basis,
+and :mod:`cising.syzygies` uses the engine as it is.
+
 Coefficients are ``fractions.Fraction`` throughout; there is no floating
 point.  Two monomial orders are supported: weight-compatible graded reverse
 lexicographic (``"grevlex"``, the default) and plain lexicographic
@@ -472,6 +478,29 @@ def parse_poly(ring, text):
 # ---------------------------------------------------------------------------
 
 
+def vec_is_zero(v):
+    return all(p.is_zero() for p in v)
+
+
+def vec_lead(v):
+    """Leading ``(component, exponent, coefficient)`` of a module vector.
+
+    The winning term has the largest ring monomial; among components sharing
+    that monomial the smallest index wins.  Returns None for the zero vector.
+    """
+    best_key = None
+    best = None
+    for comp, p in enumerate(v):
+        if p.is_zero():
+            continue
+        expo, coeff = p.lead()
+        key = (p.ring.sort_key(expo), -comp)
+        if best_key is None or key > best_key:
+            best_key = key
+            best = (comp, expo, coeff)
+    return best
+
+
 @dataclass
 class GroebnerBasis:
     """A reduced Groebner basis together with its build certificate.
@@ -486,54 +515,14 @@ class GroebnerBasis:
     basis: list
     representation: list
 
+    def __post_init__(self):
+        # the basis as rank-1 reducers for _reduce, built once: a quotient
+        # ring takes many normal forms against the same basis
+        self._reducers = [[g] for g in self.basis]
+        self._leads = [vec_lead(v) for v in self._reducers]
+
     def __iter__(self):
         return iter(self.basis)
-
-
-def _reduce_with_cofactors(p, reducers, counter=None):
-    """Fully reduce ``p`` by ``reducers`` (scanned in order; first divisor
-    wins).  Returns ``(remainder, cofactors)`` with
-    ``p == sum(cofactors[k] * reducers[k]) + remainder`` and no remainder term
-    divisible by any reducer's leading monomial."""
-    ring = p.ring
-    cofactors = [ring.zero() for _ in reducers]
-    leads = [g.lead() for g in reducers]
-    rem_terms = {}
-    cur = p
-    while cur.terms:
-        expo, coeff = cur.lead()
-        hit = None
-        for idx, (glm, glc) in enumerate(leads):
-            if _expo_divides(glm, expo):
-                hit = idx
-                break
-        if hit is None:
-            rem_terms[expo] = coeff
-            cur = Poly(ring, {e: c for e, c in cur.terms.items() if e != expo})
-        else:
-            glm, glc = leads[hit]
-            q = ring.monomial(_expo_sub(expo, glm), coeff / glc)
-            cofactors[hit] = cofactors[hit] + q
-            cur = cur - q * reducers[hit]
-            if counter is not None:
-                counter.charge(len(cur.terms))
-    return Poly(ring, rem_terms), cofactors
-
-
-def normal_form(p, gb):
-    """Fully reduced normal form of ``p`` modulo a Groebner basis."""
-    reducers = gb.basis if isinstance(gb, GroebnerBasis) else list(gb)
-    if not reducers:
-        return p
-    return _reduce_with_cofactors(p, reducers)[0]
-
-
-def normal_form_with_cofactors(p, gb):
-    """Normal form plus the cofactors against the basis elements."""
-    reducers = gb.basis if isinstance(gb, GroebnerBasis) else list(gb)
-    if not reducers:
-        return p, []
-    return _reduce_with_cofactors(p, reducers)
 
 
 class _MonomialBudget:
@@ -552,14 +541,149 @@ class _MonomialBudget:
                 f"monomial cap {self.cap} exceeded during Groebner computation")
 
 
+def _reduce(ring, v, reducers, leads=None, budget=None):
+    """Fully reduce the module vector ``v`` by ``reducers``, scanned in
+    order (first divisor wins).
+
+    Returns ``(remainder, cofactors)`` with
+    ``v == sum_k cofactors[k] * reducers[k] + remainder`` componentwise and no
+    remainder term divisible by a reducer's lead (same component, dividing
+    monomial).  ``leads`` are the reducers' :func:`vec_lead` when the caller
+    already has them.  Each reduction step charges ``budget`` the number of
+    terms left to reduce.
+    """
+    if leads is None:
+        leads = [vec_lead(g) for g in reducers]
+    key = ring.sort_key
+    cur = [dict(p.terms) for p in v]
+    rem = [{} for _ in v]
+    cofactors = [{} for _ in reducers]
+    while True:
+        best = None
+        for comp, terms in enumerate(cur):
+            if terms:
+                expo = max(terms, key=key)
+                k = key(expo)
+                if best is None or k > best[0]:
+                    best = (k, comp, expo)
+        if best is None:
+            break
+        _, comp, expo = best
+        coeff = cur[comp][expo]
+        for hit, lead in enumerate(leads):
+            if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
+                break
+        else:
+            rem[comp][expo] = coeff
+            del cur[comp][expo]
+            continue
+        shift = _expo_sub(expo, lead[1])
+        q = coeff / lead[2]
+        cofactors[hit][shift] = q
+        for terms, g in zip(cur, reducers[hit]):
+            for e, c in g.terms.items():
+                e = _expo_add(shift, e)
+                s = terms.get(e, ZERO) - q * c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        if budget is not None:
+            budget.charge(sum(map(len, cur)))
+    return [Poly(ring, r) for r in rem], [Poly(ring, c) for c in cofactors]
+
+
+def _groebner(ring, columns, budget):
+    """Module Groebner basis of the span of ``columns`` (lists of polynomials,
+    ordered term over position), with representation tracking.
+
+    Pair selection is deterministic: only pairs whose leads share a
+    component are formed, lowest weighted lcm degree first, ties by index.
+    Returns ``(basis, representation)``: monic basis vectors, not
+    interreduced, and rows with
+    ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
+    """
+    basis = []
+    reps = []
+    leads = []
+    pairs = []
+
+    def add_element(v, rep):
+        comp, expo, coeff = vec_lead(v)
+        if coeff != 1:
+            inv = ONE / coeff
+            v = [p * inv for p in v]
+            rep = [r * inv for r in rep]
+        basis.append(v)
+        reps.append(rep)
+        budget.charge(sum(len(p.terms) for p in v))
+        i = len(basis) - 1
+        for j, (jcomp, jexpo, _) in enumerate(leads):
+            if jcomp == comp:
+                heapq.heappush(pairs, (ring.wdeg(_expo_lcm(jexpo, expo)), j, i))
+        leads.append((comp, expo, ONE))
+
+    unit = [ring.zero() for _ in columns]
+    for k, c in enumerate(columns):
+        if vec_is_zero(c):
+            continue
+        row = list(unit)
+        row[k] = ring.one()
+        add_element(c, row)
+
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        ei, ej = leads[i][1], leads[j][1]
+        lcm = _expo_lcm(ei, ej)
+        mi = ring.monomial(_expo_sub(lcm, ei))
+        mj = ring.monomial(_expo_sub(lcm, ej))
+        s = [mi * a - mj * b for a, b in zip(basis[i], basis[j])]
+        if vec_is_zero(s):
+            continue
+        remainder, cofs = _reduce(ring, s, basis, leads, budget)
+        if vec_is_zero(remainder):
+            continue
+        rep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
+        for k, q in enumerate(cofs):
+            if not q.is_zero():
+                rep = [r - q * s_k for r, s_k in zip(rep, reps[k])]
+        add_element(remainder, rep)
+
+    return basis, reps
+
+
+def _scalar_reducers(gb):
+    if isinstance(gb, GroebnerBasis):
+        return gb._reducers, gb._leads
+    return [[g] for g in gb], None
+
+
+def normal_form(p, gb):
+    """Fully reduced normal form of ``p`` modulo a Groebner basis."""
+    reducers, leads = _scalar_reducers(gb)
+    if not reducers:
+        return p
+    return _reduce(p.ring, [p], reducers, leads)[0][0]
+
+
+def normal_form_with_cofactors(p, gb):
+    """Normal form plus the cofactors against the basis elements."""
+    reducers, leads = _scalar_reducers(gb)
+    if not reducers:
+        return p, []
+    remainder, cofactors = _reduce(p.ring, [p], reducers, leads)
+    return remainder[0], cofactors
+
+
 def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Reduced Groebner basis with representation tracking.
 
-    Pair selection is deterministic: lowest weighted lcm degree first, ties
-    by the pair's indices.  The returned basis is monic, fully interreduced,
-    and sorted by leading monomial; ``representation`` expresses every basis
-    element exactly in terms of the input generators (zero and redundant
-    inputs included, with zero rows/columns where appropriate).
+    The basis is :func:`_groebner`'s on rank-1 vectors, so pair selection is
+    lowest weighted lcm degree first, ties by the pair's indices.  The
+    returned basis is monic, fully interreduced, and sorted by leading
+    monomial; ``representation`` expresses every basis element exactly in
+    terms of the input generators (zero and redundant inputs included, with
+    zero rows/columns where appropriate).
     """
     generators = list(generators)
     if not generators:
@@ -568,52 +692,9 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     for g in generators:
         if g.ring != ring:
             raise ValidationError("generators from different rings")
-    budget = _MonomialBudget(max_monomials)
-
-    basis = []      # monic polys
-    reps = []       # rep rows: basis[i] = sum_k reps[i][k] * generators[k]
-    unit = [ring.zero() for _ in generators]
-
-    def add_element(p, rep):
-        lc = p.lc
-        if lc != 1:
-            inv = ONE / lc
-            p = p * inv
-            rep = [r * inv for r in rep]
-        basis.append(p)
-        reps.append(rep)
-        budget.charge(len(p.terms))
-        i = len(basis) - 1
-        for j in range(i):
-            if basis[j] is not None:
-                lcm = _expo_lcm(basis[j].lm, p.lm)
-                heapq.heappush(pairs, (ring.wdeg(lcm), j, i))
-
-    pairs = []
-    for k, g in enumerate(generators):
-        if g.is_zero():
-            continue
-        row = list(unit)
-        row[k] = ring.one()
-        add_element(g, row)
-
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        gi, gj = basis[i], basis[j]
-        lcm = _expo_lcm(gi.lm, gj.lm)
-        mi = ring.monomial(_expo_sub(lcm, gi.lm))
-        mj = ring.monomial(_expo_sub(lcm, gj.lm))
-        s = mi * gi - mj * gj
-        if s.is_zero():
-            continue
-        remainder, cofs = _reduce_with_cofactors(s, basis, budget)
-        if remainder.is_zero():
-            continue
-        rep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        for k, q in enumerate(cofs):
-            if not q.is_zero():
-                rep = [r - q * s_k for r, s_k in zip(rep, reps[k])]
-        add_element(remainder, rep)
+    vectors, reps = _groebner(ring, [[g] for g in generators],
+                              _MonomialBudget(max_monomials))
+    basis = [v[0] for v in vectors]
 
     # interreduce: prune elements whose lead is divisible by another lead,
     # then tail-reduce each survivor against the others.
@@ -626,20 +707,15 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     final = [basis[i] for i in kept]
     final_reps = [reps[i] for i in kept]
     for idx in range(len(final)):
-        others = [final[k] for k in range(len(final)) if k != idx]
-        if not others:
-            continue
-        remainder, cofs = _reduce_with_cofactors(final[idx], others)
+        # a None lead keeps the element itself out of its reducers
+        reducers = [[g] for g in final]
+        leads = [None if k == idx else vec_lead(v) for k, v in enumerate(reducers)]
+        remainder, cofs = _reduce(ring, reducers[idx], reducers, leads)
         rep = final_reps[idx]
-        pos = 0
-        for k in range(len(final)):
-            if k == idx:
-                continue
-            q = cofs[pos]
-            pos += 1
+        for q, row in zip(cofs, final_reps):
             if not q.is_zero():
-                rep = [r - q * s_k for r, s_k in zip(rep, final_reps[k])]
-        final[idx] = remainder
+                rep = [r - q * s_k for r, s_k in zip(rep, row)]
+        final[idx] = remainder[0]
         final_reps[idx] = rep
 
     order = sorted(range(len(final)), key=lambda i: ring.sort_key(final[i].lm))
@@ -742,12 +818,31 @@ def hilbert_function(presentation, degree):
     return [presentation.dim_degree(d) for d in range(degree + 1)]
 
 
+def _min_transversal(supports, limit):
+    """Fewest indices meeting every set in ``supports``, or ``limit + 1``
+    when more than ``limit`` are needed.
+
+    Branches on the indices of the first set no chosen index meets yet, so
+    the search tree has depth at most ``limit`` and fan-out at most the
+    largest set size.
+    """
+    def search(chosen):
+        missed = next((s for s in supports if not s & chosen), None)
+        if missed is None:
+            return len(chosen)
+        if len(chosen) == limit:
+            return limit + 1
+        return min(search(chosen | {i}) for i in sorted(missed))
+
+    return search(frozenset())
+
+
 def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Exact regular-sequence test for homogeneous generators.
 
-    Computes the Krull dimension of the quotient from the leading-term
-    ideal (largest variable subset meeting no leading support) and compares
-    with ``nvars - len(gens)``.
+    The codimension of the ideal is that of its leading-term ideal: the
+    fewest variables meeting every leading support (a minimum transversal).
+    The sequence is regular exactly when that equals ``len(gens)``.
     """
     gens = list(gens)
     for k, g in enumerate(gens):
@@ -766,14 +861,7 @@ def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
         if not support:          # a unit: the quotient is the zero ring
             return ring.nvars - len(gens) == -1
         supports.append(support)
-    n = ring.nvars
-    best = -1
-    for mask in range(1 << n):
-        subset = {i for i in range(n) if mask >> i & 1}
-        if any(s <= subset for s in supports):
-            continue
-        best = max(best, len(subset))
-    return best == n - len(gens)
+    return _min_transversal(supports, len(gens)) == len(gens)
 
 
 def _capped_product(factors, max_monomials):

@@ -3,7 +3,9 @@
 An element of a rank-``r`` free module is a plain list of ``r`` polynomials.
 The order on module terms is term-over-position: ring monomials are compared
 first, ties broken toward the smaller component index.  Everything is exact
-and deterministic, mirroring the scalar routines in :mod:`cising.polyring`.
+and deterministic.  The Buchberger engine and the reduction routine live in
+:mod:`cising.polyring`, which runs them on ideals as the rank-1 case; this
+module validates columns and extracts syzygies from the engine's output.
 
 Syzygies are computed by the classical two-step scheme: build a module
 Groebner basis while tracking how each basis vector was assembled from the
@@ -12,7 +14,6 @@ reduces to zero, and the reduction is a certificate) into generators of the
 full syzygy module of the inputs.
 """
 
-import heapq
 from dataclasses import dataclass
 
 from .errors import InvariantError, ValidationError
@@ -20,38 +21,14 @@ from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Poly,
     PolyRing,
-    _expo_divides,
     _expo_lcm,
     _expo_sub,
+    _groebner,
     _MonomialBudget,
+    _reduce,
+    vec_is_zero,
+    vec_lead,
 )
-
-
-def vec_zero(ring, rank):
-    return [ring.zero() for _ in range(rank)]
-
-
-def vec_is_zero(v):
-    return all(p.is_zero() for p in v)
-
-
-def vec_lead(v):
-    """Leading ``(component, exponent, coefficient)`` of a module vector.
-
-    The winning term has the largest ring monomial; among components sharing
-    that monomial the smallest index wins.  Returns None for the zero vector.
-    """
-    best_key = None
-    best = None
-    for comp, p in enumerate(v):
-        if p.is_zero():
-            continue
-        expo, coeff = p.lead()
-        key = (p.ring.sort_key(expo), -comp)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (comp, expo, coeff)
-    return best
 
 
 def _validate_columns(ring, rank, columns):
@@ -63,41 +40,6 @@ def _validate_columns(ring, rank, columns):
             if not isinstance(p, Poly) or p.ring != ring:
                 raise ValidationError("module entries must be polynomials in the ring")
     return columns
-
-
-def _reduce_vec_with_cofactors(ring, v, reducers, counter=None):
-    """Fully reduce a module vector, scanning reducers in order.
-
-    Returns ``(remainder, cofactors)`` with
-    ``v == sum(cofactors[k] * reducers[k]) + remainder`` componentwise and no
-    remainder term divisible by a reducer's lead (same component, dividing
-    monomial).
-    """
-    cofactors = [ring.zero() for _ in reducers]
-    leads = [vec_lead(g) for g in reducers]
-    rem = [ring.zero() for _ in v]
-    cur = list(v)
-    while True:
-        led = vec_lead(cur)
-        if led is None:
-            break
-        comp, expo, coeff = led
-        hit = None
-        for idx, gl in enumerate(leads):
-            if gl is not None and gl[0] == comp and _expo_divides(gl[1], expo):
-                hit = idx
-                break
-        if hit is None:
-            t = ring.monomial(expo, coeff)
-            rem[comp] = rem[comp] + t
-            cur[comp] = cur[comp] - t
-        else:
-            q = ring.monomial(_expo_sub(expo, leads[hit][1]), coeff / leads[hit][2])
-            cofactors[hit] = cofactors[hit] + q
-            cur = [c - q * gc for c, gc in zip(cur, reducers[hit])]
-            if counter is not None:
-                counter.charge(sum(len(c.terms) for c in cur))
-    return rem, cofactors
 
 
 @dataclass
@@ -125,55 +67,7 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     component are formed, lowest weighted lcm degree first, ties by index.
     """
     columns = _validate_columns(ring, rank, columns)
-    budget = _MonomialBudget(max_monomials)
-
-    basis = []
-    reps = []
-    leads = []
-    pairs = []
-
-    def add_element(v, rep):
-        comp, expo, coeff = vec_lead(v)
-        if coeff != 1:
-            inv = 1 / coeff
-            v = [p * inv for p in v]
-            rep = [r * inv for r in rep]
-        basis.append(v)
-        reps.append(rep)
-        budget.charge(sum(len(p.terms) for p in v))
-        i = len(basis) - 1
-        for j, (jcomp, jexpo) in enumerate(leads):
-            if jcomp == comp:
-                lcm = _expo_lcm(jexpo, expo)
-                heapq.heappush(pairs, (ring.wdeg(lcm), j, i))
-        leads.append((comp, expo))
-
-    unit = [ring.zero() for _ in columns]
-    for k, c in enumerate(columns):
-        if vec_is_zero(c):
-            continue
-        row = list(unit)
-        row[k] = ring.one()
-        add_element(c, row)
-
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        (ci, ei), (cj, ej) = leads[i], leads[j]
-        lcm = _expo_lcm(ei, ej)
-        mi = ring.monomial(_expo_sub(lcm, ei))
-        mj = ring.monomial(_expo_sub(lcm, ej))
-        s = [mi * a - mj * b for a, b in zip(basis[i], basis[j])]
-        if vec_is_zero(s):
-            continue
-        remainder, cofs = _reduce_vec_with_cofactors(ring, s, basis, budget)
-        if vec_is_zero(remainder):
-            continue
-        rep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        for k, q in enumerate(cofs):
-            if not q.is_zero():
-                rep = [r - q * s_k for r, s_k in zip(rep, reps[k])]
-        add_element(remainder, rep)
-
+    basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials))
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
                                basis=basis, representation=reps)
 
@@ -183,7 +77,7 @@ def module_normal_form_with_cofactors(ring, v, gb):
     reducers = gb.basis if isinstance(gb, ModuleGroebnerBasis) else list(gb)
     if not reducers:
         return list(v), []
-    return _reduce_vec_with_cofactors(ring, v, reducers)
+    return _reduce(ring, v, reducers)
 
 
 def module_normal_form(ring, v, gb):
@@ -222,7 +116,7 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
             mi = ring.monomial(_expo_sub(lcm, leads[i][1]))
             mj = ring.monomial(_expo_sub(lcm, leads[j][1]))
             s = [mi * a - mj * b for a, b in zip(mgb.basis[i], mgb.basis[j])]
-            remainder, cofs = _reduce_vec_with_cofactors(ring, s, mgb.basis, budget)
+            remainder, cofs = _reduce(ring, s, mgb.basis, leads, budget)
             if not vec_is_zero(remainder):
                 raise InvariantError(
                     "S-vector failed to reduce to zero against a Groebner basis")
@@ -235,7 +129,7 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     # Express each input column in the basis (remainder must vanish).
     input_cofactors = []
     for c in columns:
-        remainder, cofs = _reduce_vec_with_cofactors(ring, c, mgb.basis, budget)
+        remainder, cofs = _reduce(ring, c, mgb.basis, leads, budget)
         if not vec_is_zero(remainder):
             raise InvariantError(
                 "input column failed to reduce against its own Groebner basis")

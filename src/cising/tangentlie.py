@@ -113,14 +113,13 @@ def hessian_direct(polys, point):
     hessians = second_partials_at(polys, point)
     k = fiber.kernel
     bracket = []
-    for a in range(len(k)):
-        row = []
-        for b in range(len(k)):
-            contracted = [sum((k[a][i] * k[b][j] * h.rows[i][j]
-                               for i in range(h.nrows) for j in range(h.ncols)),
-                              ZERO) for h in hessians]
-            row.append(fiber.projection.vec(contracted))
-        bracket.append(row)
+    for u in k:
+        # each Hessian applied to u once: H is symmetric, so
+        # v . (H u) == sum_{i,j} u_i v_j H_ij
+        hu = [h.vec(u) for h in hessians]
+        bracket.append([fiber.projection.vec(
+            [sum((x * y for x, y in zip(v, w) if x), ZERO) for w in hu])
+            for v in k])
     return fiber, bracket
 
 

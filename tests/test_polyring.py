@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cising.errors import (
 from cising.polyring import (
     PolyRing,
     RingPresentation,
+    _min_transversal,
     buchberger,
     hilbert_function,
     is_regular_sequence,
@@ -299,6 +301,32 @@ def test_regular_sequence_cases(xy):
     assert not is_regular_sequence(xy, [xy.parse("x^2"), xy.parse("x^3")])
     assert not is_regular_sequence(xy, [xy.parse("x"), xy.parse("y"),
                                         xy.parse("x + y")])
+
+
+def test_regular_sequence_forty_variables():
+    ring = PolyRing([f"x{i}" for i in range(40)])
+    regular = [ring.parse("x0^2 + x1*x2 + x39^2"), ring.parse("x0*x1 + x3^2 + x38*x39")]
+    shared = [ring.parse("x0*x1"), ring.parse("x0*x2")]
+    start = time.perf_counter()
+    assert is_regular_sequence(ring, regular)
+    assert not is_regular_sequence(ring, shared)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_min_transversal_matches_subset_enumeration():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        supports = [frozenset(rng.sample(range(n), rng.randint(1, min(n, 3))))
+                    for _ in range(rng.randint(1, 5))]
+        # brute force: the largest variable subset containing no support
+        free = max(len(subset) for mask in range(1 << n)
+                   for subset in [{i for i in range(n) if mask >> i & 1}]
+                   if not any(s <= subset for s in supports))
+        tau = n - free
+        for limit in range(n + 1):
+            expected = tau if tau <= limit else limit + 1
+            assert _min_transversal(supports, limit) == expected
 
 
 def test_regular_sequence_requires_homogeneous(xy):
