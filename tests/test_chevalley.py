@@ -135,3 +135,13 @@ def test_cohomology_three_quadrics_in_eight_variables_degree_3():
     assert dims.row(0) == [1, 8, 33, 96]
     for p in range(1, 4):
         assert dims.row(p) == [0] * 4
+
+
+def test_cochain_rejects_a_bracket_it_does_not_give_back(monkeypatch):
+    import cising.chevalley
+    from cising.errors import InvariantError
+
+    lie = lie_for(["x", "y"], ["x^2 + y^2"])
+    monkeypatch.setattr(cising.chevalley, "HALF", Fraction(1))
+    with pytest.raises(InvariantError, match="give back the bracket"):
+        chevalley_cochain(lie)

@@ -672,3 +672,39 @@ def test_regular_sequence_check_gets_the_monomial_cap(monkeypatch):
     rp = presentation(["x", "y"], ["x^2", "y^2"])
     minimal_resolution(rp, residue_field_module(rp), 2, max_monomials=4321)
     assert seen == [4321]
+
+
+def test_minimize_rejects_changed_cohomology(monkeypatch):
+    original = cising.ciext.hstar_dims
+
+    def skewed(dg, lo, hi):
+        dims = original(dg, lo, hi)
+        return dims if dg is cone else {t: v + 1 for t, v in dims.items()}
+
+    ring = chi_ring()
+    cone = DGModule(ring=ring, degrees=[0, 1],
+                    differential=[[ring.zero(), ring.zero()],
+                                  [ring.one(), ring.zero()]])
+    monkeypatch.setattr(cising.ciext, "hstar_dims", skewed)
+    with pytest.raises(InvariantError, match="changed the cohomology"):
+        minimize_dg(cone, through=6)
+
+
+def test_minimize_hstar_comes_from_one_minimal_model_pass(monkeypatch):
+    calls = []
+    original = cising.ciext.hstar_dims
+
+    def spy(dg, lo, hi):
+        calls.append((dg.degrees, lo, hi))
+        return original(dg, lo, hi)
+
+    ring = chi_ring()
+    dg = DGModule(ring=ring, degrees=[0, 1, 2],
+                  differential=[[ring.zero(), ring.zero(), ring.zero()],
+                                [ring.one(), ring.zero(), ring.var("ch1")],
+                                [ring.zero(), ring.zero(), ring.zero()]])
+    monkeypatch.setattr(cising.ciext, "hstar_dims", spy)
+    result = minimize_dg(dg, through=6)
+    assert result.minimal.degrees == [2]
+    assert calls == [([2], -1, 6), ([0, 1, 2], -1, 6)]
+    assert result.hstar == {2: 1, 3: 0, 4: 1, 5: 0, 6: 1}

@@ -89,6 +89,14 @@ def test_non_regular_sequence_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_unit_ideal_is_not_a_regular_sequence_exits_2(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"variables": ["x"], "map": ["x", "1"]}))
+    code, out, err = run_cli(capsys, "resolve", str(path))
+    assert code == 2 and out == ""
+    assert "regular sequence" in err
+
+
 @pytest.mark.parametrize("command", ["tower", "squarezero"])
 def test_power_cap_exits_3(capsys, tmp_path, command):
     names = ["a", "b", "c", "d", "e"]

@@ -303,6 +303,14 @@ def test_regular_sequence_cases(xy):
                                         xy.parse("x + y")])
 
 
+def test_unit_ideal_is_not_a_regular_sequence(xy):
+    x = PolyRing(["x"])
+    assert not is_regular_sequence(x, [x.parse("x"), x.one()])
+    assert not is_regular_sequence(x, [x.one()])
+    assert not is_regular_sequence(xy, [xy.parse("x"), xy.parse("y"), xy.one()])
+    assert not is_regular_sequence(xy, [xy.parse("x^2"), xy.constant(3)])
+
+
 def test_regular_sequence_forty_variables():
     ring = PolyRing([f"x{i}" for i in range(40)])
     regular = [ring.parse("x0^2 + x1*x2 + x39^2"), ring.parse("x0*x1 + x3^2 + x38*x39")]

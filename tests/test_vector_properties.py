@@ -1,0 +1,146 @@
+"""Property tests of the polynomial-vector kernels: the heap-driven reduction
+against the plain max-scan loop it replaced, one linear combination against
+naive ``Poly`` sums, and the ``str``/``parse_poly`` round trip.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cising.polyring import (
+    ZERO,
+    Poly,
+    PolyRing,
+    _expo_add,
+    _expo_divides,
+    _expo_sub,
+    _reduce,
+    parse_poly,
+    vec_combine,
+    vec_lead,
+)
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
+         PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
+         PolyRing(["a", "b_2"], weights=[1, 2])]
+
+coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def polys(draw, ring, max_exponent=3, max_terms=4):
+    exponents = st.tuples(*[st.integers(0, max_exponent)] * ring.nvars)
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
+    return Poly(ring, terms)
+
+
+def vectors(ring, rank, **kwargs):
+    return st.lists(polys(ring, **kwargs), min_size=rank, max_size=rank)
+
+
+class Recorder:
+    """A monomial budget without a cap that records every charge."""
+
+    def __init__(self):
+        self.charges = []
+
+    def charge(self, n):
+        self.charges.append(n)
+
+
+def max_scan_reduce(ring, v, reducers, leads, budget):
+    """The reduction loop before the heap: each step rescans every remaining
+    term for the largest one (term over position, smallest component on
+    ties)."""
+    key = ring.sort_key
+    cur = [dict(p.terms) for p in v]
+    rem = [{} for _ in v]
+    cofactors = [{} for _ in reducers]
+    while True:
+        best = None
+        for comp, terms in enumerate(cur):
+            if terms:
+                expo = max(terms, key=key)
+                k = key(expo)
+                if best is None or k > best[0]:
+                    best = (k, comp, expo)
+        if best is None:
+            break
+        _, comp, expo = best
+        coeff = cur[comp][expo]
+        for hit, lead in enumerate(leads):
+            if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
+                break
+        else:
+            rem[comp][expo] = coeff
+            del cur[comp][expo]
+            continue
+        shift = _expo_sub(expo, lead[1])
+        q = coeff / lead[2]
+        cofactors[hit][shift] = q
+        for terms, g in zip(cur, reducers[hit]):
+            for e, c in g.terms.items():
+                e = _expo_add(shift, e)
+                s = terms.get(e, ZERO) - q * c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        budget.charge(sum(map(len, cur)))
+    return [Poly(ring, r) for r in rem], [Poly(ring, c) for c in cofactors]
+
+
+@st.composite
+def reductions(draw):
+    """A ring, a vector of rank 1 to 3, and 1 to 4 nonzero reducers, some of
+    them switched off by a None lead."""
+    ring = draw(st.sampled_from(RINGS))
+    rank = draw(st.integers(1, 3))
+    v = draw(vectors(ring, rank))
+    reducers = draw(st.lists(vectors(ring, rank, max_exponent=2, max_terms=3)
+                             .filter(lambda r: any(r)), min_size=1, max_size=4))
+    leads = [vec_lead(r) if draw(st.integers(0, 4)) else None for r in reducers]
+    return ring, v, reducers, leads
+
+
+@PROPERTY
+@given(reductions())
+def test_reduce_matches_the_max_scan_loop(case):
+    ring, v, reducers, leads = case
+    expected_budget, budget = Recorder(), Recorder()
+    expected = max_scan_reduce(ring, v, reducers, leads, expected_budget)
+    remainder, cofactors = _reduce(ring, v, reducers, leads, budget)
+    assert remainder == expected[0]
+    assert cofactors == expected[1]
+    assert budget.charges == expected_budget.charges
+    for k, q in enumerate(cofactors):
+        assert list(q.terms) == list(expected[1][k].terms)
+
+
+@st.composite
+def combinations(draw):
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(0, 3))
+    terms = draw(st.lists(st.tuples(polys(ring), vectors(ring, n)), max_size=4))
+    return ring, n, terms
+
+
+@PROPERTY
+@given(combinations())
+def test_vec_combine_matches_naive_sums(case):
+    ring, n, terms = case
+    expected = [ring.zero() for _ in range(n)]
+    for q, v in terms:
+        expected = [e + q * p for e, p in zip(expected, v)]
+    assert vec_combine(ring, n, terms) == expected
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS).flatmap(lambda ring: st.tuples(
+    st.just(ring), polys(ring, max_exponent=12, max_terms=6))))
+def test_parse_inverts_str(case):
+    ring, p = case
+    assert parse_poly(ring, str(p)) == p
