@@ -631,8 +631,17 @@ def _groebner(ring, columns, budget):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation tracking.
 
-    Pair selection is deterministic: only pairs whose leads share a
-    component are formed, lowest weighted lcm degree first, ties by index.
+    Pairs are formed only between vectors whose leads share a component and
+    are taken lowest weighted lcm degree first, ties by index.  On ideals
+    (every column of length 1) each new element prunes them by the
+    Gebauer-Moeller update (J. Symb. Comp. 6, 1988): it drops a pending pair
+    whose lcm its lead divides, unless its lcm with one of the pair's members
+    is that same lcm (B_k); a new pair whose lcm another's properly divides
+    (M); all but the first new pair per lcm (F); and every new pair sharing
+    its lcm with one of coprime leads (Buchberger's product criterion).  The
+    product criterion fails for module vectors, and the chain criteria would
+    change which vectors a module basis holds, so longer vectors reduce
+    every pair.
     Returns ``(basis, representation)``: monic basis vectors, not
     interreduced, and rows with
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
@@ -640,7 +649,9 @@ def _groebner(ring, columns, budget):
     basis = []
     reps = []
     leads = []
-    pairs = []
+    heap = []
+    pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
+    scalar = all(len(c) == 1 for c in columns)
 
     def add_element(v, rep):
         comp, expo, coeff = vec_lead(v)
@@ -652,9 +663,24 @@ def _groebner(ring, columns, budget):
         reps.append(rep)
         budget.charge(sum(len(p.terms) for p in v))
         i = len(basis) - 1
+        new = {}
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
-                heapq.heappush(pairs, (ring.wdeg(_expo_lcm(jexpo, expo)), j, i))
+                new.setdefault(_expo_lcm(jexpo, expo), []).append(j)
+        if scalar:
+            # B_k, then M, F and the product criterion on the new pairs
+            for (a, b), lcm in list(pending.items()):
+                if (_expo_divides(expo, lcm)
+                        and _expo_lcm(leads[a][1], expo) != lcm
+                        and _expo_lcm(leads[b][1], expo) != lcm):
+                    del pending[a, b]
+            new = {lcm: js[:1] for lcm, js in new.items()
+                   if not any(o != lcm and _expo_divides(o, lcm) for o in new)
+                   and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
+        for lcm, js in new.items():
+            for j in js:
+                pending[j, i] = lcm
+                heapq.heappush(heap, (ring.wdeg(lcm), j, i))
         leads.append((comp, expo, ONE))
 
     unit = [ring.zero() for _ in columns]
@@ -665,8 +691,10 @@ def _groebner(ring, columns, budget):
         row[k] = ring.one()
         add_element(c, row)
 
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
         mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         if vec_is_zero(s):
             continue
@@ -707,12 +735,13 @@ def normal_form_with_cofactors(p, gb):
 def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Reduced Groebner basis with representation tracking.
 
-    The basis is :func:`_groebner`'s on rank-1 vectors, so pair selection is
-    lowest weighted lcm degree first, ties by the pair's indices.  The
-    returned basis is monic, fully interreduced, and sorted by leading
-    monomial; ``representation`` expresses every basis element exactly in
-    terms of the input generators (zero and redundant inputs included, with
-    zero rows/columns where appropriate).
+    The basis is :func:`_groebner`'s on rank-1 vectors: pairs are pruned by
+    Buchberger's product criterion and the Gebauer-Moeller chain criteria,
+    and the rest are taken lowest weighted lcm degree first, ties by the
+    pair's indices.  The returned basis is monic, fully interreduced, and
+    sorted by leading monomial; ``representation`` expresses every basis
+    element exactly in terms of the input generators (zero and redundant
+    inputs included, with zero rows/columns where appropriate).
     """
     generators = list(generators)
     if not generators:

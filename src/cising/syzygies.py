@@ -67,6 +67,10 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     Pair selection is deterministic: only pairs whose leads share a
     component are formed, lowest weighted lcm degree first, ties by index.
+    Columns of length 1 go through the product and Gebauer-Moeller chain
+    criteria of :func:`cising.polyring._groebner`.  Longer vectors reduce
+    every such pair: the product criterion fails for them, and the chain
+    criteria would change which vectors the basis holds.
     """
     columns = _validate_columns(ring, rank, columns)
     basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials))

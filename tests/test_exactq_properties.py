@@ -20,8 +20,7 @@ from cising.exactq import (
     solver,
 )
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=80)
 EMPTY_ROWS = Mat([], 3)           # 0 x 3
 EMPTY_COLUMNS = Mat([[], []], 0)  # 2 x 0
 

@@ -1,20 +1,45 @@
 """Property tests of Groebner bases, normal forms and syzygies, with sympy as
-an independent oracle for reduced Groebner bases.
+an independent oracle for reduced Groebner bases, and the engine's pruned
+pair set against the all-pairs loop it replaced.
 
 sympy is used here only; the library never imports it.
 """
 
+import heapq
+import importlib
+import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cising.polyring import PolyRing, buchberger, normal_form
-from cising.syzygies import module_buchberger, syzygies, vec_is_zero
+from cising import polyring
+from cising.polyring import (
+    ONE,
+    PolyRing,
+    _expo_lcm,
+    _groebner,
+    _MonomialBudget,
+    _reduce,
+    _s_vector,
+    buchberger,
+    normal_form,
+    vec_combine,
+    vec_lead,
+)
+from cising.syzygies import (
+    module_buchberger,
+    module_normal_form,
+    syzygies,
+    vec_is_zero,
+)
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+# the package re-exports the function ``syzygies`` under the module's name
+syzygies_module = importlib.import_module("cising.syzygies")
+
+PROPERTY = settings(max_examples=60)
 RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y", "z"])]
 
 coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
@@ -116,3 +141,228 @@ def test_module_buchberger_and_syzygy_certificates(case):
     for s in syzygies(ring, rank, columns):
         assert len(s) == len(columns)
         assert vec_is_zero(combine(ring, s, columns))
+
+
+# The engine against the all-pairs loop
+# ---------------------------------------------------------------------------
+
+REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
+                   PolyRing(["x", "y", "z"]),
+                   PolyRing(["x", "y", "z"], order="lex"),
+                   PolyRing(["a", "b_2"], weights=[1, 2])]
+
+
+def all_pairs_groebner(ring, columns, budget):
+    """The engine before the Gebauer-Moeller update: every pair whose leads
+    share a component is reduced, lowest weighted lcm degree first, ties by
+    index."""
+    basis = []
+    reps = []
+    leads = []
+    pairs = []
+
+    def add_element(v, rep):
+        comp, expo, coeff = vec_lead(v)
+        if coeff != 1:
+            inv = ONE / coeff
+            v = [p * inv for p in v]
+            rep = [r * inv for r in rep]
+        basis.append(v)
+        reps.append(rep)
+        budget.charge(sum(len(p.terms) for p in v))
+        i = len(basis) - 1
+        for j, (jcomp, jexpo, _) in enumerate(leads):
+            if jcomp == comp:
+                heapq.heappush(pairs, (ring.wdeg(_expo_lcm(jexpo, expo)), j, i))
+        leads.append((comp, expo, ONE))
+
+    unit = [ring.zero() for _ in columns]
+    for k, c in enumerate(columns):
+        if vec_is_zero(c):
+            continue
+        row = list(unit)
+        row[k] = ring.one()
+        add_element(c, row)
+
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
+        if vec_is_zero(s):
+            continue
+        remainder, cofs = _reduce(ring, s, basis, leads, budget)
+        if vec_is_zero(remainder):
+            continue
+        rep = vec_combine(ring, len(columns),
+                          [(mi, reps[i]), (-mj, reps[j])]
+                          + [(-q, row) for q, row in zip(cofs, reps)])
+        add_element(remainder, rep)
+
+    return basis, reps
+
+
+@st.composite
+def homogeneous_polys(draw, ring, degree, max_terms=3):
+    monomials = ring.monomials_of_degree(degree)
+    chosen = draw(st.lists(st.sampled_from(monomials), max_size=max_terms,
+                           unique=True))
+    return sum((ring.monomial(e, draw(coefficients)) for e in chosen), ring.zero())
+
+
+@st.composite
+def engine_inputs(draw, ranks):
+    """A ring (grevlex, lex or weighted), a rank drawn from ``ranks`` and 1 to
+    4 columns, homogeneous (a degree per column plus a shift per component)
+    or not."""
+    ring = draw(st.sampled_from(REFERENCE_RINGS))
+    rank = draw(st.sampled_from(ranks))
+    homogeneous = draw(st.booleans())
+    shifts = draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if homogeneous:
+            degree = draw(st.integers(1, 2))
+            columns.append([draw(homogeneous_polys(ring, degree + s))
+                            for s in shifts])
+        else:
+            columns.append(draw(st.lists(polys(ring), min_size=rank,
+                                         max_size=rank)))
+    return ring, rank, columns
+
+
+def spans_contain(ring, rank, generators, vectors):
+    """True when every vector lies in the submodule the generators span."""
+    nonzero = [g for g in generators if not vec_is_zero(g)]
+    if not nonzero:
+        return all(vec_is_zero(v) for v in vectors)
+    mgb = module_buchberger(ring, rank, nonzero)
+    return all(vec_is_zero(module_normal_form(ring, v, mgb)) for v in vectors)
+
+
+def all_pairs_answers(ring, rank, columns):
+    with patch.object(polyring, "_groebner", all_pairs_groebner), \
+            patch.object(syzygies_module, "_groebner", all_pairs_groebner):
+        gb = buchberger([c[0] for c in columns]) if rank == 1 else None
+        return (gb, module_buchberger(ring, rank, columns),
+                syzygies(ring, rank, columns))
+
+
+LEX_XYZ = REFERENCE_RINGS[3]
+# The basis grows x^2 + z^2, x^3 + y^3, x*z^2 - y^3, x*y^3 + z^4.  The M
+# criterion drops the pair of x^3 + y^3 with x*y^3 + z^4: lcm x^3*y^3, properly
+# divided by x^2*y^3, the lcm of x^2 + z^2 with x*y^3 + z^4.  The all-pairs loop
+# reduces the dropped pair first, to y^6 + z^6; with the criteria the same
+# vector comes from the next pair, with another representation row.
+DIVERGING_IDEAL = (LEX_XYZ, 1, [[LEX_XYZ.parse("x^2 + z^2")],
+                                [LEX_XYZ.parse("x^3 + y^3")]])
+
+
+@settings(max_examples=150)
+@example(DIVERGING_IDEAL)
+@given(engine_inputs(ranks=[1]))
+def test_ideal_engine_against_all_pairs_reference(case):
+    """On ideals the criteria keep the reduced basis, which is unique.  The
+    certificates and syzygy generators may come out of another, equally
+    valid, path, so those are checked as certificates and by their span.
+    The budget is never charged more."""
+    ring, rank, columns = case
+    budget, expected_budget = _MonomialBudget(None), _MonomialBudget(None)
+    _groebner(ring, columns, budget)
+    all_pairs_groebner(ring, columns, expected_budget)
+    assert budget.used <= expected_budget.used
+
+    expected_gb, _, expected_syzygies = all_pairs_answers(ring, rank, columns)
+    gb = buchberger([c[0] for c in columns])
+    assert gb.basis == expected_gb.basis
+    for g, row in zip(gb.basis, gb.representation):
+        assert combine(ring, row, columns) == [g]
+    found = syzygies(ring, rank, columns)
+    for s in found:
+        assert vec_is_zero(combine(ring, s, columns))
+    assert spans_contain(ring, len(columns), found, expected_syzygies)
+    assert spans_contain(ring, len(columns), expected_syzygies, found)
+
+
+@settings(max_examples=60)
+@given(engine_inputs(ranks=[2, 3]))
+def test_module_engine_matches_all_pairs_reference(case):
+    """Vectors of length 2 or more take exactly the all-pairs path."""
+    ring, rank, columns = case
+    budget, expected_budget = _MonomialBudget(None), _MonomialBudget(None)
+    assert _groebner(ring, columns, budget) == \
+        all_pairs_groebner(ring, columns, expected_budget)
+    assert budget.used == expected_budget.used
+
+    _, expected_mgb, expected_syzygies = all_pairs_answers(ring, rank, columns)
+    mgb = module_buchberger(ring, rank, columns)
+    assert mgb.basis == expected_mgb.basis
+    assert mgb.representation == expected_mgb.representation
+    assert syzygies(ring, rank, columns) == expected_syzygies
+
+
+# The criteria fire on ideals and stay off on modules
+# ---------------------------------------------------------------------------
+
+XYZ = RINGS[1]
+
+
+def spy_on_engine(monkeypatch):
+    """Record the lead exponents of every S-vector ``_groebner`` and the
+    all-pairs loop form, and count the reductions each of them runs."""
+    calls = {"_groebner": [], "all_pairs_groebner": []}
+    reductions = {"_groebner": 0, "all_pairs_groebner": 0}
+    original_s_vector, original_reduce = polyring._s_vector, polyring._reduce
+
+    def s_vector(ring, vi, vj, ei, ej):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in calls:
+            calls[caller].append({ei, ej})
+        return original_s_vector(ring, vi, vj, ei, ej)
+
+    def reduce(ring, v, reducers, leads=None, budget=None):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in reductions:
+            reductions[caller] += 1
+        return original_reduce(ring, v, reducers, leads, budget)
+
+    for module in (polyring, sys.modules[__name__]):
+        monkeypatch.setattr(module, "_s_vector", s_vector)
+        monkeypatch.setattr(module, "_reduce", reduce)
+    return calls, reductions
+
+
+def test_product_criterion_skips_coprime_leads(monkeypatch):
+    calls, reductions = spy_on_engine(monkeypatch)
+    buchberger([XYZ.parse("x^3"), XYZ.parse("y^3")])
+    buchberger([XYZ.parse("x^3 - y"), XYZ.parse("y^3 - x")])
+    assert calls["_groebner"] == []
+    assert reductions["_groebner"] == 0
+
+
+def test_chain_criterion_drops_a_pair_the_all_pairs_loop_reduces(monkeypatch):
+    """xz + z^2 and xy - z^2 give yz^2 + z^3.  Its pairs with both have lcm
+    xyz^2, so the F criterion keeps only the first.  No two of the leads xz,
+    xy and yz^2 are coprime, so the product criterion plays no part."""
+    gens = [XYZ.parse("x*z + z^2"), XYZ.parse("x*y - z^2")]
+    xy, yz2 = (1, 1, 0), (0, 1, 2)
+    calls, reductions = spy_on_engine(monkeypatch)
+    basis, _ = _groebner(XYZ, [[g] for g in gens], _MonomialBudget(None))
+    reference, _ = all_pairs_groebner(XYZ, [[g] for g in gens],
+                                      _MonomialBudget(None))
+    assert basis == reference
+    assert [v[0].lm for v in basis] == [(1, 0, 1), xy, yz2]
+    assert {xy, yz2} in calls["all_pairs_groebner"]
+    assert {xy, yz2} not in calls["_groebner"]
+    assert (reductions["_groebner"], reductions["all_pairs_groebner"]) == (2, 3)
+
+
+def test_product_criterion_is_off_on_modules(monkeypatch):
+    """The leads x and y of [x, z] and [y, 0] are coprime in component 0,
+    yet their S-vector leaves [0, y*z]."""
+    columns = [[XYZ.parse("x"), XYZ.parse("z")], [XYZ.parse("y"), XYZ.zero()]]
+    calls, reductions = spy_on_engine(monkeypatch)
+    mgb = module_buchberger(XYZ, 2, columns)
+    assert reductions["_groebner"] == 1
+    assert [vec_lead(v)[0] for v in mgb.basis] == [0, 0, 1]
+    assert mgb.basis[2] == [XYZ.zero(), XYZ.parse("y*z")]
+    for s in syzygies(XYZ, 2, columns):
+        assert vec_is_zero(combine(XYZ, s, columns))

@@ -21,8 +21,7 @@ from cising.polyring import (
     vec_lead,
 )
 
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=80)
 RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
          PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
          PolyRing(["a", "b_2"], weights=[1, 2])]
