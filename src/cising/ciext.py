@@ -33,6 +33,7 @@ from .polyring import (
     Poly,
     PolyRing,
     RingPresentation,
+    _expo_add,
     is_regular_sequence,
     normal_form_with_cofactors,
     vec_combine,
@@ -162,6 +163,20 @@ class FreeResolution:
 # ---------------------------------------------------------------------------
 
 
+def _encode_multiple(rp, coords, mono, column):
+    """``coords.encode`` of the normal form of ``x^mono * column``, summed
+    from the presentation's cached monomial normal forms (the normal form
+    is linear)."""
+    index = coords.index
+    vec = {}
+    for k, p in enumerate(column):
+        for expo, coeff in p.terms.items():
+            for e, c in rp._monomial_normal_form(_expo_add(mono, expo)).items():
+                at = index[(k, e)]
+                vec[at] = vec.get(at, 0) + coeff * c
+    return {at: c for at, c in vec.items() if c}
+
+
 def minimal_generators(rp, twists, columns):
     """Minimal homogeneous generating set of the span of ``columns``.
 
@@ -169,9 +184,11 @@ def minimal_generators(rp, twists, columns):
     the input (normal-form entries), listed by ascending degree and original
     position; a column is kept exactly when its class modulo the span of the
     lower-degree part (and the columns already kept in its own degree) is
-    nonzero.  Zero columns are dropped.
+    nonzero.  Columns that are zero in the quotient are dropped.  The
+    lower-degree part of degree ``e`` is spanned by the multiples of kept
+    columns by standard monomials, each encoded from cached monomial normal
+    forms without building its product.
     """
-    ring = rp.ring
     cols = []
     for j, column in enumerate(columns):
         nf = [rp.normal_form(p) for p in column]
@@ -186,9 +203,7 @@ def minimal_generators(rp, twists, columns):
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
             for mono in rp.standard_monomials(e - d):
-                m = ring.monomial(mono)
-                span.add(coords.encode((k, rp.normal_form(m * p))
-                                       for k, p in enumerate(v)))
+                span.add(_encode_multiple(rp, coords, mono, v))
         accepted += [(d, j, v) for d, j, v in cols
                      if d == e and span.add(coords.encode(enumerate(v)))]
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
@@ -258,8 +273,9 @@ def _kernel_generators(rp, target_twists, columns, max_monomials):
     source generator ``k`` to ``columns[k]``.
 
     Lift to the ambient ring, adjoin one column f * e_i per ideal generator
-    and coordinate, take syzygies there, keep the source coordinates, and
-    reduce back to normal form.
+    and coordinate, take syzygies there and keep the source coordinates.
+    The entries are not reduced: :func:`minimal_generators` takes their
+    normal forms and drops the columns that vanish in the quotient.
     """
     ring = rp.ring
     r0 = len(target_twists)
@@ -271,12 +287,8 @@ def _kernel_generators(rp, target_twists, columns, max_monomials):
             column = [ring.zero()] * r0
             column[i] = f
             ambient.append(column)
-    out = []
-    for s in syzygies(ring, r0, ambient, max_monomials=max_monomials):
-        v = [rp.normal_form(p) for p in s[:len(columns)]]
-        if not vec_is_zero(v):
-            out.append(v)
-    return out
+    return [s[:len(columns)]
+            for s in syzygies(ring, r0, ambient, max_monomials=max_monomials)]
 
 
 def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,

@@ -627,7 +627,7 @@ def _s_vector(ring, vi, vj, ei, ej):
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
 
 
-def _groebner(ring, columns, budget):
+def _groebner(ring, columns, budget, zero_reductions=None):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation tracking.
 
@@ -645,6 +645,13 @@ def _groebner(ring, columns, budget):
     Returns ``(basis, representation)``: monic basis vectors, not
     interreduced, and rows with
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
+
+    A dict passed as ``zero_reductions`` receives ``(i, j) -> (mi, mj,
+    cofactors)`` for each popped pair whose S-vector is zero or reduces to
+    zero: ``mi * basis[i] - mj * basis[j] == sum_k cofactors[k] * basis[k]``
+    over the basis elements there were then.  Reducers are scanned in order
+    and the basis only grows at its end, so reducing that S-vector against
+    the final basis gives the same cofactors, padded with zeros.
     """
     basis = []
     reps = []
@@ -697,9 +704,12 @@ def _groebner(ring, columns, budget):
             continue
         mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         if vec_is_zero(s):
-            continue
-        remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            remainder, cofs = s, []
+        else:
+            remainder, cofs = _reduce(ring, s, basis, leads, budget)
         if vec_is_zero(remainder):
+            if zero_reductions is not None:
+                zero_reductions[i, j] = (mi, mj, cofs)
             continue
         rep = vec_combine(ring, len(columns),
                           [(mi, reps[i]), (-mj, reps[j])]
@@ -790,10 +800,15 @@ class RingPresentation:
     """A graded quotient of a weighted polynomial ring by an ideal.
 
     The ideal's Groebner basis is computed on construction; normal forms and
-    standard-monomial counts are then exact and deterministic.
+    standard-monomial counts are then exact and deterministic.  Two caches
+    live as long as the presentation and fill as they are asked: the normal
+    form of each monomial (the normal form is unique and linear, so callers
+    may sum these to reduce any combination of monomials) and the standard
+    monomials of each degree.  :meth:`normal_form` itself still reduces the
+    whole polynomial at once.
     """
 
-    __slots__ = ("ring", "ideal", "gb")
+    __slots__ = ("ring", "ideal", "gb", "_monomial_nf", "_standard")
 
     def __init__(self, ring, ideal, max_monomials=DEFAULT_MAX_MONOMIALS):
         ideal = list(ideal)
@@ -807,6 +822,8 @@ class RingPresentation:
         else:
             self.gb = GroebnerBasis(ring=ring, generators=ideal, basis=[],
                                     representation=[])
+        self._monomial_nf = {}
+        self._standard = {}
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.ideal) or "0"
@@ -815,11 +832,25 @@ class RingPresentation:
     def normal_form(self, p):
         return normal_form(p, self.gb)
 
+    def _monomial_normal_form(self, expo):
+        """Terms ``{exponent: coefficient}`` of the normal form of the monomial
+        ``expo``, from the cache; callers must not mutate them."""
+        terms = self._monomial_nf.get(expo)
+        if terms is None:
+            terms = normal_form(Poly(self.ring, {expo: ONE}), self.gb).terms
+            self._monomial_nf[expo] = terms
+        return terms
+
     def standard_monomials(self, d):
-        """Exponents of weighted degree ``d`` outside the leading-term ideal."""
-        leads = [g.lm for g in self.gb.basis]
-        return [m for m in self.ring.monomials_of_degree(d)
+        """Exponents of weighted degree ``d`` outside the leading-term ideal,
+        as a fresh list."""
+        found = self._standard.get(d)
+        if found is None:
+            leads = [g.lm for g in self.gb.basis]
+            found = self._standard[d] = [
+                m for m in self.ring.monomials_of_degree(d)
                 if not any(_expo_divides(lt, m) for lt in leads)]
+        return list(found)
 
     def dim_degree(self, d):
         return len(self.standard_monomials(d))

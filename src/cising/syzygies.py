@@ -11,12 +11,14 @@ Syzygies are computed by the classical two-step scheme: build a module
 Groebner basis while tracking how each basis vector was assembled from the
 input columns, then convert the trivial relations among S-vectors (each one
 reduces to zero, and the reduction is a certificate) into generators of the
-full syzygy module of the inputs.  The S-vectors come from
-``polyring._s_vector``, the same routine the engine pairs with, and every
-relation is pushed down to the input columns by ``polyring.vec_combine``.
+full syzygy module of the inputs.  The engine hands back the certificate of
+every pair it reduced to zero; only the other pairs are rebuilt, by
+``polyring._s_vector`` (the same routine the engine pairs with), and
+reduced again.  Every relation is pushed down to the input columns by
+``polyring.vec_combine``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvariantError, ValidationError
 from .polyring import (
@@ -51,6 +53,10 @@ class ModuleGroebnerBasis:
     ``basis`` vectors are monic in their lead term.  Unlike the scalar case
     the basis is *not* interreduced -- redundant members are kept because the
     syzygy extraction needs reduction certificates against the full list.
+    ``zero_reductions`` holds the engine's certificates, ``(i, j) -> (mi, mj,
+    cofactors)`` for each pair it reduced to zero (see
+    :func:`cising.polyring._groebner`); the cofactors stop at the basis
+    length the engine had then.
     ``representation[i][k]`` are polynomials with
     ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise.
     """
@@ -60,6 +66,7 @@ class ModuleGroebnerBasis:
     generators: list
     basis: list
     representation: list
+    zero_reductions: dict = field(default_factory=dict)
 
 
 def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -73,9 +80,12 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     criteria would change which vectors the basis holds.
     """
     columns = _validate_columns(ring, rank, columns)
-    basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials))
+    zero_reductions = {}
+    basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials),
+                            zero_reductions=zero_reductions)
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
-                               basis=basis, representation=reps)
+                               basis=basis, representation=reps,
+                               zero_reductions=zero_reductions)
 
 
 def module_normal_form_with_cofactors(ring, v, gb):
@@ -102,7 +112,10 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     ``sum_k s[k] * columns[k] == 0`` componentwise; together they generate
     every such relation.  Zero input columns contribute their unit vectors.
     The output order is deterministic: relations coming from basis pairs
-    first (pair order), then one residual relation per input column.
+    first (pair order), then one residual relation per input column.  A
+    pair the engine reduced to zero takes its certificate from
+    ``zero_reductions``; only the pairs that added a basis element, and on
+    ideals those the criteria skipped, are reduced here.
     """
     columns = _validate_columns(ring, rank, columns)
     m = len(columns)
@@ -118,12 +131,17 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
         for j in range(i + 1, t):
             if leads[i][0] != leads[j][0]:
                 continue
-            mi, mj, s = _s_vector(ring, mgb.basis[i], mgb.basis[j],
-                                  leads[i][1], leads[j][1])
-            remainder, cofs = _reduce(ring, s, mgb.basis, leads, budget)
-            if not vec_is_zero(remainder):
-                raise InvariantError(
-                    "S-vector failed to reduce to zero against a Groebner basis")
+            certificate = mgb.zero_reductions.get((i, j))
+            if certificate is not None:
+                mi, mj, cofs = certificate
+                cofs = cofs + [ring.zero()] * (t - len(cofs))
+            else:
+                mi, mj, s = _s_vector(ring, mgb.basis[i], mgb.basis[j],
+                                      leads[i][1], leads[j][1])
+                remainder, cofs = _reduce(ring, s, mgb.basis, leads, budget)
+                if not vec_is_zero(remainder):
+                    raise InvariantError("S-vector failed to reduce to zero "
+                                         "against a Groebner basis")
             z = [-q for q in cofs]
             z[i] = z[i] + mi
             z[j] = z[j] - mj

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import pathlib
 import random
@@ -182,6 +184,25 @@ def test_resolution_deterministic():
     assert a.twists == b.twists
     assert [cols_as_strings(c) for c in a.differentials] == \
         [cols_as_strings(c) for c in b.differentials]
+
+
+# SHA-256 of the JSON list of differentials, each a list of columns of entry
+# strings, computed with the code as it was before monomial normal forms were
+# cached and engine certificates reused.
+DEEP_DIFFERENTIALS_SHA256 = (
+    "91e405cbce03c630dccac529ee2258598909ab088853e8ca458f6647755fd510")
+
+
+def test_resolution_pin_above_the_benchmark_degrees():
+    """k over (a^2+bc, b^2+cd, c^2+de) out to step 5: degree-5 syzygies,
+    beyond those of the benchmark jobs, where a wrong cached normal form or
+    certificate would change the minimal generators."""
+    rp = presentation(list("abcde"), ["a^2 + b*c", "b^2 + c*d", "c^2 + d*e"])
+    res = minimal_resolution(rp, residue_field_module(rp), 5)
+    assert res.betti == [1, 5, 13, 25, 41, 61]
+    rendered = json.dumps([cols_as_strings(c) for c in res.differentials])
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        DEEP_DIFFERENTIALS_SHA256
 
 
 def test_resolution_rejects_non_regular_sequence():

@@ -152,10 +152,11 @@ REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
                    PolyRing(["a", "b_2"], weights=[1, 2])]
 
 
-def all_pairs_groebner(ring, columns, budget):
+def all_pairs_groebner(ring, columns, budget, zero_reductions=None):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
-    index."""
+    index.  It records no certificates in ``zero_reductions``, so with it in
+    place ``syzygies`` reduces every pair again against the full basis."""
     basis = []
     reps = []
     leads = []
@@ -246,6 +247,22 @@ def all_pairs_answers(ring, rank, columns):
                 syzygies(ring, rank, columns))
 
 
+def relation_pass_charge(ring, rank, columns, engine):
+    """Monomials charged by the budget ``syzygies`` makes for its relation
+    pass, the last one it makes, with ``engine`` building the basis."""
+    made = []
+
+    class RecordingBudget(_MonomialBudget):
+        def __init__(self, cap):
+            super().__init__(cap)
+            made.append(self)
+
+    with patch.object(syzygies_module, "_groebner", engine), \
+            patch.object(syzygies_module, "_MonomialBudget", RecordingBudget):
+        syzygies(ring, rank, columns)
+    return made[-1].used
+
+
 LEX_XYZ = REFERENCE_RINGS[3]
 # The basis grows x^2 + z^2, x^3 + y^3, x*z^2 - y^3, x*y^3 + z^4.  The M
 # criterion drops the pair of x^3 + y^3 with x*y^3 + z^4: lcm x^3*y^3, properly
@@ -296,7 +313,11 @@ def test_module_engine_matches_all_pairs_reference(case):
     mgb = module_buchberger(ring, rank, columns)
     assert mgb.basis == expected_mgb.basis
     assert mgb.representation == expected_mgb.representation
+    # the reference records no certificates, so its relation pass reduces
+    # every pair again: reusing the engine's changes no syzygy
     assert syzygies(ring, rank, columns) == expected_syzygies
+    assert relation_pass_charge(ring, rank, columns, _groebner) <= \
+        relation_pass_charge(ring, rank, columns, all_pairs_groebner)
 
 
 # The criteria fire on ideals and stay off on modules
@@ -366,3 +387,41 @@ def test_product_criterion_is_off_on_modules(monkeypatch):
     assert mgb.basis[2] == [XYZ.zero(), XYZ.parse("y*z")]
     for s in syzygies(XYZ, 2, columns):
         assert vec_is_zero(combine(XYZ, s, columns))
+
+
+def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
+    """The leads of [x, y], [y, z], [z, x] lie in components 0, 0, 1.  The
+    pair of the first two adds [z^2, y^2] (lead y^2 in component 1), whose
+    pair with [z, x] the engine reduces to zero.  The relation pass rebuilds
+    and reduces only the first pair and takes the other's certificate."""
+    columns = [[XYZ.parse("x"), XYZ.parse("y")], [XYZ.parse("y"), XYZ.parse("z")],
+               [XYZ.parse("z"), XYZ.parse("x")]]
+    expected = all_pairs_answers(XYZ, 2, columns)[2]
+    basis = module_buchberger(XYZ, 2, columns).basis
+    assert [vec_lead(v)[0] for v in basis] == [0, 0, 1, 1]
+    engine_zero, relation_pass, popped = [], [], []
+    original_s_vector, original_reduce = polyring._s_vector, polyring._reduce
+
+    def s_vector(ring, vi, vj, ei, ej):
+        out = original_s_vector(ring, vi, vj, ei, ej)
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_groebner":
+            popped[:] = [(vi, vj)]
+            if vec_is_zero(out[2]):
+                engine_zero.append((vi, vj))
+        elif caller == "syzygies":
+            relation_pass.append((vi, vj))
+        return out
+
+    def reduce(ring, v, reducers, leads=None, budget=None):
+        out = original_reduce(ring, v, reducers, leads, budget)
+        if sys._getframe(1).f_code.co_name == "_groebner" and vec_is_zero(out[0]):
+            engine_zero.append(popped[0])
+        return out
+
+    for module in (polyring, syzygies_module):
+        monkeypatch.setattr(module, "_s_vector", s_vector)
+        monkeypatch.setattr(module, "_reduce", reduce)
+    assert syzygies(XYZ, 2, columns) == expected
+    assert engine_zero == [(basis[2], basis[3])]
+    assert relation_pass == [(basis[0], basis[1])]

@@ -1,0 +1,97 @@
+"""Property tests of the caches a ring presentation keeps: monomial normal
+forms, the multiples ``minimal_generators`` encodes from them, and the
+standard monomials of each degree.  Quotients are by random homogeneous
+regular sequences on grevlex, lex and weighted rings.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cising.ciext import _encode_multiple
+from cising.polyring import (
+    GradedSlice,
+    PolyRing,
+    RingPresentation,
+    is_regular_sequence,
+)
+
+PROPERTY = settings(max_examples=40)
+RINGS = [PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
+         PolyRing(["a", "b", "c_2"], weights=[1, 1, 2])]
+TOP = 5
+
+coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                         st.sampled_from([1, 1, 2]))
+
+
+@st.composite
+def homogeneous_polys(draw, ring, degree, max_terms=3):
+    chosen = draw(st.lists(st.sampled_from(ring.monomials_of_degree(degree)),
+                           min_size=1, max_size=max_terms, unique=True))
+    return sum((ring.monomial(e, draw(coefficients)) for e in chosen),
+               ring.zero())
+
+
+@st.composite
+def quotients(draw):
+    """A presentation by 1 or 2 homogeneous forms of degree 2 or 3 that form
+    a regular sequence."""
+    ring = draw(st.sampled_from(RINGS))
+    gens = [draw(homogeneous_polys(ring, draw(st.integers(2, 3))))
+            for _ in range(draw(st.integers(1, 2)))]
+    assume(is_regular_sequence(ring, gens))
+    return RingPresentation(ring, gens)
+
+
+@st.composite
+def normal_form_columns(draw):
+    """A quotient, twists, a homogeneous column in normal form that is not
+    zero in the quotient, its degree and a monomial to shift it by."""
+    rp = draw(quotients())
+    ring = rp.ring
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    degree = draw(st.integers(2, 3))
+    column = [rp.normal_form(draw(homogeneous_polys(ring, degree - t)))
+              for t in twists]
+    assume(any(not p.is_zero() for p in column))
+    mono = draw(st.sampled_from(ring.monomials_of_degree(draw(st.integers(0, 2)))))
+    return rp, twists, column, degree, mono
+
+
+@PROPERTY
+@given(quotients())
+def test_cached_monomial_normal_forms_match_normal_form(rp):
+    ring = rp.ring
+    for d in range(TOP + 1):
+        for mono in ring.monomials_of_degree(d):
+            expected = rp.normal_form(ring.monomial(mono)).terms
+            assert rp._monomial_normal_form(mono) == expected
+            assert rp._monomial_normal_form(mono) == expected
+
+
+@PROPERTY
+@given(normal_form_columns())
+def test_shifted_encoding_matches_encoding_of_the_reduced_product(case):
+    rp, twists, column, degree, mono = case
+    ring = rp.ring
+    e = degree + ring.wdeg(mono)
+    coords = GradedSlice((k, rp.standard_monomials(e - t))
+                         for k, t in enumerate(twists))
+    product = ring.monomial(mono)
+    expected = coords.encode((k, rp.normal_form(product * p))
+                             for k, p in enumerate(column))
+    assert _encode_multiple(rp, coords, mono, column) == expected
+
+
+@PROPERTY
+@given(quotients(), st.integers(0, TOP))
+def test_standard_monomials_survive_mutation_by_callers(rp, d):
+    first = rp.standard_monomials(d)
+    expected = list(first)
+    first.append((9,) * rp.ring.nvars)
+    first.reverse()
+    assert rp.standard_monomials(d) == expected
+    rp.standard_monomials(d).clear()
+    assert rp.standard_monomials(d) == expected
