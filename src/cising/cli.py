@@ -673,6 +673,17 @@ def _window_flag(text):
             f"window must look like D0:D with integers, got {text!r}") from None
 
 
+def _positive_flag(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = _ArgumentParser(
         prog="cising",
@@ -693,10 +704,11 @@ def build_parser():
                         help="monomial order override")
     parser.add_argument("--n", type=int,
                         help="thickening order override")
-    parser.add_argument("--max-monomials", type=int,
+    parser.add_argument("--max-monomials", type=_positive_flag,
                         default=DEFAULT_MAX_MONOMIALS,
                         help="cap on tracked monomials per basis run")
-    parser.add_argument("--max-width", type=int, default=DEFAULT_MAX_WIDTH,
+    parser.add_argument("--max-width", type=_positive_flag,
+                        default=DEFAULT_MAX_WIDTH,
                         help="cap on resolution width")
     return parser
 

@@ -627,7 +627,16 @@ def _s_vector(ring, vi, vj, ei, ej):
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
 
 
-def _groebner(ring, columns, budget, zero_reductions=None):
+def _pair_row(ring, reps, i, j, mi, mj, cofactors):
+    """``mi * reps[i] - mj * reps[j] - sum_k cofactors[k] * reps[k]``: the
+    representation row of the remainder of pair ``(i, j)``'s S-vector after
+    a reduction with those cofactors, or the relation the pair gives among
+    the input columns when that remainder is zero."""
+    return vec_combine(ring, len(reps[i]), [(mi, reps[i]), (-mj, reps[j])]
+                       + [(-q, row) for q, row in zip(cofactors, reps)])
+
+
+def _groebner(ring, columns, budget, relations=None):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation tracking.
 
@@ -646,12 +655,12 @@ def _groebner(ring, columns, budget, zero_reductions=None):
     interreduced, and rows with
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
 
-    A dict passed as ``zero_reductions`` receives ``(i, j) -> (mi, mj,
-    cofactors)`` for each popped pair whose S-vector is zero or reduces to
-    zero: ``mi * basis[i] - mj * basis[j] == sum_k cofactors[k] * basis[k]``
-    over the basis elements there were then.  Reducers are scanned in order
-    and the basis only grows at its end, so reducing that S-vector against
-    the final basis gives the same cofactors, padded with zeros.
+    A dict passed as ``relations`` receives ``(i, j) -> row`` for each
+    popped pair whose S-vector is zero or reduces to zero, where ``row`` is
+    ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` with ``q`` the
+    reduction's cofactors: the relation ``sum_k row[k] * columns[k] == 0``
+    among the input columns.  It is the row a pair that leaves a remainder
+    gives its new element, and it is built only when asked for.
     """
     basis = []
     reps = []
@@ -707,14 +716,10 @@ def _groebner(ring, columns, budget, zero_reductions=None):
             remainder, cofs = s, []
         else:
             remainder, cofs = _reduce(ring, s, basis, leads, budget)
-        if vec_is_zero(remainder):
-            if zero_reductions is not None:
-                zero_reductions[i, j] = (mi, mj, cofs)
-            continue
-        rep = vec_combine(ring, len(columns),
-                          [(mi, reps[i]), (-mj, reps[j])]
-                          + [(-q, row) for q, row in zip(cofs, reps)])
-        add_element(remainder, rep)
+        if not vec_is_zero(remainder):
+            add_element(remainder, _pair_row(ring, reps, i, j, mi, mj, cofs))
+        elif relations is not None:
+            relations[i, j] = _pair_row(ring, reps, i, j, mi, mj, cofs)
 
     return basis, reps
 

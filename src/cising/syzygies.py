@@ -7,18 +7,18 @@ and deterministic.  The Buchberger engine and the reduction routine live in
 :mod:`cising.polyring`, which runs them on ideals as the rank-1 case; this
 module validates columns and extracts syzygies from the engine's output.
 
-Syzygies are computed by the classical two-step scheme: build a module
-Groebner basis while tracking how each basis vector was assembled from the
-input columns, then convert the trivial relations among S-vectors (each one
-reduces to zero, and the reduction is a certificate) into generators of the
-full syzygy module of the inputs.  The engine hands back the certificate of
+Syzygies come from Schreyer's theorem (Eisenbud, *Commutative Algebra*,
+Thm. 15.10): the S-pair relations of a Groebner basis, pushed down to the
+input columns through the representation rows, generate every relation among
+the inputs.  Each nonzero input column is seeded as a basis element, so no
+further relation is needed for it.  The engine hands back the relation of
 every pair it reduced to zero; only the other pairs are rebuilt, by
-``polyring._s_vector`` (the same routine the engine pairs with), and
-reduced again.  Every relation is pushed down to the input columns by
-``polyring.vec_combine``.
+``polyring._s_vector`` (the same routine the engine pairs with), and reduced
+again.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import InvariantError, ValidationError
 from .polyring import (
@@ -27,9 +27,9 @@ from .polyring import (
     PolyRing,
     _groebner,
     _MonomialBudget,
+    _pair_row,
     _reduce,
     _s_vector,
-    vec_combine,
     vec_is_zero,
     vec_lead,
 )
@@ -51,14 +51,13 @@ class ModuleGroebnerBasis:
     """A module Groebner basis with its build certificate.
 
     ``basis`` vectors are monic in their lead term.  Unlike the scalar case
-    the basis is *not* interreduced -- redundant members are kept because the
-    syzygy extraction needs reduction certificates against the full list.
-    ``zero_reductions`` holds the engine's certificates, ``(i, j) -> (mi, mj,
-    cofactors)`` for each pair it reduced to zero (see
-    :func:`cising.polyring._groebner`); the cofactors stop at the basis
-    length the engine had then.
+    the basis is *not* interreduced -- redundant members are kept because
+    the syzygy extraction pairs every member.
     ``representation[i][k]`` are polynomials with
     ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise.
+    ``relations`` maps each pair ``(i, j)`` the engine reduced to zero to
+    the relation it gives among the generators (see
+    :func:`cising.polyring._groebner`).
     """
 
     ring: PolyRing
@@ -66,7 +65,7 @@ class ModuleGroebnerBasis:
     generators: list
     basis: list
     representation: list
-    zero_reductions: dict = field(default_factory=dict)
+    relations: dict = field(default_factory=dict)
 
 
 def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -80,12 +79,12 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     criteria would change which vectors the basis holds.
     """
     columns = _validate_columns(ring, rank, columns)
-    zero_reductions = {}
+    relations = {}
     basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials),
-                            zero_reductions=zero_reductions)
+                            relations=relations)
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
                                basis=basis, representation=reps,
-                               zero_reductions=zero_reductions)
+                               relations=relations)
 
 
 def module_normal_form_with_cofactors(ring, v, gb):
@@ -100,67 +99,41 @@ def module_normal_form(ring, v, gb):
     return module_normal_form_with_cofactors(ring, v, gb)[0]
 
 
-def module_member(ring, v, gb):
-    """True when ``v`` lies in the span of the basis ``gb`` was built from."""
-    return vec_is_zero(module_normal_form(ring, v, gb))
-
-
 def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Generators of the syzygy module of ``columns``.
 
-    Returns vectors ``s`` of length ``len(columns)`` with
+    Returns nonzero vectors ``s`` of length ``len(columns)`` with
     ``sum_k s[k] * columns[k] == 0`` componentwise; together they generate
-    every such relation.  Zero input columns contribute their unit vectors.
-    The output order is deterministic: relations coming from basis pairs
-    first (pair order), then one residual relation per input column.  A
-    pair the engine reduced to zero takes its certificate from
-    ``zero_reductions``; only the pairs that added a basis element, and on
-    ideals those the criteria skipped, are reduced here.
+    every such relation.  The output order is deterministic: the relations
+    of the basis pairs whose leads share a component (pair order), then the
+    unit vector of each zero input column.  A pair the engine reduced to
+    zero gives the relation it recorded; only the pairs that added a basis
+    element (their relation is zero), and on ideals those the criteria
+    skipped, are reduced here, against the final basis.
     """
     columns = _validate_columns(ring, rank, columns)
-    m = len(columns)
     mgb = module_buchberger(ring, rank, columns, max_monomials=max_monomials)
     budget = _MonomialBudget(max_monomials)
-    t = len(mgb.basis)
-    leads = [vec_lead(g) for g in mgb.basis]
-
-    # Relations among the basis vectors: every same-component S-vector
-    # reduces to zero, and the recorded reduction is the relation.
-    basis_relations = []
-    for i in range(t):
-        for j in range(i + 1, t):
-            if leads[i][0] != leads[j][0]:
-                continue
-            certificate = mgb.zero_reductions.get((i, j))
-            if certificate is not None:
-                mi, mj, cofs = certificate
-                cofs = cofs + [ring.zero()] * (t - len(cofs))
-            else:
-                mi, mj, s = _s_vector(ring, mgb.basis[i], mgb.basis[j],
-                                      leads[i][1], leads[j][1])
-                remainder, cofs = _reduce(ring, s, mgb.basis, leads, budget)
-                if not vec_is_zero(remainder):
-                    raise InvariantError("S-vector failed to reduce to zero "
-                                         "against a Groebner basis")
-            z = [-q for q in cofs]
-            z[i] = z[i] + mi
-            z[j] = z[j] - mj
-            if not vec_is_zero(z):
-                basis_relations.append(z)
-
-    # Push the basis relations down to the input columns, then add one
-    # residual relation per column, e_k - sum_i q_i * representation[i],
-    # where the q_i express column k in the basis (remainder must vanish).
-    result = [vec_combine(ring, m, zip(z, mgb.representation))
-              for z in basis_relations]
+    basis, reps = mgb.basis, mgb.representation
+    leads = [vec_lead(g) for g in basis]
+    result = []
+    for i, j in combinations(range(len(basis)), 2):
+        if leads[i][0] != leads[j][0]:
+            continue
+        relation = mgb.relations.get((i, j))
+        if relation is None:
+            mi, mj, s = _s_vector(ring, basis[i], basis[j],
+                                  leads[i][1], leads[j][1])
+            remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            if not vec_is_zero(remainder):
+                raise InvariantError("S-vector failed to reduce to zero "
+                                     "against a Groebner basis")
+            relation = _pair_row(ring, reps, i, j, mi, mj, cofs)
+        if not vec_is_zero(relation):
+            result.append(relation)
     for k, c in enumerate(columns):
-        remainder, cofs = _reduce(ring, c, mgb.basis, leads, budget)
-        if not vec_is_zero(remainder):
-            raise InvariantError(
-                "input column failed to reduce against its own Groebner basis")
-        w = vec_combine(ring, m, [(-q, row)
-                                  for q, row in zip(cofs, mgb.representation)])
-        w[k] = w[k] + ring.one()
-        if not vec_is_zero(w):
-            result.append(w)
+        if vec_is_zero(c):
+            unit = [ring.zero()] * len(columns)
+            unit[k] = ring.one()
+            result.append(unit)
     return result

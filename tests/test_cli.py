@@ -126,6 +126,17 @@ def test_monomial_cap_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--max-monomials", "--max-width"])
+@pytest.mark.parametrize("command", ["resolve", "validate"])
+def test_non_positive_cap_exits_1(capsys, flag, command):
+    for value in ("-1", "0"):
+        code, out, err = run_cli(capsys, command,
+                                 str(JOBS / "resolve_two_quadrics.json"),
+                                 flag, value)
+        assert code == 1 and out == ""
+        assert f"argument {flag}:" in err
+
+
 def test_validate_reports_findings(capsys):
     code, out, _ = run_cli(capsys, "validate",
                            str(JOBS / "validate_findings.json"),

@@ -152,11 +152,11 @@ REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
                    PolyRing(["a", "b_2"], weights=[1, 2])]
 
 
-def all_pairs_groebner(ring, columns, budget, zero_reductions=None):
+def all_pairs_groebner(ring, columns, budget, relations=None):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
-    index.  It records no certificates in ``zero_reductions``, so with it in
-    place ``syzygies`` reduces every pair again against the full basis."""
+    index.  It records nothing in ``relations``, so with it in place
+    ``syzygies`` reduces every pair again against the full basis."""
     basis = []
     reps = []
     leads = []
@@ -247,9 +247,57 @@ def all_pairs_answers(ring, rank, columns):
                 syzygies(ring, rank, columns))
 
 
-def relation_pass_charge(ring, rank, columns, engine):
+def reference_relation_pass(ring, rank, columns, budget):
+    """The relation pass before the engine handed over its relations, on
+    the engine's basis.  Every same-component pair is reduced against the
+    final basis (for a pair the engine reduced to zero, that gives its
+    cofactors then, padded with zeros), ``z = mi * e_i - mj * e_j -
+    cofactors`` is kept when nonzero and pushed down to the input columns,
+    zero or not.  Then each input column gets its residual ``e_k - sum_i
+    q_i * representation[i]``, kept when nonzero, with ``q`` its
+    cofactors.  Returns the pushed-down pair relations and the residuals
+    as ``(k, residual)``; ``budget`` is charged for every reduction."""
+    mgb = module_buchberger(ring, rank, columns)
+    basis, reps = mgb.basis, mgb.representation
+    m, t = len(columns), len(basis)
+    leads = [vec_lead(g) for g in basis]
+    pair_relations = []
+    for i in range(t):
+        for j in range(i + 1, t):
+            if leads[i][0] != leads[j][0]:
+                continue
+            mi, mj, s = _s_vector(ring, basis[i], basis[j],
+                                  leads[i][1], leads[j][1])
+            remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            assert vec_is_zero(remainder)
+            z = [-q for q in cofs]
+            z[i] = z[i] + mi
+            z[j] = z[j] - mj
+            if not vec_is_zero(z):
+                pair_relations.append(vec_combine(ring, m, zip(z, reps)))
+    residuals = []
+    for k, c in enumerate(columns):
+        remainder, cofs = _reduce(ring, c, basis, leads, budget)
+        assert vec_is_zero(remainder)
+        w = vec_combine(ring, m, [(-q, row) for q, row in zip(cofs, reps)])
+        w[k] = w[k] + ring.one()
+        if not vec_is_zero(w):
+            residuals.append((k, w))
+    return pair_relations, residuals
+
+
+def reference_syzygies(ring, rank, columns):
+    """What ``syzygies`` returns: the reference relation pass without its
+    zero vectors and the residuals of the nonzero input columns."""
+    pair_relations, residuals = reference_relation_pass(
+        ring, rank, columns, _MonomialBudget(None))
+    return ([z for z in pair_relations if not vec_is_zero(z)]
+            + [w for k, w in residuals if vec_is_zero(columns[k])])
+
+
+def relation_pass_charge(ring, rank, columns):
     """Monomials charged by the budget ``syzygies`` makes for its relation
-    pass, the last one it makes, with ``engine`` building the basis."""
+    pass, the last one it makes."""
     made = []
 
     class RecordingBudget(_MonomialBudget):
@@ -257,10 +305,18 @@ def relation_pass_charge(ring, rank, columns, engine):
             super().__init__(cap)
             made.append(self)
 
-    with patch.object(syzygies_module, "_groebner", engine), \
-            patch.object(syzygies_module, "_MonomialBudget", RecordingBudget):
+    with patch.object(syzygies_module, "_MonomialBudget", RecordingBudget):
         syzygies(ring, rank, columns)
     return made[-1].used
+
+
+def scalar_multiple(v, w):
+    """True when ``v == c * w`` componentwise for some rational ``c``."""
+    for p, q in zip(v, w):
+        if not q.is_zero():
+            c = p.lc / q.lc if not p.is_zero() else 0
+            return all(a == c * b for a, b in zip(v, w))
+    return vec_is_zero(v)
 
 
 LEX_XYZ = REFERENCE_RINGS[3]
@@ -313,11 +369,37 @@ def test_module_engine_matches_all_pairs_reference(case):
     mgb = module_buchberger(ring, rank, columns)
     assert mgb.basis == expected_mgb.basis
     assert mgb.representation == expected_mgb.representation
-    # the reference records no certificates, so its relation pass reduces
-    # every pair again: reusing the engine's changes no syzygy
+    # the reference records no relations, so its relation pass reduces
+    # every pair again: taking the engine's changes no syzygy
     assert syzygies(ring, rank, columns) == expected_syzygies
-    assert relation_pass_charge(ring, rank, columns, _groebner) <= \
-        relation_pass_charge(ring, rank, columns, all_pairs_groebner)
+
+
+XY = REFERENCE_RINGS[0]
+# x*y is y times x: the residual of the second column is e_2 - y*e_1, minus
+# the relation of the pair
+DIVISIBLE_LEADS = (XY, 1, [[XY.parse("x")], [XY.parse("x*y")]])
+
+
+@settings(max_examples=120)
+@example(DIVERGING_IDEAL)
+@example(DIVISIBLE_LEADS)
+@given(engine_inputs(ranks=[1, 2, 3]))
+def test_syzygies_are_the_reference_pass_without_residuals(case):
+    """``syzygies`` gives the relation pass that pushed every pair down and
+    added a residual per input column, less its zero vectors and the
+    residuals of nonzero columns.  Each such residual is a multiple of a
+    relation it still gives, so the span is the same, and the pass charges
+    its budget no more."""
+    ring, rank, columns = case
+    budget = _MonomialBudget(None)
+    pair_relations, residuals = reference_relation_pass(ring, rank, columns,
+                                                        budget)
+    found = syzygies(ring, rank, columns)
+    assert found == reference_syzygies(ring, rank, columns)
+    for k, w in residuals:
+        if not vec_is_zero(columns[k]):
+            assert any(scalar_multiple(w, z) for z in found)
+    assert relation_pass_charge(ring, rank, columns) <= budget.used
 
 
 # The criteria fire on ideals and stay off on modules
@@ -392,36 +474,30 @@ def test_product_criterion_is_off_on_modules(monkeypatch):
 def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
     """The leads of [x, y], [y, z], [z, x] lie in components 0, 0, 1.  The
     pair of the first two adds [z^2, y^2] (lead y^2 in component 1), whose
-    pair with [z, x] the engine reduces to zero.  The relation pass rebuilds
-    and reduces only the first pair and takes the other's certificate."""
+    pair with [z, x] the engine reduces to zero and hands over as a
+    relation.  The relation pass rebuilds and reduces only the first pair,
+    whose relation is zero since it added an element."""
     columns = [[XYZ.parse("x"), XYZ.parse("y")], [XYZ.parse("y"), XYZ.parse("z")],
                [XYZ.parse("z"), XYZ.parse("x")]]
-    expected = all_pairs_answers(XYZ, 2, columns)[2]
+    expected = reference_syzygies(XYZ, 2, columns)
     basis = module_buchberger(XYZ, 2, columns).basis
     assert [vec_lead(v)[0] for v in basis] == [0, 0, 1, 1]
-    engine_zero, relation_pass, popped = [], [], []
-    original_s_vector, original_reduce = polyring._s_vector, polyring._reduce
+    handed_over, rebuilt = [], []
+    original_groebner, original_s_vector = _groebner, _s_vector
+
+    def groebner(ring, columns, budget, relations=None):
+        out = original_groebner(ring, columns, budget, relations)
+        handed_over.append(dict(relations))
+        return out
 
     def s_vector(ring, vi, vj, ei, ej):
-        out = original_s_vector(ring, vi, vj, ei, ej)
-        caller = sys._getframe(1).f_code.co_name
-        if caller == "_groebner":
-            popped[:] = [(vi, vj)]
-            if vec_is_zero(out[2]):
-                engine_zero.append((vi, vj))
-        elif caller == "syzygies":
-            relation_pass.append((vi, vj))
-        return out
+        rebuilt.append((vi, vj))
+        return original_s_vector(ring, vi, vj, ei, ej)
 
-    def reduce(ring, v, reducers, leads=None, budget=None):
-        out = original_reduce(ring, v, reducers, leads, budget)
-        if sys._getframe(1).f_code.co_name == "_groebner" and vec_is_zero(out[0]):
-            engine_zero.append(popped[0])
-        return out
-
-    for module in (polyring, syzygies_module):
-        monkeypatch.setattr(module, "_s_vector", s_vector)
-        monkeypatch.setattr(module, "_reduce", reduce)
-    assert syzygies(XYZ, 2, columns) == expected
-    assert engine_zero == [(basis[2], basis[3])]
-    assert relation_pass == [(basis[0], basis[1])]
+    monkeypatch.setattr(syzygies_module, "_groebner", groebner)
+    monkeypatch.setattr(syzygies_module, "_s_vector", s_vector)
+    found = syzygies(XYZ, 2, columns)
+    assert found == expected
+    assert [list(relations) for relations in handed_over] == [[(2, 3)]]
+    assert found == [handed_over[0][2, 3]]
+    assert rebuilt == [(basis[0], basis[1])]

@@ -1,0 +1,168 @@
+"""Property tests of minimal resolutions over complete intersections.
+
+On random small homogeneous regular sequences (grevlex, lex and weighted
+rings), the resolutions of the residue field and of a cyclic module are
+complexes, minimal, exact by slice ranks through a degree bound, and their
+graded Betti numbers satisfy sum_i (-1)^i beta_i(t) H_A(t) = H_M(t).  H_A is
+the closed-form Hilbert series prod_j (1 - t^deg f_j) / prod_i (1 - t^w_i) of
+a complete intersection; slices are built from plain polynomial products and
+normal forms, without the library's slice encoders.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cising.ciext import cyclic_module, minimal_resolution, residue_field_module
+from cising.exactq import Mat, rank
+from cising.polyring import PolyRing, RingPresentation, is_regular_sequence
+
+PROPERTY = settings(max_examples=30)
+RINGS = [PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
+         PolyRing(["a", "b", "c_2"], weights=[1, 1, 2])]
+LENGTH = 3
+
+coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                         st.sampled_from([1, 1, 2]))
+
+
+@st.composite
+def homogeneous_polys(draw, ring, degree, max_terms=3):
+    chosen = draw(st.lists(st.sampled_from(ring.monomials_of_degree(degree)),
+                           min_size=1, max_size=max_terms, unique=True))
+    return sum((ring.monomial(e, draw(coefficients)) for e in chosen),
+               ring.zero())
+
+
+@st.composite
+def resolutions(draw):
+    """A quotient by 1 or 2 homogeneous forms of degree 2 or 3 forming a
+    regular sequence, the residue field or a cyclic module by 1 or 2 forms
+    of degree 1 or 2, and its minimal resolution to step ``LENGTH``."""
+    ring = draw(st.sampled_from(RINGS))
+    degrees = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(1, 2)))]
+    gens = [draw(homogeneous_polys(ring, d)) for d in degrees]
+    assume(is_regular_sequence(ring, gens))
+    rp = RingPresentation(ring, gens)
+    if draw(st.booleans()):
+        module = residue_field_module(rp)
+    else:
+        module = cyclic_module(rp, [
+            draw(homogeneous_polys(ring, draw(st.integers(1, 2))))
+            for _ in range(draw(st.integers(1, 2)))])
+    return rp, degrees, module, minimal_resolution(rp, module, LENGTH)
+
+
+def slice_rank(rp, src_twists, tgt_twists, columns, e):
+    """Rank in degree ``e`` of the map sending source generator ``k`` to
+    ``columns[k]``: the images of the standard-monomial multiples."""
+    tgt = {(r, m): n for n, (r, m) in enumerate(
+        (r, m) for r, t in enumerate(tgt_twists)
+        for m in rp.standard_monomials(e - t))}
+    images = []
+    for k, t in enumerate(src_twists):
+        for mono in rp.standard_monomials(e - t):
+            vec = [Fraction(0)] * len(tgt)
+            for r, p in enumerate(columns[k]):
+                image = rp.normal_form(rp.ring.monomial(mono) * p)
+                for expo, coeff in image.terms.items():
+                    vec[tgt[r, expo]] = coeff
+            images.append(vec)
+    return rank(Mat.from_columns(images, len(tgt))) if images else 0
+
+
+def free_dim(rp, twists, e):
+    return sum(len(rp.standard_monomials(e - t)) for t in twists)
+
+
+def hilbert_series(ring, degrees, top):
+    """Coefficients through ``top`` of prod_j (1 - t^d_j) / prod_i (1 - t^w_i)."""
+    series = [1] + [0] * top
+    for d in degrees:
+        series = [c - (series[n - d] if n >= d else 0)
+                  for n, c in enumerate(series)]
+    for w in ring.weights:
+        for n in range(w, top + 1):
+            series[n] += series[n - w]
+    return series
+
+
+def module_hilbert(rp, module, e):
+    """dim M_e from the module's own presentation."""
+    return (free_dim(rp, module.twists, e)
+            - slice_rank(rp, [d for d in module.degrees if d is not None],
+                         module.twists,
+                         [c for c, d in zip(module.relations, module.degrees)
+                          if d is not None], e))
+
+
+def top_degree(res):
+    return max((t for twists in res.twists for t in twists), default=0)
+
+
+@PROPERTY
+@given(resolutions())
+def test_differentials_compose_to_zero(case):
+    rp, _, _, res = case
+    for i in range(1, res.length):
+        outer = res.differential(i)
+        for v in res.differential(i + 1):
+            for r in range(len(res.twists[i - 1])):
+                composite = sum((p * col[r] for p, col in zip(v, outer)),
+                                rp.ring.zero())
+                assert rp.normal_form(composite).is_zero()
+
+
+@PROPERTY
+@given(resolutions())
+def test_resolution_is_minimal_and_graded(case):
+    """Every entry of every differential is homogeneous of positive degree,
+    the source twist less the target twist: no unit entry, so no generator
+    of any step is redundant (graded Nakayama, given exactness)."""
+    rp, _, _, res = case
+    for i in range(1, res.length + 1):
+        columns = res.differential(i)
+        assert len(columns) == len(res.twists[i])
+        for s, column in zip(res.twists[i], columns):
+            assert len(column) == len(res.twists[i - 1])
+            assert any(not p.is_zero() for p in column)
+            for t, p in zip(res.twists[i - 1], column):
+                if not p.is_zero():
+                    assert p.homogeneous_degree() == s - t > 0
+                    assert rp.normal_form(p) == p
+
+
+@PROPERTY
+@given(resolutions())
+def test_resolution_is_exact_by_slice_ranks(case):
+    """In every degree through the largest twist, d_1 has cokernel M and
+    rank(d_i) + rank(d_(i+1)) is the dimension of F_i, for i < LENGTH."""
+    rp, _, module, res = case
+    for e in range(top_degree(res) + 1):
+        ranks = [slice_rank(rp, res.twists[i], res.twists[i - 1],
+                            res.differential(i), e)
+                 for i in range(1, res.length + 1)]
+        assert free_dim(rp, res.twists[0], e) - ranks[0] == \
+            module_hilbert(rp, module, e)
+        for i in range(1, res.length):
+            assert ranks[i - 1] + ranks[i] == free_dim(rp, res.twists[i], e)
+
+
+@PROPERTY
+@given(resolutions())
+def test_betti_numbers_satisfy_the_hilbert_series_identity(case):
+    """sum_i (-1)^i sum_t beta_i(t) H_A(e - t) = H_M(e) for every degree
+    ``e`` the truncation cannot reach: through the smallest twist of the
+    last step, or through the largest twist when the resolution stops."""
+    rp, degrees, module, res = case
+    top = top_degree(res)
+    last = res.twists[res.length]
+    bound = min(last) if last else top
+    h_a = hilbert_series(rp.ring, degrees, top)
+    assert h_a == [rp.dim_degree(e) for e in range(top + 1)]
+    for e in range(bound + 1):
+        alternating = sum((-1) ** i * h_a[e - t]
+                          for i, twists in enumerate(res.twists)
+                          for t in twists if t <= e)
+        assert alternating == module_hilbert(rp, module, e)

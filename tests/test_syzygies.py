@@ -8,7 +8,6 @@ from cising.exactq import Mat, rank
 from cising.polyring import PolyRing
 from cising.syzygies import (
     module_buchberger,
-    module_member,
     module_normal_form,
     syzygies,
     vec_is_zero,
@@ -27,6 +26,11 @@ def combine(columns, coeffs):
         for i in range(rank_):
             out[i] = out[i] + q * c[i]
     return out
+
+
+def in_span(ring, v, gb):
+    """True when ``v`` lies in the span of the basis ``gb`` was built from."""
+    return vec_is_zero(module_normal_form(ring, v, gb))
 
 
 def test_vec_lead_prefers_big_monomial_then_small_component():
@@ -58,8 +62,8 @@ def test_membership_frozen():
     x, y = ring.gens()
     cols = [[x, ring.zero()], [ring.zero(), y]]
     mgb = module_buchberger(ring, 2, cols)
-    assert module_member(ring, [x * y, x * y], mgb)
-    assert not module_member(ring, [y, ring.zero()], mgb)
+    assert in_span(ring, [x * y, x * y], mgb)
+    assert not in_span(ring, [y, ring.zero()], mgb)
     nf = module_normal_form(ring, [y, ring.zero()], mgb)
     assert [str(p) for p in nf] == ["y", "0"]
 
@@ -71,7 +75,7 @@ def test_koszul_pair():
     for s in out:
         assert (s[0] * x + s[1] * y).is_zero()
     sgb = module_buchberger(ring, 2, out)
-    assert module_member(ring, [y, -x], sgb)
+    assert in_span(ring, [y, -x], sgb)
 
 
 def test_koszul_triple():
@@ -83,9 +87,9 @@ def test_koszul_triple():
         assert combine(cols, s) == [ring.zero()]
     sgb = module_buchberger(ring, 3, out)
     zero = ring.zero()
-    assert module_member(ring, [y, -x, zero], sgb)
-    assert module_member(ring, [z, zero, -x], sgb)
-    assert module_member(ring, [zero, z, -y], sgb)
+    assert in_span(ring, [y, -x, zero], sgb)
+    assert in_span(ring, [z, zero, -x], sgb)
+    assert in_span(ring, [zero, z, -y], sgb)
 
 
 def test_zero_columns_yield_unit_relations():
@@ -93,16 +97,16 @@ def test_zero_columns_yield_unit_relations():
     x = ring.var("x")
     out = syzygies(ring, 1, [[ring.zero()], [x]])
     sgb = module_buchberger(ring, 2, out)
-    assert module_member(ring, [ring.one(), ring.zero()], sgb)
-    assert not module_member(ring, [ring.zero(), ring.one()], sgb)
+    assert in_span(ring, [ring.one(), ring.zero()], sgb)
+    assert not in_span(ring, [ring.zero(), ring.one()], sgb)
 
 
 def test_rank_zero_target_everything_is_a_relation():
     ring = PolyRing(["x"])
     out = syzygies(ring, 0, [[], []])
     sgb = module_buchberger(ring, 2, out)
-    assert module_member(ring, [ring.one(), ring.zero()], sgb)
-    assert module_member(ring, [ring.zero(), ring.one()], sgb)
+    assert in_span(ring, [ring.one(), ring.zero()], sgb)
+    assert in_span(ring, [ring.zero(), ring.one()], sgb)
 
 
 def test_no_columns():
