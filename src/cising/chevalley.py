@@ -21,10 +21,11 @@ polynomial degree e) by exact rank computations; the differential maps slice
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ResourceLimitError, ValidationError
 from .exactq import span_of
-from .polyring import GradedSlice, Poly, PolyRing
+from .polyring import DEFAULT_MAX_MONOMIALS, GradedSlice, Poly, PolyRing
 
 HALF = Fraction(1, 2)
 
@@ -122,31 +123,46 @@ def extract_bracket(ce):
     return bracket
 
 
-def _differential(ce, p, e):
-    """Images of the basis of slice (p, e) in slice (p-1, e+2), as sparse
-    columns in the coordinates of ``ce.slice(p - 1, e + 2)``."""
-    target = ce.slice(p - 1, e + 2)
-    columns = []
-    for subset, mono in ce.slice(p, e):
-        m = ce.even_ring.monomial(mono)
-        columns.append(target.encode(
-            (subset[:t] + subset[t + 1:], ce.differentials[j] * m * (-1) ** t)
-            for t, j in enumerate(subset)))
-    return columns
+def _differential(source, target, signed):
+    """Images of the basis of ``source``, slice (p, e), in ``target``, slice
+    (p-1, e+2), as sparse columns in the target's coordinates.
+    ``signed[j]`` is ``(q_j, -q_j)``; each image is encoded shifted by the
+    basis element's monomial, with no product polynomial."""
+    return [target.encode(((subset[:t] + subset[t + 1:], signed[j][t % 2])
+                           for t, j in enumerate(subset)), shift=mono)
+            for subset, mono in source]
 
 
-def ce_cohomology(ce, degree):
+def ce_cohomology(ce, degree, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Cohomology dimensions of the cochain model, sliced by bidegree.
 
     Returns a :class:`GradedDims` with rows indexed by exterior degree
     0..odd_count and columns by polynomial degree 0..degree.  Verifies
-    d o d = 0 on every slice it touches.
+    d o d = 0 on every slice it touches.  Raises
+    :class:`ResourceLimitError`, before any slice is built, when one would
+    have more than ``max_monomials`` coordinates.
     """
     degree = int(degree)
     if degree < 0:
         raise ValidationError("truncation degree must be nonnegative")
     b = ce.odd_count
-    columns = {(p, e): _differential(ce, p, e)
+    # the differential out of degree e lands in degree e + 2
+    shape = [(p, e) for p in range(b + 1) for e in range(degree + 3)]
+    for p, e in shape:
+        size = comb(b, p) * ce.even_ring.monomial_count(e)
+        if max_monomials is not None and size > max_monomials:
+            raise ResourceLimitError(
+                f"cochain slice ({p}, {e}) has {size} coordinates, over the "
+                f"monomial cap {max_monomials}")
+    # the slices of ChevalleyComplex.slice, each degree's monomials listed once
+    monos = [ce.even_ring.monomials_of_degree(e) for e in range(degree + 3)]
+    slices = {(p, e): GradedSlice((s, monos[e])
+                                  for s in combinations(range(b), p))
+              for p, e in shape}
+    empty = GradedSlice([])
+    signed = [(q, -q) for q in ce.differentials]
+    columns = {(p, e): _differential(slices.get((p, e), empty),
+                                     slices.get((p - 1, e + 2), empty), signed)
                for p in range(b + 2) for e in range(degree + 1)}
     ranks = {key: span_of(cols).dim for key, cols in columns.items()}
     table = []
@@ -154,7 +170,7 @@ def ce_cohomology(ce, degree):
         row = []
         for e in range(degree + 1):
             rank_in = ranks[(p + 1, e - 2)] if e >= 2 else 0
-            row.append(len(ce.slice(p, e)) - ranks[(p, e)] - rank_in)
+            row.append(len(slices[p, e]) - ranks[(p, e)] - rank_in)
             if e >= 2 and not _composes_to_zero(columns[(p, e)],
                                                 columns[(p + 1, e - 2)]):
                 raise InvariantError(

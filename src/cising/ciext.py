@@ -163,18 +163,23 @@ class FreeResolution:
 # ---------------------------------------------------------------------------
 
 
+def _cached_normal_form(rp, p, shift=None):
+    """Normal form of ``x^shift * p``, summed from the presentation's cached
+    monomial normal forms (the normal form is linear), with no product
+    built."""
+    terms = {}
+    for expo, coeff in p.terms.items():
+        if shift is not None:
+            expo = _expo_add(shift, expo)
+        for e, c in rp._monomial_normal_form(expo).items():
+            terms[e] = terms.get(e, 0) + coeff * c
+    return Poly(rp.ring, terms)
+
+
 def _encode_multiple(rp, coords, mono, column):
-    """``coords.encode`` of the normal form of ``x^mono * column``, summed
-    from the presentation's cached monomial normal forms (the normal form
-    is linear)."""
-    index = coords.index
-    vec = {}
-    for k, p in enumerate(column):
-        for expo, coeff in p.terms.items():
-            for e, c in rp._monomial_normal_form(_expo_add(mono, expo)).items():
-                at = index[(k, e)]
-                vec[at] = vec.get(at, 0) + coeff * c
-    return {at: c for at, c in vec.items() if c}
+    """``coords.encode`` of the normal form of ``x^mono * column``."""
+    return coords.encode((k, _cached_normal_form(rp, p, mono))
+                         for k, p in enumerate(column))
 
 
 def minimal_generators(rp, twists, columns):
@@ -186,12 +191,12 @@ def minimal_generators(rp, twists, columns):
     lower-degree part (and the columns already kept in its own degree) is
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
-    columns by standard monomials, each encoded from cached monomial normal
-    forms without building its product.
+    columns by standard monomials.  Normal forms, of the offered columns and
+    of those multiples, are summed from cached monomial normal forms.
     """
     cols = []
     for j, column in enumerate(columns):
-        nf = [rp.normal_form(p) for p in column]
+        nf = [_cached_normal_form(rp, p) for p in column]
         d = _column_degree(twists, nf, f"column {j + 1}")
         if d is not None:
             cols.append((d, j, nf))
@@ -273,9 +278,11 @@ def _kernel_generators(rp, target_twists, columns, max_monomials):
     source generator ``k`` to ``columns[k]``.
 
     Lift to the ambient ring, adjoin one column f * e_i per ideal generator
-    and coordinate, take syzygies there and keep the source coordinates.
-    The entries are not reduced: :func:`minimal_generators` takes their
-    normal forms and drops the columns that vanish in the quotient.
+    and coordinate, take syzygies there and keep the source coordinates,
+    dropping zero columns and exact repeats (a repeat follows its first copy
+    in the same degree, so :func:`minimal_generators` would reject it).  The
+    entries are not reduced: :func:`minimal_generators` takes their normal
+    forms and drops the columns that vanish in the quotient.
     """
     ring = rp.ring
     r0 = len(target_twists)
@@ -287,8 +294,16 @@ def _kernel_generators(rp, target_twists, columns, max_monomials):
             column = [ring.zero()] * r0
             column[i] = f
             ambient.append(column)
-    return [s[:len(columns)]
-            for s in syzygies(ring, r0, ambient, max_monomials=max_monomials)]
+    kernel, hashes = [], set()
+    for s in syzygies(ring, r0, ambient, max_monomials=max_monomials):
+        s = s[:len(columns)]
+        # only hashes are kept; a column is compared when its hash repeats
+        key = hash(tuple(frozenset(p.terms.items()) for p in s))
+        if vec_is_zero(s) or (key in hashes and s in kernel):
+            continue
+        hashes.add(key)
+        kernel.append(s)
+    return kernel
 
 
 def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
@@ -650,26 +665,39 @@ class DGModule:
         return len(self.degrees)
 
 
-def hstar_dims(dg, lo, hi):
-    """Cohomology dimensions of the DG module in total degrees lo..hi."""
-    ring = dg.ring
+def hstar_dims(dg, lo, hi, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Cohomology dimensions of the DG module in total degrees lo..hi.
 
-    def coords(tau):
-        return GradedSlice((k, ring.monomials_of_degree(tau - dk))
-                           for k, dk in enumerate(dg.degrees))
+    Raises :class:`ResourceLimitError`, before any slice is built, when a
+    total-degree slice would have more than ``max_monomials`` coordinates.
+    """
+    ring = dg.ring
+    lo, hi = int(lo), int(hi)
+    taus = range(lo - 1, hi + 2)
+    for tau in taus:
+        size = sum(ring.monomial_count(tau - dk) for dk in dg.degrees)
+        if max_monomials is not None and size > max_monomials:
+            raise ResourceLimitError(
+                f"DG slice of total degree {tau} has {size} coordinates, "
+                f"over the monomial cap {max_monomials}")
+    monos = {d: ring.monomials_of_degree(d)
+             for d in {tau - dk for tau in taus for dk in dg.degrees}}
+    coords = {tau: GradedSlice((k, monos[tau - dk])
+                               for k, dk in enumerate(dg.degrees))
+              for tau in taus}
+
+    # the nonzero entries of each column of the differential
+    columns = [[(r, row[k]) for r, row in enumerate(dg.differential) if row[k]]
+               for k in range(dg.rank)]
 
     def boundary_images(tau):
-        target = coords(tau + 1)
-        for k, mono in coords(tau):
-            m = ring.monomial(mono)
-            yield target.encode((r, m * row[k])
-                                for r, row in enumerate(dg.differential)
-                                if not row[k].is_zero())
+        target = coords[tau + 1]
+        for k, mono in coords[tau]:
+            yield target.encode(columns[k], shift=mono)
 
-    lo, hi = int(lo), int(hi)
     ranks = {tau: span_of(boundary_images(tau)).dim
              for tau in range(lo - 1, hi + 1)}
-    return {tau: len(coords(tau)) - ranks[tau] - ranks[tau - 1]
+    return {tau: len(coords[tau]) - ranks[tau] - ranks[tau - 1]
             for tau in range(lo, hi + 1)}
 
 
@@ -680,7 +708,7 @@ class MinimizeResult:
     hstar: dict
 
 
-def minimize_dg(dg, through=None):
+def minimize_dg(dg, through=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Minimal model of a DG module, by canceling unit differential entries.
 
     Repeatedly find an entry with nonzero constant part (scanning rows then
@@ -693,7 +721,8 @@ def minimize_dg(dg, through=None):
 
     Raises :class:`InvariantError` unless the input and the minimal model
     have the same cohomology from one below the smallest input degree
-    through ``through``.
+    through ``through``, and :class:`ResourceLimitError` when a slice of
+    either would have more than ``max_monomials`` coordinates.
     """
     degrees = list(dg.degrees)
     matrix = [list(row) for row in dg.differential]
@@ -706,8 +735,10 @@ def minimize_dg(dg, through=None):
     lo = min(degrees, default=0)
     hi = through if through is not None else max(degrees, default=0) + 10
     check_lo = min(dg.degrees, default=0) - 1
-    dims = hstar_dims(minimal, min(lo, check_lo), hi)
-    if hstar_dims(dg, check_lo, hi) != {t: dims[t] for t in dims if t >= check_lo}:
+    dims = hstar_dims(minimal, min(lo, check_lo), hi,
+                      max_monomials=max_monomials)
+    if (hstar_dims(dg, check_lo, hi, max_monomials=max_monomials)
+            != {t: dims[t] for t in dims if t >= check_lo}):
         raise InvariantError("minimization changed the cohomology")
     return MinimizeResult(minimal=minimal, perfect=True,
                           hstar={t: dims[t] for t in dims if t >= lo})

@@ -350,7 +350,7 @@ def _run_chevalley(job, options):
     lie = tangent_lie(job.polys, job.point)
     # chevalley_cochain raises InvariantError unless the bracket round-trips
     ce = chevalley_cochain(lie)
-    dims = ce_cohomology(ce, job.degree)
+    dims = ce_cohomology(ce, job.degree, max_monomials=options.max_monomials)
     result = {
         "even_generators": ce.even_count,
         "odd_generators": ce.odd_count,
@@ -453,7 +453,8 @@ def _run_minimize(job, options):
     dg = DGModule(job.ring, *job.dg)
     # minimize_dg cancels every unit entry, and raises InvariantError unless
     # the cohomology is preserved
-    outcome = minimize_dg(dg, through=job.degree)
+    outcome = minimize_dg(dg, through=job.degree,
+                          max_monomials=options.max_monomials)
     minimal = outcome.minimal
     result = {
         "input_degrees": list(dg.degrees),
@@ -706,7 +707,8 @@ def build_parser():
                         help="thickening order override")
     parser.add_argument("--max-monomials", type=_positive_flag,
                         default=DEFAULT_MAX_MONOMIALS,
-                        help="cap on tracked monomials per basis run")
+                        help="cap on tracked monomials per basis run and "
+                             "on coordinates per graded slice")
     parser.add_argument("--max-width", type=_positive_flag,
                         default=DEFAULT_MAX_WIDTH,
                         help="cap on resolution width")

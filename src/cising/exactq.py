@@ -66,7 +66,7 @@ class Mat:
         for col in columns:
             if len(col) != nrows:
                 raise ValueError("column length does not match row count")
-        return cls([[Fraction(col[i]) for col in columns] for i in range(nrows)],
+        return cls([[col[i] for col in columns] for i in range(nrows)],
                    len(columns))
 
     def column(self, j):
@@ -91,11 +91,19 @@ class Mat:
         return Mat(out, other.ncols)
 
     def vec(self, v):
-        """Matrix times column vector."""
+        """Matrix times column vector, over the nonzero entries of ``v``."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return [sum((a * x for a, x in zip(row, v) if a), ZERO)
-                for row in self.rows]
+        support = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self.rows:
+            s = ZERO
+            for j, x in support:
+                a = row[j]
+                if a:
+                    s += a * x
+            out.append(s)
+        return out
 
     def is_zero(self):
         return all(e == 0 for row in self.rows for e in row)
@@ -249,14 +257,19 @@ def solver(m):
         v = dict(enumerate(row))
         v[n + i] = ONE
         span.add(v)
-    rows = span.rows
+    # each row's identity part, as (index into b, coefficient)
+    combos = [(p, [(c - n, a) for c, a in row.items() if c >= n])
+              for p, row in span.rows.items()]
 
     def solve_one(b):
         if len(b) != m.nrows:
             raise ValueError("right-hand side length does not match row count")
         x = [ZERO] * n
-        for p, row in rows.items():
-            s = sum((a * b[c - n] for c, a in row.items() if c >= n), ZERO)
+        for p, combo in combos:
+            s = ZERO
+            for i, a in combo:
+                if b[i]:
+                    s += a * b[i]
             if p < n:
                 x[p] = s
             elif s:

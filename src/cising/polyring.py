@@ -148,6 +148,17 @@ class PolyRing:
             rec(0, d, [])
         return out
 
+    def monomial_count(self, d):
+        """How many exponent tuples have weighted degree exactly ``d``,
+        counted without listing them."""
+        if d < 0:
+            return 0
+        counts = [1] + [0] * d
+        for w in self.weights:
+            for k in range(w, d + 1):
+                counts[k] += counts[k - w]
+        return counts[d]
+
     def format_exponent(self, expo):
         parts = []
         for name, e in zip(self.variables, expo):
@@ -318,7 +329,7 @@ class Poly:
         """Evaluate at a rational point (one value per variable)."""
         if len(point) != self.ring.nvars:
             raise ValidationError("point length does not match variable count")
-        point = [Fraction(p) for p in point]
+        point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
         total = ZERO
         for expo, coeff in self.terms.items():
             value = coeff
@@ -869,30 +880,46 @@ class RingPresentation:
 
 class GradedSlice:
     """Coordinates of one graded slice of a free module: one per ``(label,
-    monomial)`` pair, in the order of ``pieces`` = ``(label, monomials)``.
-    ``encode`` gives the sparse vectors :class:`exactq.IncrementalSpan` takes.
+    monomial)`` pair, in the order of ``pieces`` = ``(label, monomials)``,
+    one piece per label.  ``encode`` gives the sparse vectors
+    :class:`exactq.IncrementalSpan` takes.
     """
 
+    __slots__ = ("index", "size")
+
     def __init__(self, pieces):
-        self.index = {}
+        self.index = {}     # label -> {monomial: coordinate}
+        size = 0
         for label, monomials in pieces:
+            block = self.index.setdefault(label, {})
             for mono in monomials:
-                self.index[(label, mono)] = len(self.index)
+                block[mono] = size
+                size += 1
+        self.size = size
 
     def __len__(self):
-        return len(self.index)
+        return self.size
 
     def __iter__(self):
-        return iter(self.index)
+        return ((label, mono) for label, block in self.index.items()
+                for mono in block)
 
-    def encode(self, entries):
-        """Sparse coordinates of ``sum(label * poly for label, poly in
-        entries)``; every term must lie in the slice."""
+    def encode(self, entries, shift=None):
+        """Sparse coordinates of ``x^shift * sum(label * poly for label, poly
+        in entries)``; every term must lie in the slice.  The shift adds
+        exponents, so no product polynomial is built."""
+        index = self.index
         vec = {}
         for label, poly in entries:
+            if not poly.terms:
+                continue
+            block = index[label]
             for expo, coeff in poly.terms.items():
-                c = self.index[(label, expo)]
-                s = vec.get(c, ZERO) + coeff
+                if shift is not None:
+                    expo = _expo_add(shift, expo)
+                c = block[expo]
+                s = vec.get(c)
+                s = coeff if s is None else s + coeff
                 if s:
                     vec[c] = s
                 else:

@@ -55,12 +55,16 @@ def jacobian_at(polys, point):
 def second_partials_at(polys, point):
     """For each f_j, the symmetric matrix of second partials at the point."""
     ring, point = _validate_map(polys, point)
+    n = ring.nvars
     out = []
     for p in polys:
-        firsts = [p.diff(i) for i in range(ring.nvars)]
-        out.append(Mat([[firsts[i].diff(j).subs(point)
-                         for j in range(ring.nvars)] for i in range(ring.nvars)],
-                       ring.nvars))
+        firsts = [p.diff(i) for i in range(n)]
+        rows = [[ZERO] * n for _ in range(n)]
+        # partials commute, so each unordered pair is evaluated once
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = firsts[i].diff(j).subs(point)
+        out.append(Mat(rows, n))
     return out
 
 
@@ -164,14 +168,15 @@ def diffop_fiber(polys, point):
 
     def sym_image_column(i, j):
         """Coefficients of the symmetric square of the Jacobian on the
-        product of source coordinates i and j."""
+        product of source coordinates i and j; zero entries of the Jacobian
+        contribute no product."""
+        ci, cj = jac.column(i), jac.column(j)
         col = []
         for (k, l) in tpairs:
-            if k == l:
-                col.append(jac.rows[k][i] * jac.rows[k][j])
-            else:
-                col.append(jac.rows[k][i] * jac.rows[l][j]
-                           + jac.rows[l][i] * jac.rows[k][j])
+            s = ci[k] * cj[l] if ci[k] and cj[l] else ZERO
+            if k != l and ci[l] and cj[k]:
+                s += ci[l] * cj[k]
+            col.append(s)
         return col
 
     gamma_cols = [sym_image_column(i, j) for (i, j) in spairs]
@@ -207,22 +212,24 @@ def hessian_snake(polys, point, rng=None):
     pair_index = {pair: idx for idx, pair in enumerate(spairs)}
     coordinates = solver(Mat.from_columns(sq.domain_basis, len(spairs)))
 
-    k = fiber.kernel
-    bracket = []
-    for a in range(len(k)):
-        row = []
-        for b in range(len(k)):
+    supports = [[(i, x) for i, x in enumerate(u) if x] for u in fiber.kernel]
+    g1 = len(supports)
+    bracket = [[None] * g1 for _ in range(g1)]
+    # (u, v) and (v, u) symmetrize to the same vector, so each unordered
+    # pair is solved once
+    for a in range(g1):
+        for b in range(a, g1):
             sym = [ZERO] * len(spairs)
-            for i in range(len(k[a])):
-                for j in range(len(k[b])):
+            for i, x in supports[a]:
+                for j, y in supports[b]:
                     lo, hi = (i, j) if i <= j else (j, i)
-                    sym[pair_index[(lo, hi)]] += k[a][i] * k[b][j]
+                    sym[pair_index[(lo, hi)]] += x * y
             coords = coordinates(sym)
             if coords is None:
                 raise InvariantError(
                     "symmetrized kernel pair escaped the boundary domain")
-            row.append(sq.matrix.vec(coords))
-        bracket.append(row)
+            value = sq.matrix.vec(coords)
+            bracket[a][b], bracket[b][a] = value, list(value)
     return fiber, bracket
 
 

@@ -9,7 +9,7 @@ from cising.chevalley import (
     chevalley_cochain,
     extract_bracket,
 )
-from cising.errors import ValidationError
+from cising.errors import ResourceLimitError, ValidationError
 from cising.polyring import PolyRing, RingPresentation, hilbert_function
 from cising.tangentlie import tangent_lie
 
@@ -145,3 +145,14 @@ def test_cochain_rejects_a_bracket_it_does_not_give_back(monkeypatch):
     monkeypatch.setattr(cising.chevalley, "HALF", Fraction(1))
     with pytest.raises(InvariantError, match="give back the bracket"):
         chevalley_cochain(lie)
+
+
+def test_slice_cap_is_the_largest_slice_built():
+    ce = chevalley_cochain(lie_for(["x", "y", "z"], ["x*y", "y*z - x^2"]))
+    degree = 4
+    largest = max(len(ce.slice(p, e)) for p in range(ce.odd_count + 1)
+                  for e in range(degree + 3))
+    uncapped = ce_cohomology(ce, degree, max_monomials=None)
+    assert ce_cohomology(ce, degree, max_monomials=largest) == uncapped
+    with pytest.raises(ResourceLimitError, match=f"cap {largest - 1}"):
+        ce_cohomology(ce, degree, max_monomials=largest - 1)

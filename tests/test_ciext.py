@@ -38,11 +38,13 @@ from cising.errors import (
     InvariantError,
     NotRegularSequenceError,
     ReduceVariablesError,
+    ResourceLimitError,
     ValidationError,
 )
 from cising.exactq import Mat, rank
 
 from cising.polyring import PolyRing, RingPresentation
+from cising.syzygies import syzygies
 
 F = Fraction
 
@@ -276,6 +278,37 @@ def test_minimal_generators_drops_redundant():
 # ---------------------------------------------------------------------------
 # operators and Ext
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variables, ideal", [
+    (["x", "y"], ["x^2", "y^2"]),                       # zero columns
+    (["a", "b", "c", "d"], ["a*b + c^2", "b*d - a^2"]),  # a repeated column
+])
+def test_kernel_generators_drop_zero_and_repeated_columns(variables, ideal):
+    rp = presentation(variables, ideal)
+    ring = rp.ring
+    res = minimal_resolution(rp, residue_field_module(rp), 4)
+    dropped = 0
+    for i in range(1, res.length):
+        target, columns = res.twists[i - 1], res.differentials[i - 1]
+        ambient = [list(c) for c in columns]
+        for f in rp.ideal:
+            for k in range(len(target)):
+                column = [ring.zero()] * len(target)
+                column[k] = f
+                ambient.append(column)
+        raw = [s[:len(columns)] for s in syzygies(ring, len(target), ambient)]
+        expected = []
+        for s in raw:
+            if any(not p.is_zero() for p in s) and s not in expected:
+                expected.append(s)
+        kernel = cising.ciext._kernel_generators(rp, target, columns, None)
+        assert kernel == expected
+        dropped += len(raw) - len(kernel)
+        kept = (res.differentials[i], res.twists[i + 1])
+        assert minimal_generators(rp, res.twists[i], kernel) == kept
+        assert minimal_generators(rp, res.twists[i], raw) == kept
+    assert dropped > 0
 
 
 def test_ext_dims_dual_numbers():
@@ -549,6 +582,22 @@ def test_hstar_dims_negative_range():
     assert dims == {-4: 0, -3: 0, -2: 1, -1: 0, 0: 1, 1: 0, 2: 1}
 
 
+def test_hstar_slice_cap_is_the_largest_slice_built():
+    ring = chi_ring(2)
+    dg = DGModule(ring=ring, degrees=[0, 1, 2],
+                  differential=[[ring.zero(), ring.var("ch1"), ring.zero()],
+                                [ring.zero()] * 3, [ring.zero()] * 3])
+    lo, hi = -1, 9
+    largest = max(sum(len(ring.monomials_of_degree(tau - d)) for d in dg.degrees)
+                  for tau in range(lo - 1, hi + 2))
+    uncapped = hstar_dims(dg, lo, hi, max_monomials=None)
+    assert hstar_dims(dg, lo, hi, max_monomials=largest) == uncapped
+    with pytest.raises(ResourceLimitError, match=f"cap {largest - 1}"):
+        hstar_dims(dg, lo, hi, max_monomials=largest - 1)
+    with pytest.raises(ResourceLimitError):
+        minimize_dg(dg, through=hi, max_monomials=largest - 1)
+
+
 def _matmul(ring, a, b):
     n = len(a)
     return [[sum((a[r][k] * b[k][c] for k in range(n)), ring.zero())
@@ -698,8 +747,8 @@ def test_regular_sequence_check_gets_the_monomial_cap(monkeypatch):
 def test_minimize_rejects_changed_cohomology(monkeypatch):
     original = cising.ciext.hstar_dims
 
-    def skewed(dg, lo, hi):
-        dims = original(dg, lo, hi)
+    def skewed(dg, lo, hi, **cap):
+        dims = original(dg, lo, hi, **cap)
         return dims if dg is cone else {t: v + 1 for t, v in dims.items()}
 
     ring = chi_ring()
@@ -715,9 +764,9 @@ def test_minimize_hstar_comes_from_one_minimal_model_pass(monkeypatch):
     calls = []
     original = cising.ciext.hstar_dims
 
-    def spy(dg, lo, hi):
+    def spy(dg, lo, hi, **cap):
         calls.append((dg.degrees, lo, hi))
-        return original(dg, lo, hi)
+        return original(dg, lo, hi, **cap)
 
     ring = chi_ring()
     dg = DGModule(ring=ring, degrees=[0, 1, 2],

@@ -8,6 +8,7 @@ import pytest
 
 import cising.tangentlie
 from cising.cli import main
+from cising.polyring import PolyRing
 
 JOBS = pathlib.Path(__file__).parent / "jobs"
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -124,6 +125,53 @@ def test_monomial_cap_exits_3(capsys):
                            str(JOBS / "resolve_two_quadrics.json"),
                            "--max-monomials", "4")
     assert code == 3
+
+
+def _refuse_enumeration(self, d):
+    raise AssertionError(f"monomials of degree {d} were enumerated")
+
+
+def test_chevalley_slice_cap_exits_3_before_enumerating(capsys, tmp_path,
+                                                        monkeypatch):
+    # 6 even and 2 odd generators: slice (1, 66) has 2 * C(71, 5) coordinates
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "chevalley", "variables": ["a", "b", "c", "d", "e", "f"],
+        "map": ["a*b + c^2", "d*e - f^2"]}))
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    code, out, err = run_cli(capsys, "chevalley", str(path), "--degree", "64")
+    assert code == 3 and out == ""
+    assert "monomial cap 1000000" in err
+
+
+@pytest.mark.parametrize("cap, code", [(10, 3), (11, 0)])
+def test_chevalley_slice_cap_takes_the_flag(capsys, cap, code):
+    # 2 even generators through degree 8: the largest slice, (0, 10), has 11
+    # coordinates
+    got, _, _ = run_cli(capsys, "chevalley", str(JOBS / "chevalley_a1.json"),
+                        "--max-monomials", str(cap))
+    assert got == code
+
+
+def test_minimize_slice_cap_exits_3_before_enumerating(capsys, tmp_path,
+                                                       monkeypatch):
+    # one generator over 3 weight-2 operators: the slice of total degree 2t
+    # has C(t + 2, 2) coordinates, 91 at degree 24 and 105 at degree 26
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "command": "minimize", "variables": ["s", "t", "u"],
+        "weights": [2, 2, 2], "dg": {"degrees": [0], "matrix": [["0"]]}}))
+    code, out, _ = run_cli(capsys, "minimize", str(path), "--degree", "64",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["hstar"][-1] == [64, 561]
+    code, _, _ = run_cli(capsys, "minimize", str(path), "--degree", "24",
+                         "--max-monomials", "100")
+    assert code == 0
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    code, out, err = run_cli(capsys, "minimize", str(path), "--degree", "64",
+                             "--max-monomials", "100")
+    assert code == 3 and out == ""
+    assert "monomial cap 100" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-monomials", "--max-width"])

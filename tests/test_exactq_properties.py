@@ -112,3 +112,61 @@ def test_span_takes_lists_and_dicts_alike(vectors):
         n = len(vectors[0])
         assert as_lists.dim == rank(Mat(vectors, n)) == oracle(Mat(vectors, n)).rank()
     assert all(as_lists.contains(v) for v in vectors)
+
+
+# ---------------------------------------------------------------------------
+# Mat.vec and solve skip zero entries; dense loops as references
+# ---------------------------------------------------------------------------
+
+ZERO = Fraction(0)
+
+# three draws in four are zero, as a Fraction or a plain int
+sparse_entries = st.one_of(st.just(ZERO), st.just(0), st.just(ZERO),
+                           entries.filter(bool), st.integers(-2, 2))
+
+
+@st.composite
+def sparse_matrices(draw, max_side=6):
+    nrows = draw(st.integers(0, max_side))
+    ncols = draw(st.integers(0, max_side))
+    rows = [draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    return Mat(rows, ncols)
+
+
+def dense_vec(m, v):
+    """Every product of a row entry with a vector entry, zero or not."""
+    return [sum((a * x for a, x in zip(row, v)), ZERO) for row in m.rows]
+
+
+def dense_solve(m, b):
+    """``m`` reduced as ``[m | identity]``; each row's identity part dotted
+    with every entry of ``b``, zero or not."""
+    n = m.ncols
+    span = IncrementalSpan()
+    for i, row in enumerate(m.rows):
+        v = dict(enumerate(row))
+        v[n + i] = Fraction(1)
+        span.add(v)
+    x = [ZERO] * n
+    for p, row in span.rows.items():
+        s = sum((a * b[c - n] for c, a in row.items() if c >= n), ZERO)
+        if p < n:
+            x[p] = s
+        elif s:
+            return None
+    return x
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_vec_and_solve_on_sparse_inputs_match_dense_loops(m, data):
+    v = data.draw(st.lists(sparse_entries, min_size=m.ncols, max_size=m.ncols))
+    got = m.vec(v)
+    assert got == dense_vec(m, v)
+    assert all(isinstance(e, Fraction) for e in got)
+    for b in (got, data.draw(st.lists(sparse_entries, min_size=m.nrows,
+                                      max_size=m.nrows))):
+        x = solve(m, b)
+        assert x == dense_solve(m, b)
+        assert x is None or all(isinstance(e, Fraction) for e in x)

@@ -414,3 +414,14 @@ def test_power_expansion_refused_before_buchberger(monkeypatch, build, n):
     with pytest.raises(ResourceLimitError, match="product of generators"):
         build(ring, [q], n, max_monomials=1000)
     assert entered == []
+
+
+@pytest.mark.parametrize("ring", [
+    PolyRing(["x", "y", "z"]),
+    PolyRing(["a", "b", "c"], weights=[1, 2, 3]),
+    PolyRing(["s", "t", "u"], weights=[2, 2, 2]),
+    PolyRing([]),
+])
+def test_monomial_count_counts_without_listing(ring):
+    for d in range(-2, 13):
+        assert ring.monomial_count(d) == len(ring.monomials_of_degree(d))

@@ -183,3 +183,10 @@ def test_tangent_lie_rejects_disagreeing_constructions(monkeypatch):
     monkeypatch.setattr(cising.tangentlie, "hessian_snake", skewed)
     with pytest.raises(InvariantError, match="disagree"):
         tangent_lie(pmap(["x", "y"], ["x^2 + y^2"]), origin(2))
+
+
+def test_snake_raises_when_a_symmetrized_pair_escapes(monkeypatch):
+    # a boundary domain that solves nothing: every kernel pair escapes it
+    monkeypatch.setattr(cising.tangentlie, "solver", lambda m: lambda b: None)
+    with pytest.raises(InvariantError, match="escaped the boundary domain"):
+        hessian_snake(pmap(["x", "y"], ["x^2 + y^2"]), origin(2))
