@@ -11,7 +11,8 @@ insists the answers agree.
 
 from fractions import Fraction
 
-from cising import PolyRing, hessian_direct, hessian_snake, tangent_lie
+from cising import (PolyRing, hessian_direct, hessian_snake, tangent_fiber,
+                    tangent_lie)
 
 F = Fraction
 
@@ -19,15 +20,19 @@ ring = PolyRing(["x", "y"])
 cone = [ring.parse("x^2 + y^2")]
 origin = [F(0), F(0)]
 
+# The fiber: Jacobian, Hessians, and the kernel and cokernel of the Jacobian,
+# from one pass over the partial derivatives.  Both routes start from it.
+fiber = tangent_fiber(cone, origin)
+
 # Route one: contract the second-derivative tensors with kernel vectors.
-fiber, direct = hessian_direct(cone, origin)
+direct = hessian_direct(fiber)
 print("kernel dimension:", fiber.g1_dim)
 print("cokernel dimension:", fiber.g2_dim)
 print("bracket by contraction:", direct)
 
 # Route two: a connecting map in a six-term diagram of differential-operator
 # fibers.  The interior lift is arbitrary; the answer provably is not.
-_, snaked = hessian_snake(cone, origin)
+snaked = hessian_snake(fiber)
 print("bracket by boundary map:", snaked)
 print("agree exactly:", direct == snaked)
 

@@ -304,16 +304,6 @@ class Job:
                        f"{self.degree}")
 
 
-def parse_job(data, command, options):
-    """Parse a job for ``command``; returns ``(job, findings)``.
-
-    ``validate`` reports ``findings`` as they are; a run refuses the job
-    unless ``findings`` is empty.
-    """
-    job = Job(data, command, options)
-    return job, job.findings
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result, cross_checks)
 # ---------------------------------------------------------------------------
@@ -642,11 +632,11 @@ def run_job(command, path, options=None):
     """
     options = options or build_parser().parse_args([command, "--", path])
     data, digest = load_job(path)
-    job, findings = parse_job(data, command, options)
+    job = Job(data, command, options)
     if command == "validate":
-        result, checks = {"findings": findings}, {}
-    elif findings:
-        raise ValidationError("; ".join(findings))
+        result, checks = {"findings": job.findings}, {}
+    elif job.findings:
+        raise ValidationError("; ".join(job.findings))
     else:
         result, checks = _HANDLERS[command](job, options)
     report = {

@@ -302,13 +302,14 @@ class SubquotientMap:
 def _check_exact_row(a, b, which):
     if a.nrows != b.ncols:
         raise ExactnessError(f"{which} row: middle dimensions disagree")
-    if kernel_basis(a):
+    rank_a, rank_b = rank(a), rank(b)
+    if rank_a != a.ncols:
         raise ExactnessError(f"{which} row: first map is not injective")
-    if rank(b) != b.nrows:
+    if rank_b != b.nrows:
         raise ExactnessError(f"{which} row: second map is not surjective")
     if not b.mul(a).is_zero():
         raise ExactnessError(f"{which} row: composite is nonzero")
-    if rank(a) + rank(b) != a.nrows:
+    if rank_a + rank_b != a.nrows:
         raise ExactnessError(f"{which} row: not exact at the middle term")
 
 

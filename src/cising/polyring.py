@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import (
     GradingError,
@@ -229,12 +230,6 @@ class Poly:
 
     def constant_coefficient(self):
         return self.terms.get((0,) * self.ring.nvars, ZERO)
-
-    def wdegree(self):
-        """Largest weighted degree in the support; None for the zero poly."""
-        if not self.terms:
-            return None
-        return max(self.ring.wdeg(e) for e in self.terms)
 
     def homogeneous_degree(self):
         """The common weighted degree of all terms; None for the zero poly.
@@ -821,10 +816,12 @@ class RingPresentation:
     form of each monomial (the normal form is unique and linear, so callers
     may sum these to reduce any combination of monomials) and the standard
     monomials of each degree.  :meth:`normal_form` itself still reduces the
-    whole polynomial at once.
+    whole polynomial at once.  ``max_monomials`` caps the Groebner
+    computation and every degree whose standard monomials are listed.
     """
 
-    __slots__ = ("ring", "ideal", "gb", "_monomial_nf", "_standard")
+    __slots__ = ("ring", "ideal", "gb", "max_monomials", "_monomial_nf",
+                 "_standard")
 
     def __init__(self, ring, ideal, max_monomials=DEFAULT_MAX_MONOMIALS):
         ideal = list(ideal)
@@ -833,6 +830,7 @@ class RingPresentation:
                 raise ValidationError("ideal generators must be polynomials in the ring")
         self.ring = ring
         self.ideal = ideal
+        self.max_monomials = max_monomials
         if any(not g.is_zero() for g in ideal):
             self.gb = buchberger(ideal, max_monomials=max_monomials)
         else:
@@ -859,9 +857,15 @@ class RingPresentation:
 
     def standard_monomials(self, d):
         """Exponents of weighted degree ``d`` outside the leading-term ideal,
-        as a fresh list."""
+        as a fresh list.  Raises :class:`ResourceLimitError`, before listing
+        any, when the ring has more monomials of degree ``d`` than the cap."""
         found = self._standard.get(d)
         if found is None:
+            count, cap = self.ring.monomial_count(d), self.max_monomials
+            if cap is not None and count > cap:
+                raise ResourceLimitError(
+                    f"degree {d} has {count} monomials, over the monomial "
+                    f"cap {cap}")
             leads = [g.lm for g in self.gb.basis]
             found = self._standard[d] = [
                 m for m in self.ring.monomials_of_degree(d)
@@ -1026,6 +1030,11 @@ def square_zero_filtration(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
     ``k`` generators span a square-zero ideal in the quotient by the products
     of ``k+1`` generators together with the pure ``n``-th powers.  Returns the
     list of booleans in that order (expected all True).
+
+    Over ``c`` nonzero generators stage ``k`` seeds its Groebner computation
+    with C(c+k, k+1) + c nonzero columns, each charged at least one monomial,
+    so a stage with more columns than the cap raises
+    :class:`ResourceLimitError` before any product of it is built.
     """
     n = int(n)
     if n < 1:
@@ -1039,8 +1048,14 @@ def square_zero_filtration(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
                 for combo in combinations_with_replacement(gens, k)]
 
     pure = [_capped_product([g] * n, max_monomials) for g in gens]
+    nonzero = sum(1 for g in gens if not g.is_zero())
     stages = []
     for k in range(n - 1, 0, -1):
+        columns = comb(nonzero + k, k + 1) + nonzero
+        if max_monomials is not None and columns > max_monomials:
+            raise ResourceLimitError(
+                f"square-zero stage {k} has {columns} nonzero generators, "
+                f"over the monomial cap {max_monomials}")
         stage = RingPresentation(ring, products(k + 1) + pure,
                                  max_monomials=max_monomials)
         stages.append(is_square_zero(stage, products(k)))

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, OffLocusError, ValidationError
-from .exactq import Mat, cokernel_presentation, kernel_basis, snake_boundary, solver
-
-ZERO = Fraction(0)
+from .exactq import (ONE, ZERO, Mat, cokernel_presentation, kernel_basis,
+                     snake_boundary, solver)
 
 
 def _validate_map(polys, point):
@@ -45,35 +44,13 @@ def _validate_map(polys, point):
     return ring, point
 
 
-def jacobian_at(polys, point):
-    """Jacobian matrix at a rational zero: row j holds the partials of f_j."""
-    ring, point = _validate_map(polys, point)
-    return Mat([[p.diff(i).subs(point) for i in range(ring.nvars)]
-                for p in polys], ring.nvars)
-
-
-def second_partials_at(polys, point):
-    """For each f_j, the symmetric matrix of second partials at the point."""
-    ring, point = _validate_map(polys, point)
-    n = ring.nvars
-    out = []
-    for p in polys:
-        firsts = [p.diff(i) for i in range(n)]
-        rows = [[ZERO] * n for _ in range(n)]
-        # partials commute, so each unordered pair is evaluated once
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = firsts[i].diff(j).subs(point)
-        out.append(Mat(rows, n))
-    return out
-
-
 @dataclass
 class TangentComplexFiber:
     """Fiber data of the two-step tangent complex at a point."""
 
     point: list
     jacobian: Mat
+    hessians: list        # per f_j, the symmetric matrix of second partials
     kernel: list          # basis of the degree-1 part, inside k^n
     projection: Mat       # presentation of the degree-2 part, onto coker coords
 
@@ -99,36 +76,63 @@ class TangentLieAlgebra:
 
 
 def tangent_fiber(polys, point):
-    jac = jacobian_at(polys, point)
-    return TangentComplexFiber(point=[Fraction(c) for c in point],
-                               jacobian=jac,
+    """The fiber at a rational zero, from one pass over the first partials:
+    each is evaluated for the Jacobian and differentiated once more for the
+    Hessians, each unordered second partial evaluated once (partials
+    commute)."""
+    ring, point = _validate_map(polys, point)
+    n = ring.nvars
+    jacobian, hessians = [], []
+    for p in polys:
+        firsts = [p.diff(i) for i in range(n)]
+        jacobian.append([f.subs(point) for f in firsts])
+        rows = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = firsts[i].diff(j).subs(point)
+        hessians.append(Mat(rows, n))
+    jac = Mat(jacobian, n)
+    return TangentComplexFiber(point=point, jacobian=jac, hessians=hessians,
                                kernel=kernel_basis(jac),
                                projection=cokernel_presentation(jac))
 
 
-def hessian_direct(polys, point):
+def jacobian_at(polys, point):
+    """Jacobian matrix at a rational zero: row j holds the partials of f_j."""
+    return tangent_fiber(polys, point).jacobian
+
+
+def hessian_direct(fiber):
     """Bracket by direct contraction of second partials with kernel vectors.
 
-    Returns ``(fiber, bracket)`` where ``bracket[a][b]`` is the cokernel
-    projection of ``sum_{i,j} u_i v_j d2f/dx_i dx_j (z)`` for kernel basis
-    vectors ``u, v``.  The diagonal carries the full second derivative.
+    ``bracket[a][b]`` is the cokernel projection of
+    ``sum_{i,j} u_i v_j d2f/dx_i dx_j (z)`` for kernel basis vectors
+    ``u, v``.  The diagonal carries the full second derivative.
     """
-    fiber = tangent_fiber(polys, point)
-    hessians = second_partials_at(polys, point)
     k = fiber.kernel
     bracket = []
     for u in k:
         # each Hessian applied to u once: H is symmetric, so
         # v . (H u) == sum_{i,j} u_i v_j H_ij
-        hu = [h.vec(u) for h in hessians]
+        hu = [h.vec(u) for h in fiber.hessians]
         bracket.append([fiber.projection.vec(
             [sum((x * y for x, y in zip(v, w) if x), ZERO) for w in hu])
             for v in k])
-    return fiber, bracket
+    return bracket
 
 
 def _sym_pairs(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def _split(r, s):
+    """The split short exact row ``k^r -> k^(r+s) -> k^s``: inclusion of the
+    first ``r`` coordinates, projection onto the last ``s``."""
+    inclusion = Mat([[ONE if i == j else ZERO for j in range(r)]
+                     for i in range(r + s)], r)
+    onto = Mat([[ONE if j == r + i else ZERO for j in range(r + s)]
+                for i in range(s)], r + s)
+    return inclusion, onto
 
 
 @dataclass
@@ -141,36 +145,25 @@ class DiffOpFiber:
     """
 
     source_pairs: list
-    target_pairs: list
     top: tuple        # (inclusion, projection)
     bottom: tuple
     verticals: tuple  # (jacobian, middle pushforward, symmetric square)
 
 
-def diffop_fiber(polys, point):
-    """Build the six-space diagram at the point from first and second
-    partials of the map."""
-    jac = jacobian_at(polys, point)
-    hessians = second_partials_at(polys, point)
+def diffop_fiber(fiber):
+    """Build the six-space diagram from the fiber's first and second
+    partials."""
+    jac, hessians = fiber.jacobian, fiber.hessians
     n, m = jac.ncols, jac.nrows
-    spairs = _sym_pairs(n)
-    tpairs = _sym_pairs(m)
-    sdim, tdim = len(spairs), len(tpairs)
-
-    inclusion = Mat([[Fraction(1) if i == j else ZERO for j in range(n)]
-                     for i in range(n + sdim)], n)
-    onto = Mat([[Fraction(1) if j == n + i else ZERO for j in range(n + sdim)]
-                for i in range(sdim)], n + sdim)
-    inclusion2 = Mat([[Fraction(1) if i == j else ZERO for j in range(m)]
-                      for i in range(m + tdim)], m)
-    onto2 = Mat([[Fraction(1) if j == m + i else ZERO for j in range(m + tdim)]
-                 for i in range(tdim)], m + tdim)
+    spairs, tpairs = _sym_pairs(n), _sym_pairs(m)
+    tdim = len(tpairs)
+    columns = [jac.column(i) for i in range(n)]
 
     def sym_image_column(i, j):
         """Coefficients of the symmetric square of the Jacobian on the
         product of source coordinates i and j; zero entries of the Jacobian
         contribute no product."""
-        ci, cj = jac.column(i), jac.column(j)
+        ci, cj = columns[i], columns[j]
         col = []
         for (k, l) in tpairs:
             s = ci[k] * cj[l] if ci[k] and cj[l] else ZERO
@@ -179,25 +172,19 @@ def diffop_fiber(polys, point):
             col.append(s)
         return col
 
+    # each symmetric-square column is gamma's and the lower block of beta's
     gamma_cols = [sym_image_column(i, j) for (i, j) in spairs]
-    gamma = Mat.from_columns(gamma_cols, tdim)
-
-    middle_cols = []
-    for i in range(n):
-        middle_cols.append([jac.rows[l][i] for l in range(m)] + [ZERO] * tdim)
-    for (i, j) in spairs:
-        first_part = [hessians[l].rows[i][j] for l in range(m)]
-        middle_cols.append(first_part + sym_image_column(i, j))
-    beta = Mat.from_columns(middle_cols, m + tdim)
-
+    middle_cols = [c + [ZERO] * tdim for c in columns]
+    middle_cols += [[h.rows[i][j] for h in hessians] + col
+                    for (i, j), col in zip(spairs, gamma_cols)]
     return DiffOpFiber(source_pairs=spairs,
-                       target_pairs=tpairs,
-                       top=(inclusion, onto),
-                       bottom=(inclusion2, onto2),
-                       verticals=(jac, beta, gamma))
+                       top=_split(n, len(spairs)),
+                       bottom=_split(m, tdim),
+                       verticals=(jac, Mat.from_columns(middle_cols, m + tdim),
+                                  Mat.from_columns(gamma_cols, tdim)))
 
 
-def hessian_snake(polys, point, rng=None):
+def hessian_snake(fiber, rng=None):
     """Bracket via the snake boundary of the differential-operator diagram.
 
     The boundary map lands on the kernel of the symmetric square of the
@@ -205,8 +192,7 @@ def hessian_snake(polys, point, rng=None):
     bracket in the same bases as :func:`hessian_direct`.  ``rng`` randomizes
     the interior lift; the result never depends on it.
     """
-    fiber = tangent_fiber(polys, point)
-    diagram = diffop_fiber(polys, point)
+    diagram = diffop_fiber(fiber)
     sq = snake_boundary(diagram.top, diagram.bottom, diagram.verticals, rng=rng)
     spairs = diagram.source_pairs
     pair_index = {pair: idx for idx, pair in enumerate(spairs)}
@@ -230,17 +216,18 @@ def hessian_snake(polys, point, rng=None):
                     "symmetrized kernel pair escaped the boundary domain")
             value = sq.matrix.vec(coords)
             bracket[a][b], bracket[b][a] = value, list(value)
-    return fiber, bracket
+    return bracket
 
 
 def tangent_lie(polys, point):
     """Assemble the tangent Lie algebra, cross-checking both constructions.
 
-    Runs the direct contraction and the snake-boundary construction and
-    insists on exact agreement before returning.
+    Builds the fiber once, runs the direct contraction and the
+    snake-boundary construction on it, and insists on exact agreement
+    before returning.
     """
-    fiber, direct = hessian_direct(polys, point)
-    snake_fiber, snaked = hessian_snake(polys, point)
-    if direct != snaked or fiber.jacobian != snake_fiber.jacobian:
+    fiber = tangent_fiber(polys, point)
+    direct = hessian_direct(fiber)
+    if direct != hessian_snake(fiber):
         raise InvariantError("the two bracket constructions disagree")
     return TangentLieAlgebra(fiber=fiber, bracket=direct)

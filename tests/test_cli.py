@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cising.polyring
 import cising.tangentlie
 from cising.cli import main
 from cising.polyring import PolyRing
@@ -174,6 +175,78 @@ def test_minimize_slice_cap_exits_3_before_enumerating(capsys, tmp_path,
     assert "monomial cap 100" in err
 
 
+TWELVE = list("abcdefghijkl")
+
+
+def _listing_at_most(cap):
+    """``monomials_of_degree`` that refuses any degree with over ``cap``
+    monomials."""
+    original = PolyRing.monomials_of_degree
+
+    def listing(self, d):
+        if self.monomial_count(d) > cap:
+            raise AssertionError(f"monomials of degree {d} were enumerated")
+        return original(self, d)
+
+    return listing
+
+
+def test_tower_cap_exits_3_before_enumerating(capsys, tmp_path, monkeypatch):
+    # 12 variables: degree 4 has C(15, 4) = 1365 monomials
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "tower", "variables": TWELVE,
+                                "map": ["a^2", "b^2"], "n": 1}))
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", _listing_at_most(1000))
+    code, out, err = run_cli(capsys, "tower", str(path), "--degree", "64",
+                             "--max-monomials", "1000")
+    assert code == 3 and out == ""
+    assert "monomial cap 1000" in err
+
+
+@pytest.mark.parametrize("cap, code", [(363, 3), (364, 0)])
+def test_tower_cap_takes_the_flag(capsys, tmp_path, cap, code):
+    # 12 variables through degree 3: the largest degree has C(14, 3) = 364
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "tower", "variables": TWELVE,
+                                "map": ["a^2", "b^2"], "n": 1, "degree": 3}))
+    got, _, _ = run_cli(capsys, "tower", str(path), "--max-monomials", str(cap))
+    assert got == code
+
+
+SQUARES = {"command": "squarezero", "variables": ["a", "b", "c", "d"],
+           "map": ["a^2", "b^2", "c^2", "d^2"]}
+
+
+def test_squarezero_cap_exits_3_before_building_a_stage(capsys, tmp_path,
+                                                        monkeypatch):
+    # 4 generators at n = 64: stage 63 has C(67, 64) + 4 = 47909 generators
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SQUARES, "n": 64}))
+    built = []
+    original = cising.polyring._capped_product
+
+    def spy(factors, max_monomials):
+        built.append(len(factors))
+        return original(factors, max_monomials)
+
+    monkeypatch.setattr(cising.polyring, "_capped_product", spy)
+    code, out, err = run_cli(capsys, "squarezero", str(path),
+                             "--max-monomials", "1000")
+    assert code == 3 and out == ""
+    assert "monomial cap 1000" in err
+    assert built == [64] * 4        # the pure powers, and no product of a stage
+
+
+@pytest.mark.parametrize("cap, code", [(23, 3), (24, 0)])
+def test_squarezero_cap_takes_the_flag(capsys, tmp_path, cap, code):
+    # n = 3: stage 2 has C(6, 3) + 4 = 24 monomial generators, one term each
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SQUARES, "n": 3}))
+    got, _, _ = run_cli(capsys, "squarezero", str(path),
+                        "--max-monomials", str(cap))
+    assert got == code
+
+
 @pytest.mark.parametrize("flag", ["--max-monomials", "--max-width"])
 @pytest.mark.parametrize("command", ["resolve", "validate"])
 def test_non_positive_cap_exits_1(capsys, flag, command):
@@ -321,10 +394,10 @@ def test_run_refuses_exactly_what_validate_flags(capsys, tmp_path, name):
 def test_failed_cross_check_exits_4(capsys, monkeypatch):
     original = cising.tangentlie.hessian_snake
 
-    def skewed(polys, point, rng=None):
-        fiber, bracket = original(polys, point, rng=rng)
+    def skewed(fiber, rng=None):
+        bracket = original(fiber, rng=rng)
         bracket[0][0] = [c + 1 for c in bracket[0][0]]
-        return fiber, bracket
+        return bracket
 
     monkeypatch.setattr(cising.tangentlie, "hessian_snake", skewed)
     code, out, err = run_cli(capsys, "tangent", str(JOBS / "tangent_cone.json"))

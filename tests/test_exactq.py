@@ -204,6 +204,39 @@ def test_snake_boundary_rejects_noncommuting_square():
         snake_boundary(top, bottom, (alpha, beta, bad_gamma))
 
 
+@pytest.mark.parametrize("name, bad, message", [
+    ("a", Mat([[1, 0], [0, 1], [0, 0], [0, 0]]),
+     "top row: middle dimensions disagree"),
+    ("a", Mat([[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]),
+     "top row: first map is not injective"),
+    ("b", Mat([[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 0]]),
+     "top row: second map is not surjective"),
+    ("a", Mat([[1, 0], [0, 1], [1, 0], [0, 0], [0, 0]]),
+     "top row: composite is nonzero"),
+    ("a", Mat([[1], [0], [0], [0], [0]]),
+     "top row: not exact at the middle term"),
+    ("b2", Mat([[1, 1]]), "bottom row: composite is nonzero"),
+])
+def test_snake_boundary_names_the_inexact_row(name, bad, message):
+    (a, b), (a2, b2), verts = hessian_diagram_a1()
+    maps = {"a": a, "b": b, "a2": a2, "b2": b2, name: bad}
+    with pytest.raises(ExactnessError, match=f"^{message}$"):
+        snake_boundary((maps["a"], maps["b"]), (maps["a2"], maps["b2"]), verts)
+
+
+@pytest.mark.parametrize("index, bad, side", [
+    (0, Mat([[1, 0]]), "left"),
+    (2, Mat([[1, 0, 0]]), "right"),
+])
+def test_snake_boundary_names_the_noncommuting_square(index, bad, side):
+    top, bottom, verts = hessian_diagram_a1()
+    verts = list(verts)
+    verts[index] = bad
+    with pytest.raises(CommutativityError,
+                       match=f"^{side} square does not commute$"):
+        snake_boundary(top, bottom, tuple(verts))
+
+
 def test_incremental_span_matches_rank():
     from cising.exactq import IncrementalSpan
 

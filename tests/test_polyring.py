@@ -416,6 +416,28 @@ def test_power_expansion_refused_before_buchberger(monkeypatch, build, n):
     assert entered == []
 
 
+def test_standard_monomials_cap_raises_before_listing(monkeypatch):
+    # 12 variables: C(14, 3) = 364 monomials of degree 3, C(15, 4) = 1365 of 4
+    rp = RingPresentation(PolyRing(list("abcdefghijkl")), [], max_monomials=364)
+    assert len(rp.standard_monomials(3)) == 364
+    listed = []
+    monkeypatch.setattr(PolyRing, "monomials_of_degree",
+                        lambda self, d: listed.append(d))
+    with pytest.raises(ResourceLimitError, match="monomial cap 364"):
+        rp.standard_monomials(4)
+    assert listed == []
+
+
+def test_square_zero_cap_counts_nonzero_generators():
+    # stage 2 of n = 3 over a^2..d^2: C(6, 3) + 4 = 24 generators; a zero
+    # generator adds none
+    ring = PolyRing(["a", "b", "c", "d"])
+    gens = [ring.parse(f"{v}^2") for v in "abcd"] + [ring.zero()]
+    assert square_zero_filtration(ring, gens, 3, max_monomials=24) == [True] * 2
+    with pytest.raises(ResourceLimitError, match="monomial cap 23"):
+        square_zero_filtration(ring, gens, 3, max_monomials=23)
+
+
 @pytest.mark.parametrize("ring", [
     PolyRing(["x", "y", "z"]),
     PolyRing(["a", "b", "c"], weights=[1, 2, 3]),

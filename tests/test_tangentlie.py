@@ -6,11 +6,12 @@ import pytest
 import cising.tangentlie
 from cising.errors import InvariantError, OffLocusError
 from cising.exactq import Mat, rank
-from cising.polyring import PolyRing
+from cising.polyring import Poly, PolyRing
 from cising.tangentlie import (
     hessian_direct,
     hessian_snake,
     jacobian_at,
+    tangent_fiber,
     tangent_lie,
 )
 
@@ -81,6 +82,29 @@ def test_bracket_at_nonzero_point():
     assert lie.bracket == [[[2, 0], [0, 1]], [[0, 1], [0, 0]]]
 
 
+def test_tangent_lie_differentiates_and_reduces_the_jacobian_once(monkeypatch):
+    # m = 2 equations in n = 3 variables: m*n first partials and
+    # m*n*(n+1)/2 second ones
+    calls = {"_validate_map": 0, "kernel_basis": 0, "cokernel_presentation": 0,
+             "diff": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("_validate_map", "kernel_basis", "cokernel_presentation"):
+        monkeypatch.setattr(cising.tangentlie, name,
+                            counted(name, getattr(cising.tangentlie, name)))
+    monkeypatch.setattr(Poly, "diff", counted("diff", Poly.diff))
+    lie = tangent_lie(pmap(["x", "y", "z"], ["x^2 + y*z", "y^2 - x*z"]),
+                      origin(3))
+    assert calls == {"_validate_map": 1, "kernel_basis": 1,
+                     "cokernel_presentation": 1, "diff": 2 * 3 + 2 * 6}
+    assert lie.fiber.g1_dim == 3 and lie.fiber.g2_dim == 2
+
+
 def test_direct_equals_snake_fixed_suite():
     suite = [
         (pmap(["x", "y"], ["x^2 + y^2"]), origin(2)),
@@ -89,17 +113,15 @@ def test_direct_equals_snake_fixed_suite():
         (pmap(["x", "y"], ["x^2 - y", "y^2 - x"]), [F(1), F(1)]),
     ]
     for polys, point in suite:
-        _, direct = hessian_direct(polys, point)
-        _, snaked = hessian_snake(polys, point)
-        assert direct == snaked
+        fiber = tangent_fiber(polys, point)
+        assert hessian_direct(fiber) == hessian_snake(fiber)
 
 
 def test_snake_lift_independent():
-    polys = pmap(["x", "y"], ["x^2 + y^2"])
-    _, base = hessian_snake(polys, origin(2))
+    fiber = tangent_fiber(pmap(["x", "y"], ["x^2 + y^2"]), origin(2))
+    base = hessian_snake(fiber)
     for seed in (5, 6):
-        _, randomized = hessian_snake(polys, origin(2), rng=random.Random(seed))
-        assert randomized == base
+        assert hessian_snake(fiber, rng=random.Random(seed)) == base
 
 
 def rand_zero_map(rng, nvars, npolys, max_deg=3):
@@ -120,9 +142,8 @@ def test_direct_equals_snake_randomized():
     rng = random.Random(61)
     for _ in range(40):
         polys, point = rand_zero_map(rng, rng.randint(1, 3), rng.randint(1, 3))
-        _, direct = hessian_direct(polys, point)
-        _, snaked = hessian_snake(polys, point, rng=rng)
-        assert direct == snaked
+        fiber = tangent_fiber(polys, point)
+        assert hessian_direct(fiber) == hessian_snake(fiber, rng=rng)
 
 
 def compose_linear(ring, p, matrix):
@@ -175,10 +196,10 @@ def test_base_change_invariance():
 def test_tangent_lie_rejects_disagreeing_constructions(monkeypatch):
     original = cising.tangentlie.hessian_snake
 
-    def skewed(polys, point, rng=None):
-        fiber, bracket = original(polys, point, rng=rng)
+    def skewed(fiber, rng=None):
+        bracket = original(fiber, rng=rng)
         bracket[0][0] = [2 * c + 1 for c in bracket[0][0]]
-        return fiber, bracket
+        return bracket
 
     monkeypatch.setattr(cising.tangentlie, "hessian_snake", skewed)
     with pytest.raises(InvariantError, match="disagree"):
@@ -189,4 +210,4 @@ def test_snake_raises_when_a_symmetrized_pair_escapes(monkeypatch):
     # a boundary domain that solves nothing: every kernel pair escapes it
     monkeypatch.setattr(cising.tangentlie, "solver", lambda m: lambda b: None)
     with pytest.raises(InvariantError, match="escaped the boundary domain"):
-        hessian_snake(pmap(["x", "y"], ["x^2 + y^2"]), origin(2))
+        hessian_snake(tangent_fiber(pmap(["x", "y"], ["x^2 + y^2"]), origin(2)))
