@@ -34,7 +34,7 @@ from .polyring import (
     PolyRing,
     RingPresentation,
     _expo_add,
-    is_regular_sequence,
+    _is_regular_given_basis,
     normal_form_with_cofactors,
     vec_combine,
     vec_is_zero,
@@ -262,48 +262,17 @@ def _cancel_units(rp, twists, columns):
 # ---------------------------------------------------------------------------
 
 
-def _require_graded_ci(rp, max_monomials=DEFAULT_MAX_MONOMIALS):
+def _require_graded_ci(rp):
+    """Refuse unless ``rp`` is a quotient by a homogeneous regular sequence,
+    read off the Groebner basis it already holds."""
     try:
         rp.require_homogeneous()
     except GradingError as e:
         raise GradingError(f"{e}{_GRADED_HINT}") from None
-    if not is_regular_sequence(rp.ring, rp.ideal, max_monomials=max_monomials):
+    if not _is_regular_given_basis(rp.ideal, rp.gb.basis):
         raise NotRegularSequenceError(
             "the ideal generators do not form a regular sequence; "
             "the quotient is not a complete intersection presented this way")
-
-
-def _kernel_generators(rp, target_twists, columns, max_monomials):
-    """Generators of the kernel (over the quotient) of the map sending
-    source generator ``k`` to ``columns[k]``.
-
-    Lift to the ambient ring, adjoin one column f * e_i per ideal generator
-    and coordinate, take syzygies there and keep the source coordinates,
-    dropping zero columns and exact repeats (a repeat follows its first copy
-    in the same degree, so :func:`minimal_generators` would reject it).  The
-    entries are not reduced: :func:`minimal_generators` takes their normal
-    forms and drops the columns that vanish in the quotient.
-    """
-    ring = rp.ring
-    r0 = len(target_twists)
-    ambient = [list(c) for c in columns]
-    for f in rp.ideal:
-        if f.is_zero():
-            continue
-        for i in range(r0):
-            column = [ring.zero()] * r0
-            column[i] = f
-            ambient.append(column)
-    kernel, hashes = [], set()
-    for s in syzygies(ring, r0, ambient, max_monomials=max_monomials):
-        s = s[:len(columns)]
-        # only hashes are kept; a column is compared when its hash repeats
-        key = hash(tuple(frozenset(p.terms.items()) for p in s))
-        if vec_is_zero(s) or (key in hashes and s in kernel):
-            continue
-        hashes.add(key)
-        kernel.append(s)
-    return kernel
 
 
 def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
@@ -321,7 +290,7 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
         raise ValidationError("resolution length must be nonnegative")
     if module.rp.ring != rp.ring or module.rp.ideal != rp.ideal:
         raise ValidationError("module is presented over a different ring")
-    _require_graded_ci(rp, max_monomials)
+    _require_graded_ci(rp)
 
     twists0, relations = _cancel_units(rp, module.twists, module.relations)
     current, degrees = minimal_generators(rp, twists0, relations)
@@ -339,7 +308,14 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
         if not current:
             current, degrees = [], []
             continue
-        kernel = _kernel_generators(rp, twists[i - 1], current, max_monomials)
+        # the kernel over the quotient: syzygies of the columns and each
+        # f * e_k, cut to the source coordinates
+        r0, zero = len(twists[i - 1]), rp.ring.zero()
+        ambient = current + [[f if k == row else zero for k in range(r0)]
+                             for f in rp.ideal if not f.is_zero()
+                             for row in range(r0)]
+        kernel = [s[:len(current)] for s in syzygies(
+            rp.ring, r0, ambient, max_monomials=max_monomials)]
         current, degrees = minimal_generators(rp, twists[i], kernel)
 
     resolution = FreeResolution(rp=rp, twists=twists, differentials=differentials)

@@ -417,10 +417,8 @@ def _run_fgcheck(job, options):
 def _run_tower(job, options):
     tower = tower_ring(job.ring, job.polys, job.n,
                        max_monomials=options.max_monomials)
-    ambient = RingPresentation(job.ring, [],
-                               max_monomials=options.max_monomials)
     values = hilbert_function(tower, job.degree)
-    ambient_values = hilbert_function(ambient, job.degree)
+    ambient_values = [job.ring.monomial_count(d) for d in range(job.degree + 1)]
     agree = [d for d in range(job.degree + 1)
              if values[:d + 1] == ambient_values[:d + 1]]
     result = {

@@ -31,6 +31,7 @@ from math import comb
 
 from .errors import (
     GradingError,
+    InvariantError,
     ParseError,
     ResourceLimitError,
     ValidationError,
@@ -623,6 +624,11 @@ def vec_combine(ring, n, terms):
     return [Poly(ring, t) for t in acc]
 
 
+def vec_normal_form_with_cofactors(ring, v, reducers):
+    """:func:`_reduce` of the vector ``v`` by ``reducers``, uncapped."""
+    return _reduce(ring, v, reducers)
+
+
 def _s_vector(ring, vi, vj, ei, ej):
     """``(mi, mj, mi * vi - mj * vj)`` for vectors whose monic leads share a
     component, at exponents ``ei`` and ``ej``; the monomials ``mi`` and
@@ -631,15 +637,6 @@ def _s_vector(ring, vi, vj, ei, ej):
     mi = ring.monomial(_expo_sub(lcm, ei))
     mj = ring.monomial(_expo_sub(lcm, ej))
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
-
-
-def _pair_row(ring, reps, i, j, mi, mj, cofactors):
-    """``mi * reps[i] - mj * reps[j] - sum_k cofactors[k] * reps[k]``: the
-    representation row of the remainder of pair ``(i, j)``'s S-vector after
-    a reduction with those cofactors, or the relation the pair gives among
-    the input columns when that remainder is zero."""
-    return vec_combine(ring, len(reps[i]), [(mi, reps[i]), (-mj, reps[j])]
-                       + [(-q, row) for q, row in zip(cofactors, reps)])
 
 
 def _groebner(ring, columns, budget, relations=None):
@@ -662,17 +659,21 @@ def _groebner(ring, columns, budget, relations=None):
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
 
     A dict passed as ``relations`` receives ``(i, j) -> row`` for each
-    popped pair whose S-vector is zero or reduces to zero, where ``row`` is
+    pair whose S-vector is zero or reduces to zero, where ``row`` is
     ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` with ``q`` the
     reduction's cofactors: the relation ``sum_k row[k] * columns[k] == 0``
-    among the input columns.  It is the row a pair that leaves a remainder
-    gives its new element, and it is built only when asked for.
+    among the input columns (for a pair that leaves a remainder, the row of
+    its new element).  The pairs the criteria dropped are then reduced
+    against the final basis, in pair order; a remainder there raises
+    :class:`InvariantError`.  So every same-component pair but those that
+    added an element (whose relation is zero) gives its relation.
     """
     basis = []
     reps = []
     leads = []
     heap = []
     pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
+    dropped = []  # pairs (j, i) the criteria removed
     scalar = all(len(c) == 1 for c in columns)
 
     def add_element(v, rep):
@@ -696,9 +697,13 @@ def _groebner(ring, columns, budget, relations=None):
                         and _expo_lcm(leads[a][1], expo) != lcm
                         and _expo_lcm(leads[b][1], expo) != lcm):
                     del pending[a, b]
-            new = {lcm: js[:1] for lcm, js in new.items()
-                   if not any(o != lcm and _expo_divides(o, lcm) for o in new)
-                   and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
+                    dropped.append((a, b))
+            kept = {lcm: js[:1] for lcm, js in new.items()
+                    if not any(o != lcm and _expo_divides(o, lcm) for o in new)
+                    and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
+            dropped.extend((j, i) for lcm, js in new.items() for j in js
+                           if j not in kept.get(lcm, ()))
+            new = kept
         for lcm, js in new.items():
             for j in js:
                 pending[j, i] = lcm
@@ -713,19 +718,33 @@ def _groebner(ring, columns, budget, relations=None):
         row[k] = ring.one()
         add_element(c, row)
 
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
-            continue
+    def pairs():    # (i, j, whether the basis is complete)
+        while heap:
+            _, i, j = heapq.heappop(heap)
+            if pending.pop((i, j), None) is not None:
+                yield i, j, False
+        if relations is not None:
+            for i, j in sorted(dropped):
+                yield i, j, True
+
+    for i, j, complete in pairs():
         mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         if vec_is_zero(s):
             remainder, cofs = s, []
         else:
             remainder, cofs = _reduce(ring, s, basis, leads, budget)
-        if not vec_is_zero(remainder):
-            add_element(remainder, _pair_row(ring, reps, i, j, mi, mj, cofs))
-        elif relations is not None:
-            relations[i, j] = _pair_row(ring, reps, i, j, mi, mj, cofs)
+        zero = vec_is_zero(remainder)
+        if complete and not zero:
+            raise InvariantError("S-vector failed to reduce to zero "
+                                 "against a Groebner basis")
+        if zero and relations is None:
+            continue
+        row = vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]
+                          + [(-q, rep) for q, rep in zip(cofs, reps)])
+        if zero:
+            relations[i, j] = row
+        else:
+            add_element(remainder, row)
 
     return basis, reps
 
@@ -861,16 +880,19 @@ class RingPresentation:
         any, when the ring has more monomials of degree ``d`` than the cap."""
         found = self._standard.get(d)
         if found is None:
-            count, cap = self.ring.monomial_count(d), self.max_monomials
-            if cap is not None and count > cap:
-                raise ResourceLimitError(
-                    f"degree {d} has {count} monomials, over the monomial "
-                    f"cap {cap}")
+            self._require_listable(d)
             leads = [g.lm for g in self.gb.basis]
             found = self._standard[d] = [
                 m for m in self.ring.monomials_of_degree(d)
                 if not any(_expo_divides(lt, m) for lt in leads)]
         return list(found)
+
+    def _require_listable(self, d):
+        """Refuse degree ``d`` when it has more monomials than the cap."""
+        count, cap = self.ring.monomial_count(d), self.max_monomials
+        if cap is not None and count > cap:
+            raise ResourceLimitError(
+                f"degree {d} has {count} monomials, over the monomial cap {cap}")
 
     def dim_degree(self, d):
         return len(self.standard_monomials(d))
@@ -935,9 +957,12 @@ def hilbert_function(presentation, degree):
     """Dimensions of the graded pieces of the quotient, degrees 0..degree.
 
     Counts standard monomials of the leading-term ideal; requires every
-    ideal generator to be homogeneous for the declared weights.
+    ideal generator to be homogeneous for the declared weights.  Every
+    degree is checked against the cap before any is listed.
     """
     presentation.require_homogeneous()
+    for d in range(degree + 1):
+        presentation._require_listable(d)
     return [presentation.dim_degree(d) for d in range(degree + 1)]
 
 
@@ -960,13 +985,26 @@ def _min_transversal(supports, limit):
     return search(frozenset())
 
 
-def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Exact regular-sequence test for homogeneous generators.
+def _is_regular_given_basis(gens, basis):
+    """Whether homogeneous ``gens`` form a regular sequence, given a
+    Groebner ``basis`` of the ideal they generate.
 
     The codimension of the ideal is that of its leading-term ideal: the
     fewest variables meeting every leading support (a minimum transversal).
-    The sequence is regular exactly when that equals ``len(gens)``.
+    The sequence is regular exactly when that equals ``len(gens)``; a zero
+    generator never is.
     """
+    if any(g.is_zero() for g in gens):
+        return False
+    supports = [frozenset(i for i, e in enumerate(g.lm) if e) for g in basis]
+    if frozenset() in supports:     # a unit: the quotient is the zero ring
+        return False
+    return _min_transversal(supports, len(gens)) == len(gens)
+
+
+def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
+    """Exact regular-sequence test for homogeneous generators, by the
+    leading supports of their Groebner basis (:func:`buchberger`)."""
     gens = list(gens)
     for k, g in enumerate(gens):
         if not isinstance(g, Poly) or g.ring != ring:
@@ -977,11 +1015,8 @@ def is_regular_sequence(ring, gens, max_monomials=DEFAULT_MAX_MONOMIALS):
         return True
     if any(g.is_zero() for g in gens):
         return False
-    gb = buchberger(gens, max_monomials=max_monomials)
-    supports = [frozenset(i for i, e in enumerate(g.lm) if e) for g in gb.basis]
-    if frozenset() in supports:     # a unit: the quotient is the zero ring
-        return False
-    return _min_transversal(supports, len(gens)) == len(gens)
+    return _is_regular_given_basis(
+        gens, buchberger(gens, max_monomials=max_monomials).basis)
 
 
 def _capped_product(factors, max_monomials):

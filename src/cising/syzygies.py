@@ -11,27 +11,22 @@ Syzygies come from Schreyer's theorem (Eisenbud, *Commutative Algebra*,
 Thm. 15.10): the S-pair relations of a Groebner basis, pushed down to the
 input columns through the representation rows, generate every relation among
 the inputs.  Each nonzero input column is seeded as a basis element, so no
-further relation is needed for it.  The engine hands back the relation of
-every pair it reduced to zero; only the other pairs are rebuilt, by
-``polyring._s_vector`` (the same routine the engine pairs with), and reduced
-again.
+further relation is needed for it.  The engine forms and reduces every
+S-vector and hands back each pair's relation; this module only reads them
+out.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .errors import InvariantError, ValidationError
+from .errors import ValidationError
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Poly,
     PolyRing,
     _groebner,
     _MonomialBudget,
-    _pair_row,
-    _reduce,
-    _s_vector,
     vec_is_zero,
-    vec_lead,
+    vec_normal_form_with_cofactors,
 )
 
 
@@ -55,9 +50,9 @@ class ModuleGroebnerBasis:
     the syzygy extraction pairs every member.
     ``representation[i][k]`` are polynomials with
     ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise.
-    ``relations`` maps each pair ``(i, j)`` the engine reduced to zero to
-    the relation it gives among the generators (see
-    :func:`cising.polyring._groebner`).
+    ``relations`` maps each pair ``(i, j)`` whose leads share a component,
+    except those that added a basis element, to the relation it gives among
+    the generators (see :func:`cising.polyring._groebner`).
     """
 
     ring: PolyRing
@@ -90,9 +85,7 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
 def module_normal_form_with_cofactors(ring, v, gb):
     """Normal form of a module vector plus cofactors against the basis."""
     reducers = gb.basis if isinstance(gb, ModuleGroebnerBasis) else list(gb)
-    if not reducers:
-        return list(v), []
-    return _reduce(ring, v, reducers)
+    return vec_normal_form_with_cofactors(ring, v, reducers)
 
 
 def module_normal_form(ring, v, gb):
@@ -105,32 +98,23 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     Returns nonzero vectors ``s`` of length ``len(columns)`` with
     ``sum_k s[k] * columns[k] == 0`` componentwise; together they generate
     every such relation.  The output order is deterministic: the relations
-    of the basis pairs whose leads share a component (pair order), then the
-    unit vector of each zero input column.  A pair the engine reduced to
-    zero gives the relation it recorded; only the pairs that added a basis
-    element (their relation is zero), and on ideals those the criteria
-    skipped, are reduced here, against the final basis.
+    :func:`module_buchberger` hands over, in pair order, less zero vectors
+    and exact repeats (two pairs can push down to the same vector), then the
+    unit vector of each zero input column.  The reductions behind them all
+    charge the one ``max_monomials`` budget of the engine run.
     """
     columns = _validate_columns(ring, rank, columns)
-    mgb = module_buchberger(ring, rank, columns, max_monomials=max_monomials)
-    budget = _MonomialBudget(max_monomials)
-    basis, reps = mgb.basis, mgb.representation
-    leads = [vec_lead(g) for g in basis]
-    result = []
-    for i, j in combinations(range(len(basis)), 2):
-        if leads[i][0] != leads[j][0]:
+    relations = module_buchberger(ring, rank, columns,
+                                  max_monomials=max_monomials).relations
+    result, hashes = [], set()
+    for pair in sorted(relations):
+        relation = relations[pair]
+        # only hashes are kept; a relation is compared when its hash repeats
+        key = hash(tuple(frozenset(p.terms.items()) for p in relation))
+        if vec_is_zero(relation) or (key in hashes and relation in result):
             continue
-        relation = mgb.relations.get((i, j))
-        if relation is None:
-            mi, mj, s = _s_vector(ring, basis[i], basis[j],
-                                  leads[i][1], leads[j][1])
-            remainder, cofs = _reduce(ring, s, basis, leads, budget)
-            if not vec_is_zero(remainder):
-                raise InvariantError("S-vector failed to reduce to zero "
-                                     "against a Groebner basis")
-            relation = _pair_row(ring, reps, i, j, mi, mj, cofs)
-        if not vec_is_zero(relation):
-            result.append(relation)
+        hashes.add(key)
+        result.append(relation)
     for k, c in enumerate(columns):
         if vec_is_zero(c):
             unit = [ring.zero()] * len(columns)

@@ -207,6 +207,29 @@ def test_resolution_pin_above_the_benchmark_degrees():
         DEEP_DIFFERENTIALS_SHA256
 
 
+# SHA-256 of the JSON list of differentials of the resolution below, computed
+# with the code as it was before the engine took over the relations of the
+# pairs its criteria drop.
+NONLINEAR_DIFFERENTIALS_SHA256 = (
+    "6f6d693a050a0c173d46bf6b2075577f14abbc9d38189313ccd5f916438de304")
+
+
+def test_resolution_pin_of_a_nonlinear_resolution():
+    """A/(ab, cd + e^2) over A = k[a..e]/(a^2+bc, b^2+cd, c^2+de) out to step
+    5.  Unlike k, its resolution is not linear: the twists jump from 2 to 5
+    at step 2, so kernels of mixed degree pass through the kernel step."""
+    rp = presentation(list("abcde"), ["a^2 + b*c", "b^2 + c*d", "c^2 + d*e"])
+    ring = rp.ring
+    module = cyclic_module(rp, [ring.parse("a*b"), ring.parse("c*d + e^2")])
+    res = minimal_resolution(rp, module, 5)
+    assert res.betti == [1, 2, 3, 7, 14, 23]
+    assert res.twists[:3] == [[0], [2, 2], [4, 5, 5]]
+    assert res.twists[3:] == [[6] * 7, [7] * 14, [8] * 23]
+    rendered = json.dumps([cols_as_strings(c) for c in res.differentials])
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        NONLINEAR_DIFFERENTIALS_SHA256
+
+
 def test_resolution_rejects_non_regular_sequence():
     rp = presentation(["x", "y"], ["x*y", "x^2"])
     with pytest.raises(NotRegularSequenceError):
@@ -282,13 +305,15 @@ def test_minimal_generators_drops_redundant():
 
 @pytest.mark.parametrize("variables, ideal", [
     (["x", "y"], ["x^2", "y^2"]),                       # zero columns
-    (["a", "b", "c", "d"], ["a*b + c^2", "b*d - a^2"]),  # a repeated column
+    (["a", "b", "c", "d"], ["a*b + c^2", "b*d - a^2"]),  # a repeat syzygies drops
 ])
 def test_kernel_generators_drop_zero_and_repeated_columns(variables, ideal):
+    """The kernel step hands minimal_generators the source coordinates of
+    the syzygies as they come; it keeps the same generators as when zero
+    columns and repeats are dropped first, or when more are added."""
     rp = presentation(variables, ideal)
     ring = rp.ring
     res = minimal_resolution(rp, residue_field_module(rp), 4)
-    dropped = 0
     for i in range(1, res.length):
         target, columns = res.twists[i - 1], res.differentials[i - 1]
         ambient = [list(c) for c in columns]
@@ -297,18 +322,18 @@ def test_kernel_generators_drop_zero_and_repeated_columns(variables, ideal):
                 column = [ring.zero()] * len(target)
                 column[k] = f
                 ambient.append(column)
-        raw = [s[:len(columns)] for s in syzygies(ring, len(target), ambient)]
-        expected = []
+        found = syzygies(ring, len(target), ambient)
+        assert all(s not in found[:n] for n, s in enumerate(found))
+        raw = [s[:len(columns)] for s in found]
+        kernel = []
         for s in raw:
-            if any(not p.is_zero() for p in s) and s not in expected:
-                expected.append(s)
-        kernel = cising.ciext._kernel_generators(rp, target, columns, None)
-        assert kernel == expected
-        dropped += len(raw) - len(kernel)
+            if any(not p.is_zero() for p in s) and s not in kernel:
+                kernel.append(s)
         kept = (res.differentials[i], res.twists[i + 1])
         assert minimal_generators(rp, res.twists[i], kernel) == kept
         assert minimal_generators(rp, res.twists[i], raw) == kept
-    assert dropped > 0
+        noisy = raw + [[ring.zero()] * len(columns)] + raw
+        assert minimal_generators(rp, res.twists[i], noisy) == kept
 
 
 def test_ext_dims_dual_numbers():
@@ -730,18 +755,22 @@ def test_ideal_cofactors_rejects_element_outside_ideal():
         cising.ciext._ideal_cofactors(rp, rp.ring.parse("x*y"))
 
 
-def test_regular_sequence_check_gets_the_monomial_cap(monkeypatch):
-    seen = []
-    original = cising.ciext.is_regular_sequence
+def test_complete_intersection_check_reuses_the_presentations_basis(
+        monkeypatch):
+    """The regular-sequence check reads the leading supports of the
+    Groebner basis the presentation holds (built under its own cap), so a
+    resolution runs no Buchberger of its own on the ideal."""
+    calls = []
+    original = cising.polyring.buchberger
 
-    def spy(ring, gens, max_monomials=None):
-        seen.append(max_monomials)
-        return original(ring, gens, max_monomials=max_monomials)
+    def spy(generators, max_monomials=None):
+        calls.append(len(generators))
+        return original(generators, max_monomials=max_monomials)
 
-    monkeypatch.setattr(cising.ciext, "is_regular_sequence", spy)
     rp = presentation(["x", "y"], ["x^2", "y^2"])
-    minimal_resolution(rp, residue_field_module(rp), 2, max_monomials=4321)
-    assert seen == [4321]
+    monkeypatch.setattr(cising.polyring, "buchberger", spy)
+    minimal_resolution(rp, residue_field_module(rp), 2)
+    assert calls == []
 
 
 def test_minimize_rejects_changed_cohomology(monkeypatch):

@@ -203,6 +203,20 @@ def test_tower_cap_exits_3_before_enumerating(capsys, tmp_path, monkeypatch):
     assert "monomial cap 1000" in err
 
 
+def test_tower_checks_every_degree_before_listing_any(capsys, tmp_path,
+                                                    monkeypatch):
+    # 12 variables: degree 12 is the first with more than 10^6 monomials,
+    # C(23, 11) = 1352078; nothing is listed before the job exits
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "tower", "variables": TWELVE,
+                                "map": ["a^2", "b^2"], "n": 1}))
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    code, out, err = run_cli(capsys, "tower", str(path), "--degree", "64")
+    assert code == 3 and out == ""
+    assert err == ("error: degree 12 has 1352078 monomials, over the monomial "
+                   "cap 1000000\n")
+
+
 @pytest.mark.parametrize("cap, code", [(363, 3), (364, 0)])
 def test_tower_cap_takes_the_flag(capsys, tmp_path, cap, code):
     # 12 variables through degree 3: the largest degree has C(14, 3) = 364
@@ -404,6 +418,47 @@ def test_failed_cross_check_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: the two bracket constructions disagree\n"
+
+
+def test_dropped_pair_left_unreduced_exits_4(capsys, tmp_path, monkeypatch):
+    """The product criterion drops the pair of b with a^2 + b*c (S-vector
+    -b^2*c).  The engine reduces such pairs once the basis is complete; a
+    remainder there means the basis is not a Groebner basis."""
+    original = cising.polyring._reduce
+
+    def broken(ring, v, reducers, leads=None, budget=None):
+        remainder, cofactors = original(ring, v, reducers, leads, budget)
+        if sys._getframe(1).f_locals.get("complete"):
+            remainder = [ring.one()] + remainder[1:]
+        return remainder, cofactors
+
+    monkeypatch.setattr(cising.polyring, "_reduce", broken)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"variables": list("abcde"),
+                                "map": ["a^2 + b*c", "b^2 + c*d", "c^2 + d*e"],
+                                "degree": 2}))
+    code, out, err = run_cli(capsys, "resolve", str(path))
+    assert code == 4 and out == ""
+    assert err == ("error: S-vector failed to reduce to zero against a "
+                   "Groebner basis\n")
+
+
+def test_tower_lists_no_ambient_monomial(capsys, monkeypatch):
+    """The ambient Hilbert function is counted in closed form: each degree
+    0..8 of the job is listed once, for the tower, and the report is the
+    pinned one."""
+    listed = []
+    original = PolyRing.monomials_of_degree
+
+    def spy(self, d):
+        listed.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(PolyRing, "monomials_of_degree", spy)
+    code, out, _ = run_cli(capsys, "tower", str(JOBS / "tower_cone.json"))
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN_DIR / "tower_cone.txt").read_bytes()
+    assert listed == list(range(9))
 
 
 def test_all_golden_jobs_byte_identical(capsys):

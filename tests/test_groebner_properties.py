@@ -155,8 +155,9 @@ REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
 def all_pairs_groebner(ring, columns, budget, relations=None):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
-    index.  It records nothing in ``relations``, so with it in place
-    ``syzygies`` reduces every pair again against the full basis."""
+    index.  ``relations`` receives the relation of every pair whose S-vector
+    is zero or reduces to zero, so with it in place ``syzygies`` reads every
+    pair's relation off the all-pairs loop."""
     basis = []
     reps = []
     leads = []
@@ -188,15 +189,16 @@ def all_pairs_groebner(ring, columns, budget, relations=None):
     while pairs:
         _, i, j = heapq.heappop(pairs)
         mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
-        if vec_is_zero(s):
-            continue
-        remainder, cofs = _reduce(ring, s, basis, leads, budget)
-        if vec_is_zero(remainder):
-            continue
+        remainder, cofs = s, []
+        if not vec_is_zero(s):
+            remainder, cofs = _reduce(ring, s, basis, leads, budget)
         rep = vec_combine(ring, len(columns),
                           [(mi, reps[i]), (-mj, reps[j])]
                           + [(-q, row) for q, row in zip(cofs, reps)])
-        add_element(remainder, rep)
+        if not vec_is_zero(remainder):
+            add_element(remainder, rep)
+        elif relations is not None:
+            relations[i, j] = rep
 
     return basis, reps
 
@@ -288,16 +290,21 @@ def reference_relation_pass(ring, rank, columns, budget):
 
 def reference_syzygies(ring, rank, columns):
     """What ``syzygies`` returns: the reference relation pass without its
-    zero vectors and the residuals of the nonzero input columns."""
+    zero vectors, its exact repeats and the residuals of the nonzero input
+    columns."""
     pair_relations, residuals = reference_relation_pass(
         ring, rank, columns, _MonomialBudget(None))
-    return ([z for z in pair_relations if not vec_is_zero(z)]
-            + [w for k, w in residuals if vec_is_zero(columns[k])])
+    found = []
+    for z in pair_relations:
+        if not vec_is_zero(z) and z not in found:
+            found.append(z)
+    return found + [w for k, w in residuals if vec_is_zero(columns[k])]
 
 
 def relation_pass_charge(ring, rank, columns):
-    """Monomials charged by the budget ``syzygies`` makes for its relation
-    pass, the last one it makes."""
+    """Monomials the reductions of the pairs the criteria dropped charge to
+    the one budget ``syzygies`` makes: its total, less what the engine run
+    alone charges."""
     made = []
 
     class RecordingBudget(_MonomialBudget):
@@ -307,7 +314,10 @@ def relation_pass_charge(ring, rank, columns):
 
     with patch.object(syzygies_module, "_MonomialBudget", RecordingBudget):
         syzygies(ring, rank, columns)
-    return made[-1].used
+    assert len(made) == 1
+    engine_alone = _MonomialBudget(None)
+    _groebner(ring, columns, engine_alone)
+    return made[0].used - engine_alone.used
 
 
 def scalar_multiple(v, w):
@@ -369,8 +379,8 @@ def test_module_engine_matches_all_pairs_reference(case):
     mgb = module_buchberger(ring, rank, columns)
     assert mgb.basis == expected_mgb.basis
     assert mgb.representation == expected_mgb.representation
-    # the reference records no relations, so its relation pass reduces
-    # every pair again: taking the engine's changes no syzygy
+    # on modules the criteria drop no pair, so both hand over the same
+    # relations
     assert syzygies(ring, rank, columns) == expected_syzygies
 
 
@@ -386,10 +396,11 @@ DIVISIBLE_LEADS = (XY, 1, [[XY.parse("x")], [XY.parse("x*y")]])
 @given(engine_inputs(ranks=[1, 2, 3]))
 def test_syzygies_are_the_reference_pass_without_residuals(case):
     """``syzygies`` gives the relation pass that pushed every pair down and
-    added a residual per input column, less its zero vectors and the
-    residuals of nonzero columns.  Each such residual is a multiple of a
-    relation it still gives, so the span is the same, and the pass charges
-    its budget no more."""
+    added a residual per input column, less its zero vectors, its exact
+    repeats and the residuals of nonzero columns.  Each such residual is a
+    multiple of a relation it still gives, so the span is the same.  The
+    engine reduces only the dropped pairs again, so that charges its budget
+    no more than the pass did."""
     ring, rank, columns = case
     budget = _MonomialBudget(None)
     pair_relations, residuals = reference_relation_pass(ring, rank, columns,
@@ -475,29 +486,59 @@ def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
     """The leads of [x, y], [y, z], [z, x] lie in components 0, 0, 1.  The
     pair of the first two adds [z^2, y^2] (lead y^2 in component 1), whose
     pair with [z, x] the engine reduces to zero and hands over as a
-    relation.  The relation pass rebuilds and reduces only the first pair,
-    whose relation is zero since it added an element."""
+    relation.  On modules the criteria drop nothing, so no pair is reduced
+    a second time, and the pair that added an element records nothing."""
     columns = [[XYZ.parse("x"), XYZ.parse("y")], [XYZ.parse("y"), XYZ.parse("z")],
                [XYZ.parse("z"), XYZ.parse("x")]]
     expected = reference_syzygies(XYZ, 2, columns)
     basis = module_buchberger(XYZ, 2, columns).basis
     assert [vec_lead(v)[0] for v in basis] == [0, 0, 1, 1]
-    handed_over, rebuilt = [], []
-    original_groebner, original_s_vector = _groebner, _s_vector
+    calls, reductions = spy_on_engine(monkeypatch)
+    mgb = module_buchberger(XYZ, 2, columns)
+    assert list(mgb.relations) == [(2, 3)]
+    assert len(calls["_groebner"]) == reductions["_groebner"] == 2
+    found = syzygies(XYZ, 2, columns)
+    assert found == expected == [mgb.relations[2, 3]]
 
-    def groebner(ring, columns, budget, relations=None):
-        out = original_groebner(ring, columns, budget, relations)
-        handed_over.append(dict(relations))
-        return out
+
+def test_dropped_pairs_are_reduced_once_the_basis_is_complete(monkeypatch):
+    """On x*z + z^2 and x*y - z^2 the F criterion drops the pair of x*y - z^2
+    with y*z^2 + z^3 (as in the chain criterion test above).  With relations asked for, the
+    engine reduces it after the heap is empty, against the final basis, and
+    hands over its relation with the others; without, it never forms it."""
+    columns = [[XYZ.parse("x*z + z^2")], [XYZ.parse("x*y - z^2")]]
+    xy, yz2 = (1, 1, 0), (0, 1, 2)
+    calls, _ = spy_on_engine(monkeypatch)
+    _groebner(XYZ, columns, _MonomialBudget(None))
+    assert {xy, yz2} not in calls["_groebner"]
+    relations = {}
+    _groebner(XYZ, columns, _MonomialBudget(None), relations)
+    assert calls["_groebner"][-1] == {xy, yz2}
+    # (0, 1) added y*z^2 + z^3, so it records nothing
+    assert sorted(relations) == [(0, 2), (1, 2)]
+    for row in relations.values():
+        assert vec_is_zero(combine(XYZ, row, columns))
+    # both push down to the Koszul relation; syzygies keeps one copy
+    assert relations[0, 2] == relations[1, 2]
+    assert syzygies(XYZ, 1, columns) == [relations[0, 2]]
+
+
+def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
+    """``syzygies`` reads its relations off the engine: every S-vector of a
+    call, on ideals (where the criteria drop pairs) and on modules, is
+    formed inside ``_groebner``."""
+    callers = []
+    original = polyring._s_vector
 
     def s_vector(ring, vi, vj, ei, ej):
-        rebuilt.append((vi, vj))
-        return original_s_vector(ring, vi, vj, ei, ej)
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(ring, vi, vj, ei, ej)
 
-    monkeypatch.setattr(syzygies_module, "_groebner", groebner)
-    monkeypatch.setattr(syzygies_module, "_s_vector", s_vector)
-    found = syzygies(XYZ, 2, columns)
-    assert found == expected
-    assert [list(relations) for relations in handed_over] == [[(2, 3)]]
-    assert found == [handed_over[0][2, 3]]
-    assert rebuilt == [(basis[0], basis[1])]
+    monkeypatch.setattr(polyring, "_s_vector", s_vector)
+    for name in ("_s_vector", "_reduce"):
+        assert not hasattr(syzygies_module, name)
+    syzygies(XYZ, 1, [[XYZ.parse("x*z + z^2")], [XYZ.parse("x*y - z^2")],
+                      [XYZ.parse("x^2")]])
+    syzygies(XYZ, 2, [[XYZ.parse("x"), XYZ.parse("y")],
+                      [XYZ.parse("y"), XYZ.parse("z")]])
+    assert callers and set(callers) == {"_groebner"}

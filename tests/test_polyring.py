@@ -290,6 +290,31 @@ def test_hilbert_matches_series_oracle():
         assert hilbert_function(rp, 10) == expected
 
 
+@pytest.mark.parametrize("slack", [-1, 0])
+def test_hilbert_function_checks_every_degree_before_listing(monkeypatch,
+                                                            slack):
+    """A cap one below the monomial count of the largest degree refuses
+    before any degree is listed, with the message of standard_monomials; a
+    cap equal to it lets every degree be listed."""
+    ring = PolyRing(list("abcdefghijkl"))
+    cap = ring.monomial_count(4) + slack        # C(15, 4) = 1365
+    rp = RingPresentation(ring, [ring.parse("a^2"), ring.parse("b^2")],
+                          max_monomials=cap)
+    if slack < 0:
+        def refuse(self, d):
+            raise AssertionError(f"monomials of degree {d} were listed")
+
+        monkeypatch.setattr(PolyRing, "monomials_of_degree", refuse)
+        message = "degree 4 has 1365 monomials, over the monomial cap 1364"
+        with pytest.raises(ResourceLimitError, match=message):
+            hilbert_function(rp, 4)
+        with pytest.raises(ResourceLimitError, match=message):
+            rp.standard_monomials(4)
+    else:
+        assert hilbert_function(rp, 4) == \
+            hilbert_series_oracle(ring.weights, [2, 2], 4)
+
+
 # -- regular sequences ----------------------------------------------------------
 
 def test_regular_sequence_cases(xy):

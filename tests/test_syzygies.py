@@ -5,13 +5,12 @@ import pytest
 
 from cising.errors import ValidationError
 from cising.exactq import Mat, rank
-from cising.polyring import PolyRing
+from cising.polyring import PolyRing, vec_lead
 from cising.syzygies import (
     module_buchberger,
     module_normal_form,
     syzygies,
     vec_is_zero,
-    vec_lead,
 )
 
 F = Fraction
