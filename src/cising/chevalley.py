@@ -23,9 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import InvariantError, ResourceLimitError, ValidationError
+from .errors import InvariantError, ValidationError
 from .exactq import span_of
-from .polyring import DEFAULT_MAX_MONOMIALS, GradedSlice, Poly, PolyRing
+from .polyring import (DEFAULT_MAX_MONOMIALS, GradedSlice, Poly, PolyRing,
+                       _check_cap)
 
 HALF = Fraction(1, 2)
 
@@ -149,11 +150,9 @@ def ce_cohomology(ce, degree, max_monomials=DEFAULT_MAX_MONOMIALS):
     # the differential out of degree e lands in degree e + 2
     shape = [(p, e) for p in range(b + 1) for e in range(degree + 3)]
     for p, e in shape:
-        size = comb(b, p) * ce.even_ring.monomial_count(e)
-        if max_monomials is not None and size > max_monomials:
-            raise ResourceLimitError(
-                f"cochain slice ({p}, {e}) has {size} coordinates, over the "
-                f"monomial cap {max_monomials}")
+        _check_cap(f"cochain slice ({p}, {e})",
+                   comb(b, p) * ce.even_ring.monomial_count(e), "coordinates",
+                   max_monomials)
     # the slices of ChevalleyComplex.slice, each degree's monomials listed once
     monos = [ce.even_ring.monomials_of_degree(e) for e in range(degree + 3)]
     slices = {(p, e): GradedSlice((s, monos[e])

@@ -33,7 +33,7 @@ from .polyring import (
     Poly,
     PolyRing,
     RingPresentation,
-    _expo_add,
+    _check_cap,
     _is_regular_given_basis,
     normal_form_with_cofactors,
     vec_combine,
@@ -163,25 +163,6 @@ class FreeResolution:
 # ---------------------------------------------------------------------------
 
 
-def _cached_normal_form(rp, p, shift=None):
-    """Normal form of ``x^shift * p``, summed from the presentation's cached
-    monomial normal forms (the normal form is linear), with no product
-    built."""
-    terms = {}
-    for expo, coeff in p.terms.items():
-        if shift is not None:
-            expo = _expo_add(shift, expo)
-        for e, c in rp._monomial_normal_form(expo).items():
-            terms[e] = terms.get(e, 0) + coeff * c
-    return Poly(rp.ring, terms)
-
-
-def _encode_multiple(rp, coords, mono, column):
-    """``coords.encode`` of the normal form of ``x^mono * column``."""
-    return coords.encode((k, _cached_normal_form(rp, p, mono))
-                         for k, p in enumerate(column))
-
-
 def minimal_generators(rp, twists, columns):
     """Minimal homogeneous generating set of the span of ``columns``.
 
@@ -191,12 +172,12 @@ def minimal_generators(rp, twists, columns):
     lower-degree part (and the columns already kept in its own degree) is
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
-    columns by standard monomials.  Normal forms, of the offered columns and
-    of those multiples, are summed from cached monomial normal forms.
+    columns by standard monomials; each multiple is encoded from
+    :meth:`RingPresentation.normal_form` with the monomial as its shift.
     """
     cols = []
     for j, column in enumerate(columns):
-        nf = [_cached_normal_form(rp, p) for p in column]
+        nf = [rp.normal_form(p) for p in column]
         d = _column_degree(twists, nf, f"column {j + 1}")
         if d is not None:
             cols.append((d, j, nf))
@@ -208,7 +189,8 @@ def minimal_generators(rp, twists, columns):
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
             for mono in rp.standard_monomials(e - d):
-                span.add(_encode_multiple(rp, coords, mono, v))
+                span.add(coords.encode((k, rp.normal_form(p, mono))
+                                       for k, p in enumerate(v)))
         accepted += [(d, j, v) for d, j, v in cols
                      if d == e and span.add(coords.encode(enumerate(v)))]
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
@@ -651,11 +633,9 @@ def hstar_dims(dg, lo, hi, max_monomials=DEFAULT_MAX_MONOMIALS):
     lo, hi = int(lo), int(hi)
     taus = range(lo - 1, hi + 2)
     for tau in taus:
-        size = sum(ring.monomial_count(tau - dk) for dk in dg.degrees)
-        if max_monomials is not None and size > max_monomials:
-            raise ResourceLimitError(
-                f"DG slice of total degree {tau} has {size} coordinates, "
-                f"over the monomial cap {max_monomials}")
+        _check_cap(f"DG slice of total degree {tau}",
+                   sum(ring.monomial_count(tau - dk) for dk in dg.degrees),
+                   "coordinates", max_monomials)
     monos = {d: ring.monomials_of_degree(d)
              for d in {tau - dk for tau in taus for dk in dg.degrees}}
     coords = {tau: GradedSlice((k, monos[tau - dk])

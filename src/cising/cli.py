@@ -55,9 +55,6 @@ from .polyring import (
 )
 from .tangentlie import tangent_lie
 
-COMMANDS = ("tangent", "chevalley", "resolve", "ext", "fgcheck",
-            "tower", "squarezero", "minimize")
-
 _TOP_KEYS = {"command", "variables", "weights", "order", "map", "point",
              "module", "dg", "degree", "window", "n"}
 
@@ -161,8 +158,10 @@ class Job:
                 weights, lambda w: _is_int(w) and w >= 1, len(variables)):
             self._note("'weights' must list a positive integer per variable")
             weights = None
-        order = data.get("order") or "grevlex"
-        if order not in ("grevlex", "lex"):
+        order = data.get("order")
+        if order is None:
+            order = "grevlex"
+        elif order not in ("grevlex", "lex"):
             self._note(f"unknown monomial order {order!r}")
             order = "grevlex"
         try:
@@ -454,18 +453,6 @@ def _run_minimize(job, options):
     return result, {"cohomology preserved": True, "no unit entries": True}
 
 
-_HANDLERS = {
-    "tangent": _run_tangent,
-    "chevalley": _run_chevalley,
-    "resolve": _run_resolve,
-    "ext": _run_ext,
-    "fgcheck": _run_fgcheck,
-    "tower": _run_tower,
-    "squarezero": _run_squarezero,
-    "minimize": _run_minimize,
-}
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
@@ -589,23 +576,25 @@ def _text_validate(result, lines):
             lines.append(f"  {k + 1}. {finding}")
 
 
-_TEXT_SECTIONS = {
-    "tangent": _text_tangent,
-    "chevalley": _text_chevalley,
-    "resolve": _text_resolve,
-    "ext": _text_ext,
-    "fgcheck": _text_fgcheck,
-    "tower": _text_tower,
-    "squarezero": _text_squarezero,
-    "minimize": _text_minimize,
-    "validate": _text_validate,
+# each command's handler, ``(job, options) -> (result, cross-checks)``, and
+# the text section of its report
+_COMMAND_TABLE = {
+    "tangent": (_run_tangent, _text_tangent),
+    "chevalley": (_run_chevalley, _text_chevalley),
+    "resolve": (_run_resolve, _text_resolve),
+    "ext": (_run_ext, _text_ext),
+    "fgcheck": (_run_fgcheck, _text_fgcheck),
+    "tower": (_run_tower, _text_tower),
+    "squarezero": (_run_squarezero, _text_squarezero),
+    "minimize": (_run_minimize, _text_minimize),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def _render_text(report):
+def _render_text(report, section):
     lines = [f"command: {report['command']}",
              f"input sha256: {report['input_sha256']}"]
-    _TEXT_SECTIONS[report["command"]](report["result"], lines)
+    section(report["result"], lines)
     checks = report["cross_checks"]
     if checks:
         lines.append("cross-checks:")
@@ -632,11 +621,12 @@ def run_job(command, path, options=None):
     data, digest = load_job(path)
     job = Job(data, command, options)
     if command == "validate":
-        result, checks = {"findings": job.findings}, {}
+        result, checks, section = {"findings": job.findings}, {}, _text_validate
     elif job.findings:
         raise ValidationError("; ".join(job.findings))
     else:
-        result, checks = _HANDLERS[command](job, options)
+        handler, section = _COMMAND_TABLE[command]
+        result, checks = handler(job, options)
     report = {
         "command": command,
         "input_sha256": digest,
@@ -645,7 +635,7 @@ def run_job(command, path, options=None):
     }
     if options.format == "json":
         return 0, json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return 0, _render_text(report)
+    return 0, _render_text(report, section)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

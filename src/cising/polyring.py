@@ -541,6 +541,16 @@ class GroebnerBasis:
         return iter(self.basis)
 
 
+def _check_cap(what, count, unit, cap):
+    """Raise :class:`ResourceLimitError` when ``count``, the closed-form size
+    of work not yet done, is over the monomial ``cap`` (``None``: no cap);
+    the message reads "<what> has <count> <unit>, over the monomial cap
+    <cap>"."""
+    if cap is not None and count > cap:
+        raise ResourceLimitError(
+            f"{what} has {count} {unit}, over the monomial cap {cap}")
+
+
 class _MonomialBudget:
     """Cumulative monomial counter enforcing a resource cap."""
 
@@ -749,26 +759,18 @@ def _groebner(ring, columns, budget, relations=None):
     return basis, reps
 
 
-def _scalar_reducers(gb):
-    if isinstance(gb, GroebnerBasis):
-        return gb._reducers, gb._leads
-    return [[g] for g in gb], None
-
-
 def normal_form(p, gb):
-    """Fully reduced normal form of ``p`` modulo a Groebner basis."""
-    reducers, leads = _scalar_reducers(gb)
-    if not reducers:
+    """Fully reduced normal form of ``p`` modulo a :class:`GroebnerBasis`."""
+    if not gb.basis:
         return p
-    return _reduce(p.ring, [p], reducers, leads)[0][0]
+    return _reduce(p.ring, [p], gb._reducers, gb._leads)[0][0]
 
 
 def normal_form_with_cofactors(p, gb):
     """Normal form plus the cofactors against the basis elements."""
-    reducers, leads = _scalar_reducers(gb)
-    if not reducers:
+    if not gb.basis:
         return p, []
-    remainder, cofactors = _reduce(p.ring, [p], reducers, leads)
+    remainder, cofactors = _reduce(p.ring, [p], gb._reducers, gb._leads)
     return remainder[0], cofactors
 
 
@@ -832,11 +834,10 @@ class RingPresentation:
     The ideal's Groebner basis is computed on construction; normal forms and
     standard-monomial counts are then exact and deterministic.  Two caches
     live as long as the presentation and fill as they are asked: the normal
-    form of each monomial (the normal form is unique and linear, so callers
-    may sum these to reduce any combination of monomials) and the standard
-    monomials of each degree.  :meth:`normal_form` itself still reduces the
-    whole polynomial at once.  ``max_monomials`` caps the Groebner
-    computation and every degree whose standard monomials are listed.
+    form of each monomial, which :meth:`normal_form` sums (the normal form
+    is unique and linear), and the standard monomials of each degree.
+    ``max_monomials`` caps the Groebner computation and every degree whose
+    standard monomials are listed.
     """
 
     __slots__ = ("ring", "ideal", "gb", "max_monomials", "_monomial_nf",
@@ -862,17 +863,23 @@ class RingPresentation:
         gens = ", ".join(str(g) for g in self.ideal) or "0"
         return f"RingPresentation({self.ring!r} mod ({gens}))"
 
-    def normal_form(self, p):
-        return normal_form(p, self.gb)
-
-    def _monomial_normal_form(self, expo):
-        """Terms ``{exponent: coefficient}`` of the normal form of the monomial
-        ``expo``, from the cache; callers must not mutate them."""
-        terms = self._monomial_nf.get(expo)
-        if terms is None:
-            terms = normal_form(Poly(self.ring, {expo: ONE}), self.gb).terms
-            self._monomial_nf[expo] = terms
-        return terms
+    def normal_form(self, p, shift=None):
+        """Normal form of ``x^shift * p`` (of ``p`` when ``shift`` is None),
+        summed from the cached normal forms of its monomials: the normal
+        form is linear, so no product is built and no monomial is reduced
+        twice."""
+        cache = self._monomial_nf
+        terms = {}
+        for expo, coeff in p.terms.items():
+            if shift is not None:
+                expo = _expo_add(shift, expo)
+            reduced = cache.get(expo)
+            if reduced is None:
+                reduced = cache[expo] = normal_form(
+                    Poly(self.ring, {expo: ONE}), self.gb).terms
+            for e, c in reduced.items():
+                terms[e] = terms.get(e, ZERO) + coeff * c
+        return Poly(self.ring, terms)
 
     def standard_monomials(self, d):
         """Exponents of weighted degree ``d`` outside the leading-term ideal,
@@ -889,10 +896,8 @@ class RingPresentation:
 
     def _require_listable(self, d):
         """Refuse degree ``d`` when it has more monomials than the cap."""
-        count, cap = self.ring.monomial_count(d), self.max_monomials
-        if cap is not None and count > cap:
-            raise ResourceLimitError(
-                f"degree {d} has {count} monomials, over the monomial cap {cap}")
+        _check_cap(f"degree {d}", self.ring.monomial_count(d), "monomials",
+                   self.max_monomials)
 
     def dim_degree(self, d):
         return len(self.standard_monomials(d))
@@ -1053,7 +1058,8 @@ def is_square_zero(presentation, gens):
     gens = list(gens)
     for i in range(len(gens)):
         for j in range(i, len(gens)):
-            if not presentation.normal_form(gens[i] * gens[j]).is_zero():
+            # a stage is dropped after few products: no cache pays back
+            if not normal_form(gens[i] * gens[j], presentation.gb).is_zero():
                 return False
     return True
 
@@ -1086,11 +1092,8 @@ def square_zero_filtration(ring, gens, n, max_monomials=DEFAULT_MAX_MONOMIALS):
     nonzero = sum(1 for g in gens if not g.is_zero())
     stages = []
     for k in range(n - 1, 0, -1):
-        columns = comb(nonzero + k, k + 1) + nonzero
-        if max_monomials is not None and columns > max_monomials:
-            raise ResourceLimitError(
-                f"square-zero stage {k} has {columns} nonzero generators, "
-                f"over the monomial cap {max_monomials}")
+        _check_cap(f"square-zero stage {k}", comb(nonzero + k, k + 1) + nonzero,
+                   "nonzero generators", max_monomials)
         stage = RingPresentation(ring, products(k + 1) + pure,
                                  max_monomials=max_monomials)
         stages.append(is_square_zero(stage, products(k)))

@@ -103,21 +103,18 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
     unit vector of each zero input column.  The reductions behind them all
     charge the one ``max_monomials`` budget of the engine run.
     """
-    columns = _validate_columns(ring, rank, columns)
-    relations = module_buchberger(ring, rank, columns,
-                                  max_monomials=max_monomials).relations
+    gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials)
     result, hashes = [], set()
-    for pair in sorted(relations):
-        relation = relations[pair]
+    for _, relation in sorted(gb.relations.items()):
         # only hashes are kept; a relation is compared when its hash repeats
         key = hash(tuple(frozenset(p.terms.items()) for p in relation))
         if vec_is_zero(relation) or (key in hashes and relation in result):
             continue
         hashes.add(key)
         result.append(relation)
-    for k, c in enumerate(columns):
+    for k, c in enumerate(gb.generators):
         if vec_is_zero(c):
-            unit = [ring.zero()] * len(columns)
+            unit = [ring.zero()] * len(gb.generators)
             unit[k] = ring.one()
             result.append(unit)
     return result

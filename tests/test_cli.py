@@ -290,6 +290,29 @@ def test_validate_clean_job(capsys):
     assert "findings: none" in out
 
 
+@pytest.mark.parametrize("order", ["", False, 0, []])
+def test_falsy_order_is_an_unknown_order(capsys, tmp_path, order):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "resolve", "variables": ["x", "y"],
+                                "map": ["x^2", "y^2"], "order": order}))
+    finding = f"unknown monomial order {order!r}"
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and finding in out
+    code, out, err = run_cli(capsys, "resolve", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {finding}\n"
+
+
+def test_null_order_means_grevlex(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "resolve", "variables": ["x", "y"],
+                                "map": ["x^2", "y^2"], "order": None}))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "findings: none" in out
+    code, out, _ = run_cli(capsys, "resolve", str(path))
+    assert code == 0 and "status: ok" in out
+
+
 def test_json_report_structure(capsys):
     path = JOBS / "fgcheck_hypersurface.json"
     code, out, _ = run_cli(capsys, "fgcheck", str(path), "--format", "json")

@@ -1,5 +1,6 @@
-"""Property tests of the caches a ring presentation keeps: monomial normal
-forms, the multiples ``minimal_generators`` encodes from them, and the
+"""Property tests of the caches a ring presentation keeps: the monomial
+normal forms its ``normal_form`` sums, with and without a shift, checked
+against the whole-polynomial ``normal_form`` of the Groebner basis, and the
 standard monomials of each degree.  Quotients are by random homogeneous
 regular sequences on grevlex, lex and weighted rings.
 """
@@ -9,12 +10,11 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cising.ciext import _encode_multiple
 from cising.polyring import (
-    GradedSlice,
     PolyRing,
     RingPresentation,
     is_regular_sequence,
+    normal_form,
 )
 
 PROPERTY = settings(max_examples=40)
@@ -66,23 +66,20 @@ def test_cached_monomial_normal_forms_match_normal_form(rp):
     ring = rp.ring
     for d in range(TOP + 1):
         for mono in ring.monomials_of_degree(d):
-            expected = rp.normal_form(ring.monomial(mono)).terms
-            assert rp._monomial_normal_form(mono) == expected
-            assert rp._monomial_normal_form(mono) == expected
+            expected = normal_form(ring.monomial(mono), rp.gb)
+            assert rp.normal_form(ring.monomial(mono)) == expected
+            assert rp.normal_form(ring.monomial(mono)) == expected
 
 
 @PROPERTY
 @given(normal_form_columns())
-def test_shifted_encoding_matches_encoding_of_the_reduced_product(case):
-    rp, twists, column, degree, mono = case
-    ring = rp.ring
-    e = degree + ring.wdeg(mono)
-    coords = GradedSlice((k, rp.standard_monomials(e - t))
-                         for k, t in enumerate(twists))
-    product = ring.monomial(mono)
-    expected = coords.encode((k, rp.normal_form(product * p))
-                             for k, p in enumerate(column))
-    assert _encode_multiple(rp, coords, mono, column) == expected
+def test_shifted_normal_form_matches_normal_form_of_the_product(case):
+    rp, _, column, _, mono = case
+    product = rp.ring.monomial(mono)
+    for p in column:
+        expected = normal_form(product * p, rp.gb)
+        assert rp.normal_form(p, mono) == expected
+        assert rp.normal_form(p, mono) == expected
 
 
 @PROPERTY
