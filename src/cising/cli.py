@@ -61,6 +61,12 @@ _TOP_KEYS = {"command", "variables", "weights", "order", "map", "point",
 # degree bound of a command whose job sets none; any other command: 10
 _DEGREE_DEFAULTS = {"chevalley": 8}
 
+# the library's refusal of an empty map, for each command that needs one
+_NONEMPTY_MAP = {"tangent": "need at least one polynomial",
+                 "chevalley": "need at least one polynomial",
+                 "tower": "need at least one generator",
+                 "squarezero": "need at least one generator"}
+
 _MAX_DEGREE = 64
 _MAX_N = 64
 
@@ -106,9 +112,10 @@ class Job:
     ``options`` (the parsed command line) override the job's fields:
     ``ring``; ``polys`` (the ``map``); ``point`` (the origin by default);
     ``module`` as ``(twists, relation columns)``, ``None`` for the residue
-    field; ``dg`` as ``(degrees, differential rows)``; ``degree``, ``n``,
-    ``window``.  ``validate`` parses for the command the file declares, if
-    that is a known one.
+    field; ``dg`` as a :class:`DGModule`, or the :class:`GradingError`
+    building it raised, which a run raises; ``degree``, ``n``, ``window``.
+    ``validate`` parses for the command the file declares, if that is a
+    known one.
     """
 
     def __init__(self, data, command, options):
@@ -190,6 +197,8 @@ class Job:
             return
         if not isinstance(polys, list):
             self._note("'map' must be a list of polynomial strings")
+        elif not polys and command in _NONEMPTY_MAP:
+            self._note(_NONEMPTY_MAP[command])
         elif self.ring is not None:
             self.polys = self._parse_all("map", polys)
 
@@ -261,12 +270,17 @@ class Job:
             return
         if self.ring is None:
             return
-        if any(w != 2 for w in self.ring.weights):
-            self._note("dg rings must give every variable weight 2")
-            return
         entries = self._parse_all("dg matrix", [p for row in matrix for p in row])
-        if entries is not None:
-            self.dg = (degrees, [entries[r * n:(r + 1) * n] for r in range(n)])
+        if entries is None:
+            return
+        try:
+            self.dg = DGModule(self.ring, degrees,
+                               [entries[r * n:(r + 1) * n] for r in range(n)])
+        except ValidationError as err:
+            self._note(str(err))
+        except GradingError as err:
+            # well-formed input that the computation refuses (exit 2)
+            self.dg = err
 
     def _integer(self, data, key, label, low, high, default):
         """The field ``key`` if it is an integer in ``low..high``."""
@@ -286,17 +300,22 @@ class Job:
                                     _DEGREE_DEFAULTS.get(command, 10))
         self.n = self._integer(data, "n", "n =", 1, _MAX_N, 2)
         window = data.get("window")
-        if window is not None and not _list_of(window, _is_int, 2):
-            self._note("'window' must be a pair of integers")
-            window = None
+        self.window = default_window(self.degree)
         if window is None:
-            self.window = default_window(self.degree)
+            if command != "fgcheck":
+                return
+            what = f"default window {list(self.window)} of degree {self.degree}"
+        elif not _list_of(window, _is_int, 2):
+            self._note("'window' must be a pair of integers")
             return
-        lo, hi = self.window = tuple(window)
+        else:
+            self.window = tuple(window)
+            what = f"window {window}"
+        lo, hi = self.window
         if lo > hi:
             self._note(f"window start {lo} exceeds end {hi}")
         elif lo < 2 or hi < lo + 2:
-            self._note(f"window [{lo}, {hi}] too narrow: need "
+            self._note(f"{what} too narrow: need "
                        "start >= 2 and end >= start + 2")
         elif hi > self.degree:
             self._note(f"window end {hi} exceeds computed degree "
@@ -437,7 +456,9 @@ def _run_squarezero(job, options):
 
 
 def _run_minimize(job, options):
-    dg = DGModule(job.ring, *job.dg)
+    dg = job.dg
+    if isinstance(dg, GradingError):
+        raise dg
     # minimize_dg cancels every unit entry, and raises InvariantError unless
     # the cohomology is preserved
     outcome = minimize_dg(dg, through=job.degree,

@@ -31,7 +31,6 @@ from math import comb
 
 from .errors import (
     GradingError,
-    InvariantError,
     ParseError,
     ResourceLimitError,
     ValidationError,
@@ -655,15 +654,15 @@ def _groebner(ring, columns, budget, relations=None):
 
     Pairs are formed only between vectors whose leads share a component and
     are taken lowest weighted lcm degree first, ties by index.  On ideals
-    (every column of length 1) each new element prunes them by the
-    Gebauer-Moeller update (J. Symb. Comp. 6, 1988): it drops a pending pair
-    whose lcm its lead divides, unless its lcm with one of the pair's members
-    is that same lcm (B_k); a new pair whose lcm another's properly divides
-    (M); all but the first new pair per lcm (F); and every new pair sharing
-    its lcm with one of coprime leads (Buchberger's product criterion).  The
-    product criterion fails for module vectors, and the chain criteria would
-    change which vectors a module basis holds, so longer vectors reduce
-    every pair.
+    (every column of length 1) with no ``relations`` asked for, each new
+    element prunes them by the Gebauer-Moeller update (J. Symb. Comp. 6,
+    1988): it drops a pending pair whose lcm its lead divides, unless its
+    lcm with one of the pair's members is that same lcm (B_k); a new pair
+    whose lcm another's properly divides (M); all but the first new pair per
+    lcm (F); and every new pair sharing its lcm with one of coprime leads
+    (Buchberger's product criterion).  The product criterion fails for
+    module vectors, and every pair a criterion drops would still owe its
+    relation, so longer vectors and relations runs reduce every pair.
     Returns ``(basis, representation)``: monic basis vectors, not
     interreduced, and rows with
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
@@ -673,18 +672,15 @@ def _groebner(ring, columns, budget, relations=None):
     ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` with ``q`` the
     reduction's cofactors: the relation ``sum_k row[k] * columns[k] == 0``
     among the input columns (for a pair that leaves a remainder, the row of
-    its new element).  The pairs the criteria dropped are then reduced
-    against the final basis, in pair order; a remainder there raises
-    :class:`InvariantError`.  So every same-component pair but those that
-    added an element (whose relation is zero) gives its relation.
+    its new element).  So every same-component pair but those that added an
+    element (whose relation is zero) gives its relation.
     """
     basis = []
     reps = []
     leads = []
     heap = []
     pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
-    dropped = []  # pairs (j, i) the criteria removed
-    scalar = all(len(c) == 1 for c in columns)
+    prune = relations is None and all(len(c) == 1 for c in columns)
 
     def add_element(v, rep):
         comp, expo, coeff = vec_lead(v)
@@ -700,20 +696,16 @@ def _groebner(ring, columns, budget, relations=None):
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
                 new.setdefault(_expo_lcm(jexpo, expo), []).append(j)
-        if scalar:
+        if prune:
             # B_k, then M, F and the product criterion on the new pairs
             for (a, b), lcm in list(pending.items()):
                 if (_expo_divides(expo, lcm)
                         and _expo_lcm(leads[a][1], expo) != lcm
                         and _expo_lcm(leads[b][1], expo) != lcm):
                     del pending[a, b]
-                    dropped.append((a, b))
-            kept = {lcm: js[:1] for lcm, js in new.items()
-                    if not any(o != lcm and _expo_divides(o, lcm) for o in new)
-                    and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
-            dropped.extend((j, i) for lcm, js in new.items() for j in js
-                           if j not in kept.get(lcm, ()))
-            new = kept
+            new = {lcm: js[:1] for lcm, js in new.items()
+                   if not any(o != lcm and _expo_divides(o, lcm) for o in new)
+                   and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
         for lcm, js in new.items():
             for j in js:
                 pending[j, i] = lcm
@@ -728,25 +720,16 @@ def _groebner(ring, columns, budget, relations=None):
         row[k] = ring.one()
         add_element(c, row)
 
-    def pairs():    # (i, j, whether the basis is complete)
-        while heap:
-            _, i, j = heapq.heappop(heap)
-            if pending.pop((i, j), None) is not None:
-                yield i, j, False
-        if relations is not None:
-            for i, j in sorted(dropped):
-                yield i, j, True
-
-    for i, j, complete in pairs():
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
+            continue
         mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         if vec_is_zero(s):
             remainder, cofs = s, []
         else:
             remainder, cofs = _reduce(ring, s, basis, leads, budget)
         zero = vec_is_zero(remainder)
-        if complete and not zero:
-            raise InvariantError("S-vector failed to reduce to zero "
-                                 "against a Groebner basis")
         if zero and relations is None:
             continue
         row = vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]

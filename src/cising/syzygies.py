@@ -68,10 +68,8 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
 
     Pair selection is deterministic: only pairs whose leads share a
     component are formed, lowest weighted lcm degree first, ties by index.
-    Columns of length 1 go through the product and Gebauer-Moeller chain
-    criteria of :func:`cising.polyring._groebner`.  Longer vectors reduce
-    every such pair: the product criterion fails for them, and the chain
-    criteria would change which vectors the basis holds.
+    Every such pair is reduced, columns of length 1 included, since each
+    owes its relation (see :func:`cising.polyring._groebner`).
     """
     columns = _validate_columns(ring, rank, columns)
     relations = {}
@@ -82,14 +80,9 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
                                relations=relations)
 
 
-def module_normal_form_with_cofactors(ring, v, gb):
-    """Normal form of a module vector plus cofactors against the basis."""
-    reducers = gb.basis if isinstance(gb, ModuleGroebnerBasis) else list(gb)
-    return vec_normal_form_with_cofactors(ring, v, reducers)
-
-
 def module_normal_form(ring, v, gb):
-    return module_normal_form_with_cofactors(ring, v, gb)[0]
+    """Normal form of a module vector against a :class:`ModuleGroebnerBasis`."""
+    return vec_normal_form_with_cofactors(ring, v, gb.basis)[0]
 
 
 def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):

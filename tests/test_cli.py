@@ -428,6 +428,68 @@ def test_run_refuses_exactly_what_validate_flags(capsys, tmp_path, name):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Jobs the library refuses once a run has started: validate lists each
+# refusal as a finding, and a run exits 1 with the finding as its message.
+REFUSED_BY_VALIDATE = {
+    "tangent_empty_map": ("tangent", {"variables": ["x"], "map": []},
+                          "need at least one polynomial"),
+    "chevalley_empty_map": ("chevalley", {"variables": ["x"], "map": []},
+                            "need at least one polynomial"),
+    "tower_empty_map": ("tower", {"variables": ["x"], "map": []},
+                        "need at least one generator"),
+    "squarezero_empty_map": ("squarezero", {"variables": ["x"], "map": []},
+                             "need at least one generator"),
+    "dg_not_square_zero": ("minimize", {
+        "variables": ["s"], "weights": [2],
+        "dg": {"degrees": [0, 1, 2],
+               "matrix": [["0", "s", "0"], ["0", "0", "s"], ["0", "0", "0"]]}},
+        "the differential does not square to zero"),
+    "dg_weight_1": ("minimize", {
+        "variables": ["s"], "dg": {"degrees": [0], "matrix": [["0"]]}},
+        "operator variables must all have weight 2"),
+    "fgcheck_default_window_start": ("fgcheck", {
+        "variables": ["x"], "map": ["x^2"], "degree": 2},
+        "default window [1, 2] of degree 2 too narrow: need start >= 2 and "
+        "end >= start + 2"),
+    "fgcheck_default_window_end": ("fgcheck", {
+        "variables": ["x"], "map": ["x^2"], "degree": 3},
+        "default window [2, 3] of degree 3 too narrow: need start >= 2 and "
+        "end >= start + 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_BY_VALIDATE))
+def test_validate_lists_what_a_run_refuses(capsys, tmp_path, name):
+    command, data, finding = REFUSED_BY_VALIDATE[name]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(data, command=command)))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["findings"] == [finding]
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, err) == (1, "", f"error: {finding}\n")
+
+
+# an empty map, and a degree whose default window is too narrow, are fine for
+# the commands that take them
+@pytest.mark.parametrize("command, data, code", [
+    ("resolve", {"variables": ["x"], "map": [], "degree": 3}, 0),
+    ("ext", {"variables": ["x"], "map": [], "degree": 3}, 0),
+    ("fgcheck", {"variables": ["x"], "map": [], "degree": 4}, 0),
+    # inhomogeneous entry: a precondition of the computation, not a finding
+    ("minimize", {"variables": ["s"], "weights": [2],
+                  "dg": {"degrees": [0, 1], "matrix": [["0", "s^2"],
+                                                       ["0", "0"]]}}, 2),
+])
+def test_validate_passes_what_a_run_accepts_or_rejects_later(capsys, tmp_path,
+                                                             command, data,
+                                                             code):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(data, command=command)))
+    validated, out, _ = run_cli(capsys, "validate", str(path))
+    assert validated == 0 and "findings: none" in out
+    assert run_cli(capsys, command, str(path))[0] == code
+
+
 def test_failed_cross_check_exits_4(capsys, monkeypatch):
     original = cising.tangentlie.hessian_snake
 
@@ -441,29 +503,6 @@ def test_failed_cross_check_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "error: the two bracket constructions disagree\n"
-
-
-def test_dropped_pair_left_unreduced_exits_4(capsys, tmp_path, monkeypatch):
-    """The product criterion drops the pair of b with a^2 + b*c (S-vector
-    -b^2*c).  The engine reduces such pairs once the basis is complete; a
-    remainder there means the basis is not a Groebner basis."""
-    original = cising.polyring._reduce
-
-    def broken(ring, v, reducers, leads=None, budget=None):
-        remainder, cofactors = original(ring, v, reducers, leads, budget)
-        if sys._getframe(1).f_locals.get("complete"):
-            remainder = [ring.one()] + remainder[1:]
-        return remainder, cofactors
-
-    monkeypatch.setattr(cising.polyring, "_reduce", broken)
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({"variables": list("abcde"),
-                                "map": ["a^2 + b*c", "b^2 + c*d", "c^2 + d*e"],
-                                "degree": 2}))
-    code, out, err = run_cli(capsys, "resolve", str(path))
-    assert code == 4 and out == ""
-    assert err == ("error: S-vector failed to reduce to zero against a "
-                   "Groebner basis\n")
 
 
 def test_tower_lists_no_ambient_monomial(capsys, monkeypatch):

@@ -31,7 +31,6 @@ from cising.polyring import (
 )
 from cising.syzygies import (
     module_buchberger,
-    module_normal_form,
     syzygies,
     vec_is_zero,
 )
@@ -232,23 +231,6 @@ def engine_inputs(draw, ranks):
     return ring, rank, columns
 
 
-def spans_contain(ring, rank, generators, vectors):
-    """True when every vector lies in the submodule the generators span."""
-    nonzero = [g for g in generators if not vec_is_zero(g)]
-    if not nonzero:
-        return all(vec_is_zero(v) for v in vectors)
-    mgb = module_buchberger(ring, rank, nonzero)
-    return all(vec_is_zero(module_normal_form(ring, v, mgb)) for v in vectors)
-
-
-def all_pairs_answers(ring, rank, columns):
-    with patch.object(polyring, "_groebner", all_pairs_groebner), \
-            patch.object(syzygies_module, "_groebner", all_pairs_groebner):
-        gb = buchberger([c[0] for c in columns]) if rank == 1 else None
-        return (gb, module_buchberger(ring, rank, columns),
-                syzygies(ring, rank, columns))
-
-
 def reference_relation_pass(ring, rank, columns, budget):
     """The relation pass before the engine handed over its relations, on
     the engine's basis.  Every same-component pair is reduced against the
@@ -288,12 +270,10 @@ def reference_relation_pass(ring, rank, columns, budget):
     return pair_relations, residuals
 
 
-def reference_syzygies(ring, rank, columns):
-    """What ``syzygies`` returns: the reference relation pass without its
-    zero vectors, its exact repeats and the residuals of the nonzero input
-    columns."""
-    pair_relations, residuals = reference_relation_pass(
-        ring, rank, columns, _MonomialBudget(None))
+def reference_syzygies(columns, pair_relations, residuals):
+    """What ``syzygies`` returns: the reference relation pass on
+    ``columns`` without its zero vectors, its exact repeats and the
+    residuals of the nonzero input columns."""
     found = []
     for z in pair_relations:
         if not vec_is_zero(z) and z not in found:
@@ -302,9 +282,9 @@ def reference_syzygies(ring, rank, columns):
 
 
 def relation_pass_charge(ring, rank, columns):
-    """Monomials the reductions of the pairs the criteria dropped charge to
-    the one budget ``syzygies`` makes: its total, less what the engine run
-    alone charges."""
+    """Monomials that asking for relations adds to the one budget
+    ``syzygies`` makes: its total, less what the engine charges when no
+    relations are asked for (on ideals its criteria then drop pairs)."""
     made = []
 
     class RecordingBudget(_MonomialBudget):
@@ -343,44 +323,48 @@ DIVERGING_IDEAL = (LEX_XYZ, 1, [[LEX_XYZ.parse("x^2 + z^2")],
 @example(DIVERGING_IDEAL)
 @given(engine_inputs(ranks=[1]))
 def test_ideal_engine_against_all_pairs_reference(case):
-    """On ideals the criteria keep the reduced basis, which is unique.  The
-    certificates and syzygy generators may come out of another, equally
-    valid, path, so those are checked as certificates and by their span.
-    The budget is never charged more."""
+    """Without relations the criteria keep the reduced basis, which is
+    unique.  Its certificates may come out of another, equally valid, path,
+    so those are checked as certificates.  The budget is never charged
+    more."""
     ring, rank, columns = case
     budget, expected_budget = _MonomialBudget(None), _MonomialBudget(None)
     _groebner(ring, columns, budget)
     all_pairs_groebner(ring, columns, expected_budget)
     assert budget.used <= expected_budget.used
 
-    expected_gb, _, expected_syzygies = all_pairs_answers(ring, rank, columns)
+    with patch.object(polyring, "_groebner", all_pairs_groebner):
+        expected_gb = buchberger([c[0] for c in columns])
     gb = buchberger([c[0] for c in columns])
     assert gb.basis == expected_gb.basis
     for g, row in zip(gb.basis, gb.representation):
         assert combine(ring, row, columns) == [g]
-    found = syzygies(ring, rank, columns)
-    for s in found:
-        assert vec_is_zero(combine(ring, s, columns))
-    assert spans_contain(ring, len(columns), found, expected_syzygies)
-    assert spans_contain(ring, len(columns), expected_syzygies, found)
 
 
-@settings(max_examples=60)
-@given(engine_inputs(ranks=[2, 3]))
+@settings(max_examples=90)
+@example(DIVERGING_IDEAL)
+@given(engine_inputs(ranks=[1, 2, 3]))
 def test_module_engine_matches_all_pairs_reference(case):
-    """Vectors of length 2 or more take exactly the all-pairs path."""
+    """Asked for relations, the engine takes exactly the all-pairs path on
+    vectors of every length, ideals included: the same basis,
+    representation rows, relations and budget, and so the same syzygies.
+    Without relations, vectors of length 2 or more take it too."""
     ring, rank, columns = case
     budget, expected_budget = _MonomialBudget(None), _MonomialBudget(None)
-    assert _groebner(ring, columns, budget) == \
-        all_pairs_groebner(ring, columns, expected_budget)
-    assert budget.used == expected_budget.used
-
-    _, expected_mgb, expected_syzygies = all_pairs_answers(ring, rank, columns)
+    expected_relations = {}
+    expected = all_pairs_groebner(ring, columns, expected_budget,
+                                  expected_relations)
     mgb = module_buchberger(ring, rank, columns)
-    assert mgb.basis == expected_mgb.basis
-    assert mgb.representation == expected_mgb.representation
-    # on modules the criteria drop no pair, so both hand over the same
-    # relations
+    assert (mgb.basis, mgb.representation) == expected
+    assert mgb.relations == expected_relations
+    _groebner(ring, columns, budget, {})
+    assert budget.used == expected_budget.used
+    if rank > 1:
+        assert _groebner(ring, columns, _MonomialBudget(None)) == \
+            all_pairs_groebner(ring, columns, _MonomialBudget(None))
+
+    with patch.object(syzygies_module, "_groebner", all_pairs_groebner):
+        expected_syzygies = syzygies(ring, rank, columns)
     assert syzygies(ring, rank, columns) == expected_syzygies
 
 
@@ -398,15 +382,15 @@ def test_syzygies_are_the_reference_pass_without_residuals(case):
     """``syzygies`` gives the relation pass that pushed every pair down and
     added a residual per input column, less its zero vectors, its exact
     repeats and the residuals of nonzero columns.  Each such residual is a
-    multiple of a relation it still gives, so the span is the same.  The
-    engine reduces only the dropped pairs again, so that charges its budget
-    no more than the pass did."""
+    multiple of a relation it still gives, so the span is the same.  Asking
+    for relations reduces, once each, the pairs the criteria would drop on
+    ideals, so that charges the budget no more than the pass did."""
     ring, rank, columns = case
     budget = _MonomialBudget(None)
     pair_relations, residuals = reference_relation_pass(ring, rank, columns,
                                                         budget)
     found = syzygies(ring, rank, columns)
-    assert found == reference_syzygies(ring, rank, columns)
+    assert found == reference_syzygies(columns, pair_relations, residuals)
     for k, w in residuals:
         if not vec_is_zero(columns[k]):
             assert any(scalar_multiple(w, z) for z in found)
@@ -486,11 +470,12 @@ def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
     """The leads of [x, y], [y, z], [z, x] lie in components 0, 0, 1.  The
     pair of the first two adds [z^2, y^2] (lead y^2 in component 1), whose
     pair with [z, x] the engine reduces to zero and hands over as a
-    relation.  On modules the criteria drop nothing, so no pair is reduced
-    a second time, and the pair that added an element records nothing."""
+    relation.  Each pair is reduced once, and the pair that added an element
+    records nothing."""
     columns = [[XYZ.parse("x"), XYZ.parse("y")], [XYZ.parse("y"), XYZ.parse("z")],
                [XYZ.parse("z"), XYZ.parse("x")]]
-    expected = reference_syzygies(XYZ, 2, columns)
+    expected = reference_syzygies(columns, *reference_relation_pass(
+        XYZ, 2, columns, _MonomialBudget(None)))
     basis = module_buchberger(XYZ, 2, columns).basis
     assert [vec_lead(v)[0] for v in basis] == [0, 0, 1, 1]
     calls, reductions = spy_on_engine(monkeypatch)
@@ -501,19 +486,24 @@ def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
     assert found == expected == [mgb.relations[2, 3]]
 
 
-def test_dropped_pairs_are_reduced_once_the_basis_is_complete(monkeypatch):
+def test_relations_run_forms_in_flight_the_pair_the_f_criterion_drops(
+        monkeypatch):
     """On x*z + z^2 and x*y - z^2 the F criterion drops the pair of x*y - z^2
-    with y*z^2 + z^3 (as in the chain criterion test above).  With relations asked for, the
-    engine reduces it after the heap is empty, against the final basis, and
-    hands over its relation with the others; without, it never forms it."""
+    with y*z^2 + z^3 (as in the chain criterion test above), so a run
+    without relations never forms it.  With relations asked for, the engine
+    forms every pair in the all-pairs loop's order, that one included, and
+    hands over its relation with the others."""
     columns = [[XYZ.parse("x*z + z^2")], [XYZ.parse("x*y - z^2")]]
     xy, yz2 = (1, 1, 0), (0, 1, 2)
     calls, _ = spy_on_engine(monkeypatch)
     _groebner(XYZ, columns, _MonomialBudget(None))
     assert {xy, yz2} not in calls["_groebner"]
+    del calls["_groebner"][:]
     relations = {}
     _groebner(XYZ, columns, _MonomialBudget(None), relations)
-    assert calls["_groebner"][-1] == {xy, yz2}
+    all_pairs_groebner(XYZ, columns, _MonomialBudget(None), {})
+    assert {xy, yz2} in calls["_groebner"]
+    assert calls["_groebner"] == calls["all_pairs_groebner"]
     # (0, 1) added y*z^2 + z^3, so it records nothing
     assert sorted(relations) == [(0, 2), (1, 2)]
     for row in relations.values():
@@ -525,8 +515,7 @@ def test_dropped_pairs_are_reduced_once_the_basis_is_complete(monkeypatch):
 
 def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
     """``syzygies`` reads its relations off the engine: every S-vector of a
-    call, on ideals (where the criteria drop pairs) and on modules, is
-    formed inside ``_groebner``."""
+    call, on ideals and on modules, is formed inside ``_groebner``."""
     callers = []
     original = polyring._s_vector
 
