@@ -172,8 +172,9 @@ def minimal_generators(rp, twists, columns):
     lower-degree part (and the columns already kept in its own degree) is
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
-    columns by standard monomials; each multiple is encoded from
-    :meth:`RingPresentation.normal_form` with the monomial as its shift.
+    columns by standard monomials; each multiple is encoded by
+    :meth:`RingPresentation.encode_normal_form` with the monomial as its
+    shift.
     """
     cols = []
     for j, column in enumerate(columns):
@@ -189,8 +190,7 @@ def minimal_generators(rp, twists, columns):
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
             for mono in rp.standard_monomials(e - d):
-                span.add(coords.encode((k, rp.normal_form(p, mono))
-                                       for k, p in enumerate(v)))
+                span.add(rp.encode_normal_form(coords, enumerate(v), mono))
         accepted += [(d, j, v) for d, j, v in cols
                      if d == e and span.add(coords.encode(enumerate(v)))]
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
@@ -290,14 +290,9 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
         if not current:
             current, degrees = [], []
             continue
-        # the kernel over the quotient: syzygies of the columns and each
-        # f * e_k, cut to the source coordinates
-        r0, zero = len(twists[i - 1]), rp.ring.zero()
-        ambient = current + [[f if k == row else zero for k in range(r0)]
-                             for f in rp.ideal if not f.is_zero()
-                             for row in range(r0)]
-        kernel = [s[:len(current)] for s in syzygies(
-            rp.ring, r0, ambient, max_monomials=max_monomials)]
+        # the kernel over the quotient: syzygies of the columns modulo f
+        kernel = syzygies(rp.ring, len(twists[i - 1]), current,
+                          max_monomials=max_monomials, modulo=rp.ideal)
         current, degrees = minimal_generators(rp, twists[i], kernel)
 
     resolution = FreeResolution(rp=rp, twists=twists, differentials=differentials)

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals on one sparse echelon kernel.
 
-Everything here runs on ``fractions.Fraction`` -- no floating point, no
-tolerances.  :class:`IncrementalSpan` is the only elimination routine: it
-keeps a subspace as sparse rows ``{column: Fraction}`` in reduced echelon
-form, each row pivoting on its first nonzero column.  ``rref``, ``rank``,
+Everything here is exact -- ``fractions.Fraction`` and ``int``, no floating
+point, no tolerances.  :class:`IncrementalSpan` is the only elimination
+routine: it keeps a subspace as sparse primitive integer rows in echelon
+form, each row pivoting on its first nonzero column, and reads out the
+reduced echelon form in ``Fraction``s on demand.  ``rref``, ``rank``,
 ``kernel_basis``, ``cokernel_presentation`` and ``solve`` are built on it,
 and the dense :class:`Mat` is kept for small fixed-size maps (tangent
 fibers, snake diagrams, operators on Ext).  The routines are deterministic
@@ -20,6 +21,8 @@ contract rather than accident:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import CommutativityError, ExactnessError
 
@@ -120,69 +123,110 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols}, {self.rows!r})"
 
 
-class IncrementalSpan:
-    """A subspace grown one vector at a time, kept in reduced echelon form.
+def _eliminate(v, rows):
+    """Clear the integer vector ``v`` in place at each pivot of ``rows``
+    (pivot -> integer row starting there), ascending, by ``v <- (r/g) v -
+    (a/g) row`` with ``a``, ``r`` the pivot entries and ``g`` their gcd;
+    entries this makes at later pivots are cleared in turn.  Returns ``v``."""
+    pivots = [c for c in v if c in rows]
+    heapify(pivots)
+    while pivots:
+        p = heappop(pivots)
+        a = v.get(p)
+        if a is None:
+            continue
+        row = rows[p]
+        r = row[p]
+        g = gcd(a, r)
+        if g != r:
+            m = r // g
+            for c in v:
+                v[c] *= m
+        f = a // g
+        for c, b in row.items():
+            if c not in v and c in rows:
+                heappush(pivots, c)
+            s = v.get(c, 0) - f * b
+            if s:
+                v[c] = s
+            else:
+                del v[c]
+    return v
 
-    ``rows`` maps each pivot column to a sparse row ``{column: Fraction}``
-    holding no zero entries.  Every row is 1 at its pivot, which is its
-    first nonzero column, and 0 at every other pivot.  ``add`` reduces the
-    incoming vector against the rows and either absorbs it -- returning
-    True, the vector was independent -- or rejects it as already in the
-    span.  ``add`` and ``contains`` take a sequence or a ``{column: value}``
-    mapping.
+
+def _primitive(v, p):
+    """``v`` divided by the gcd of its entries, signed so ``v[p] > 0``."""
+    g = gcd(*v.values())
+    if v[p] < 0:
+        g = -g
+    return v if g == 1 else {c: a // g for c, a in v.items()}
+
+
+class IncrementalSpan:
+    """A subspace grown one vector at a time, kept in integer echelon form.
+
+    Each stored row is a primitive integer vector ``{column: int}`` with a
+    positive pivot at its first nonzero column.  ``add`` clears the incoming
+    vector's denominators, reduces it by the rows without forming a fraction
+    (fraction-free elimination, after Bareiss, Math. Comp. 22, 1968), and
+    either absorbs it -- returning True, the vector was independent -- or
+    rejects it as already in the span.  ``add`` and ``contains`` take a
+    sequence or a ``{column: value}`` mapping of ints and ``Fraction``s.
+    ``rows`` is the reduced echelon form, built when read and cached until
+    the next accepted ``add``: each pivot column maps to a sparse row
+    ``{column: Fraction}`` with no zero entries, 1 at its pivot and 0 at
+    every other pivot.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_echelon", "_reduced")
 
     def __init__(self):
-        self.rows = {}
+        self._echelon = {}
+        self._reduced = None
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._echelon)
 
     def _reduce(self, vec):
-        v = {}
+        # numerators, scaled by the common denominator when one is not 1
+        v, dens = {}, {}
         for c, a in (vec.items() if isinstance(vec, dict) else enumerate(vec)):
-            if not isinstance(a, Fraction):
-                a = Fraction(a)
-            if a:
-                v[c] = a
-        rows = self.rows
-        # a row is zero at every other pivot, so each pivot entry of v is
-        # read before any subtraction can touch it
-        for p in [c for c in v if c in rows]:
-            f = v[p]
-            for c, a in rows[p].items():
-                s = v.get(c, ZERO) - f * a
-                if s:
-                    v[c] = s
-                else:
-                    del v[c]
-        return v
+            n, d = a.as_integer_ratio()
+            if n:
+                v[c] = n
+                if d != 1:
+                    dens[c] = d
+        if dens:
+            den = lcm(*dens.values())
+            for c in v:
+                v[c] *= den // dens.get(c, 1)
+        return _eliminate(v, self._echelon)
 
     def add(self, vec):
         v = self._reduce(vec)
         if not v:
             return False
         p = min(v)
-        if v[p] != 1:
-            inv = ONE / v[p]
-            v = {c: a * inv for c, a in v.items()}
-        for row in self.rows.values():
-            f = row.get(p)
-            if f:
-                for c, a in v.items():
-                    s = row.get(c, ZERO) - f * a
-                    if s:
-                        row[c] = s
-                    else:
-                        del row[c]
-        self.rows[p] = v
+        self._echelon[p] = _primitive(v, p)
+        self._reduced = None
         return True
 
     def contains(self, vec):
         return not self._reduce(vec)
+
+    @property
+    def rows(self):
+        if self._reduced is None:
+            # from the last pivot up, each row cleared by the rows below it,
+            # which are already 0 at every other pivot
+            cleared = {}
+            for p in sorted(self._echelon, reverse=True):
+                cleared[p] = _primitive(
+                    _eliminate(dict(self._echelon[p]), cleared), p)
+            self._reduced = {p: {c: Fraction(a, v[p]) for c, a in v.items()}
+                             for p, v in sorted(cleared.items())}
+        return self._reduced
 
 
 def span_of(vectors):

@@ -648,7 +648,7 @@ def _s_vector(ring, vi, vj, ei, ej):
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
 
 
-def _groebner(ring, columns, budget, relations=None):
+def _groebner(ring, columns, budget, relations=None, seeds=()):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation tracking.
 
@@ -665,15 +665,19 @@ def _groebner(ring, columns, budget, relations=None):
     relation, so longer vectors and relations runs reduce every pair.
     Returns ``(basis, representation)``: monic basis vectors, not
     interreduced, and rows with
-    ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise.
+    ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise
+    modulo the span of ``seeds``.  The nonzero ``seeds`` enter the basis
+    after the columns with zero representation rows: the basis spans the
+    columns and the seeds, and the rows track only the columns.
 
     A dict passed as ``relations`` receives ``(i, j) -> row`` for each
     pair whose S-vector is zero or reduces to zero, where ``row`` is
     ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` with ``q`` the
     reduction's cofactors: the relation ``sum_k row[k] * columns[k] == 0``
-    among the input columns (for a pair that leaves a remainder, the row of
-    its new element).  So every same-component pair but those that added an
-    element (whose relation is zero) gives its relation.
+    among the input columns modulo the seeds (for a pair that leaves a
+    remainder, the row of its new element).  So every same-component pair
+    but those that added an element (whose relation is zero) gives its
+    relation.
     """
     basis = []
     reps = []
@@ -719,6 +723,9 @@ def _groebner(ring, columns, budget, relations=None):
         row = list(unit)
         row[k] = ring.one()
         add_element(c, row)
+    for c in seeds:
+        if not vec_is_zero(c):
+            add_element(c, list(unit))
 
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -817,10 +824,11 @@ class RingPresentation:
     The ideal's Groebner basis is computed on construction; normal forms and
     standard-monomial counts are then exact and deterministic.  Two caches
     live as long as the presentation and fill as they are asked: the normal
-    form of each monomial, which :meth:`normal_form` sums (the normal form
-    is unique and linear), and the standard monomials of each degree.
-    ``max_monomials`` caps the Groebner computation and every degree whose
-    standard monomials are listed.
+    form of each monomial, which :meth:`normal_form` and
+    :meth:`encode_normal_form` sum (the normal form is unique and linear),
+    and the standard monomials of each degree.  ``max_monomials`` caps the
+    Groebner computation and every degree whose standard monomials are
+    listed.
     """
 
     __slots__ = ("ring", "ideal", "gb", "max_monomials", "_monomial_nf",
@@ -846,23 +854,42 @@ class RingPresentation:
         gens = ", ".join(str(g) for g in self.ideal) or "0"
         return f"RingPresentation({self.ring!r} mod ({gens}))"
 
-    def normal_form(self, p, shift=None):
-        """Normal form of ``x^shift * p`` (of ``p`` when ``shift`` is None),
-        summed from the cached normal forms of its monomials: the normal
-        form is linear, so no product is built and no monomial is reduced
+    def normal_form(self, p):
+        """Normal form of ``p``, summed from the cached normal forms of its
+        monomials: the normal form is linear, so no monomial is reduced
         twice."""
-        cache = self._monomial_nf
         terms = {}
         for expo, coeff in p.terms.items():
-            if shift is not None:
-                expo = _expo_add(shift, expo)
-            reduced = cache.get(expo)
-            if reduced is None:
-                reduced = cache[expo] = normal_form(
-                    Poly(self.ring, {expo: ONE}), self.gb).terms
-            for e, c in reduced.items():
+            for e, c in self._monomial_normal_form(expo).items():
                 terms[e] = terms.get(e, ZERO) + coeff * c
         return Poly(self.ring, terms)
+
+    def encode_normal_form(self, coords, entries, shift):
+        """``coords.encode`` of the normal form of ``x^shift * sum(label *
+        poly for label, poly in entries)``: the cached normal forms of the
+        shifted monomials are summed straight into the slice coordinates,
+        so neither a product nor a normal form polynomial is built."""
+        vec = {}
+        for label, poly in entries:
+            block = coords.index[label]
+            for expo, coeff in poly.terms.items():
+                for e, a in self._monomial_normal_form(_expo_add(shift, expo)).items():
+                    c = block[e]
+                    s = vec.get(c)
+                    s = coeff * a if s is None else s + coeff * a
+                    if s:
+                        vec[c] = s
+                    else:
+                        del vec[c]
+        return vec
+
+    def _monomial_normal_form(self, expo):
+        """Terms of the normal form of ``x^expo``, reduced once and cached."""
+        reduced = self._monomial_nf.get(expo)
+        if reduced is None:
+            reduced = self._monomial_nf[expo] = normal_form(
+                Poly(self.ring, {expo: ONE}), self.gb).terms
+        return reduced
 
     def standard_monomials(self, d):
         """Exponents of weighted degree ``d`` outside the leading-term ideal,

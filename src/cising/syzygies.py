@@ -49,7 +49,8 @@ class ModuleGroebnerBasis:
     the basis is *not* interreduced -- redundant members are kept because
     the syzygy extraction pairs every member.
     ``representation[i][k]`` are polynomials with
-    ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise.
+    ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise,
+    modulo the ``f * e_k`` that :func:`module_buchberger` seeds.
     ``relations`` maps each pair ``(i, j)`` whose leads share a component,
     except those that added a basis element, to the relation it gives among
     the generators (see :func:`cising.polyring._groebner`).
@@ -63,18 +64,25 @@ class ModuleGroebnerBasis:
     relations: dict = field(default_factory=dict)
 
 
-def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Module Groebner basis of the span of ``columns`` inside ``R^rank``.
+def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
+                      modulo=()):
+    """Module Groebner basis of the span of ``columns`` inside ``R^rank``,
+    plus ``modulo`` (polynomials) times ``R^rank``.
 
     Pair selection is deterministic: only pairs whose leads share a
     component are formed, lowest weighted lcm degree first, ties by index.
     Every such pair is reduced, columns of length 1 included, since each
-    owes its relation (see :func:`cising.polyring._groebner`).
+    owes its relation (see :func:`cising.polyring._groebner`).  Each
+    ``f * e_k`` (``f`` nonzero, then ``k``) is seeded after the columns.
     """
     columns = _validate_columns(ring, rank, columns)
+    zero = ring.zero()
+    seeds = [[f if k == row else zero for k in range(rank)]
+             for [f] in _validate_columns(ring, 1, ([f] for f in modulo))
+             if not f.is_zero() for row in range(rank)]
     relations = {}
     basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials),
-                            relations=relations)
+                            relations=relations, seeds=seeds)
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
                                basis=basis, representation=reps,
                                relations=relations)
@@ -85,18 +93,21 @@ def module_normal_form(ring, v, gb):
     return vec_normal_form_with_cofactors(ring, v, gb.basis)[0]
 
 
-def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Generators of the syzygy module of ``columns``.
+def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
+             modulo=()):
+    """Generators of the syzygy module of ``columns`` over ``R/(modulo)``.
 
     Returns nonzero vectors ``s`` of length ``len(columns)`` with
-    ``sum_k s[k] * columns[k] == 0`` componentwise; together they generate
-    every such relation.  The output order is deterministic: the relations
+    ``sum_k s[k] * columns[k] == 0`` componentwise modulo the ideal of
+    ``modulo`` (exactly, when it is empty); together they generate every
+    such relation.  The output order is deterministic: the relations
     :func:`module_buchberger` hands over, in pair order, less zero vectors
     and exact repeats (two pairs can push down to the same vector), then the
     unit vector of each zero input column.  The reductions behind them all
     charge the one ``max_monomials`` budget of the engine run.
     """
-    gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials)
+    gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials,
+                           modulo=modulo)
     result, hashes = [], set()
     for _, relation in sorted(gb.relations.items()):
         # only hashes are kept; a relation is compared when its hash repeats

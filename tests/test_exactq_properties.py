@@ -170,3 +170,75 @@ def test_vec_and_solve_on_sparse_inputs_match_dense_loops(m, data):
         x = solve(m, b)
         assert x == dense_solve(m, b)
         assert x is None or all(isinstance(e, Fraction) for e in x)
+
+
+# ---------------------------------------------------------------------------
+# Integer echelon storage: fractional inputs, interleaved reads, entry types
+# ---------------------------------------------------------------------------
+
+# small and large denominators, and plain ints, which the span takes too
+rational_entries = st.one_of(
+    entries, st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([7**9, 2**40, 10**15])))
+
+
+@st.composite
+def rational_matrices(draw, max_side=5):
+    nrows = draw(st.integers(0, max_side))
+    ncols = draw(st.integers(0, max_side))
+    return Mat([draw(st.lists(rational_entries, min_size=ncols, max_size=ncols))
+                for _ in range(nrows)], ncols)
+
+
+def all_fractions(values):
+    return all(type(e) is Fraction for e in values)
+
+
+@PROPERTY
+@given(rational_matrices(), st.data())
+def test_fractional_inputs_match_sympy_with_fraction_outputs(m, data):
+    expected, pivots = oracle(m).rref()
+    reduced, got = rref(m)
+    assert got == list(pivots)
+    assert reduced.rows == [fractions(expected.row(i)) for i in range(m.nrows)]
+    assert rank(m) == len(pivots)
+    kernel = kernel_basis(m)
+    assert kernel == [fractions(v) for v in oracle(m).nullspace()]
+    q = cokernel_presentation(m)
+    assert q.rows == [fractions(v) for v in oracle(m).T.nullspace()]
+    x = data.draw(st.lists(rational_entries, min_size=m.ncols, max_size=m.ncols))
+    solution = solve(m, m.vec(x))
+    assert solution is not None and m.vec(solution) == m.vec(x)
+    assert all(all_fractions(row) for row in reduced.rows + kernel + q.rows)
+    assert all_fractions(solution)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.tuples(st.sampled_from(["add", "contains", "rows"]),
+              st.lists(rational_entries, min_size=n, max_size=n)),
+    max_size=10)))
+def test_interleaved_add_contains_and_rows_see_every_accepted_row(steps):
+    """``rows`` is cached between reads; a read after an accepted ``add``
+    must see the new row.  Every read is checked against sympy's reduced
+    form of the rows added so far."""
+    span, added = IncrementalSpan(), []
+    n = len(steps[0][1]) if steps else 0
+    for op, v in steps:
+        before = oracle(Mat(added, n)).rank() if added else 0
+        inside = oracle(Mat(added + [v], n)).rank() == before
+        if op == "add":
+            assert span.add(v) is not inside
+            added.append(v)
+        elif op == "contains":
+            assert span.contains(v) is inside
+        expected, pivots = oracle(Mat(added, n)).rref() if added else ([], ())
+        rows = span.rows
+        assert sorted(rows) == list(pivots)
+        for i, p in enumerate(pivots):
+            dense = [rows[p].get(c, ZERO) for c in range(n)]
+            assert dense == fractions(expected.row(i))
+            assert all(a != 0 for a in rows[p].values())
+            assert all_fractions(rows[p].values())
+        assert span.dim == len(pivots)

@@ -151,12 +151,13 @@ REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
                    PolyRing(["a", "b_2"], weights=[1, 2])]
 
 
-def all_pairs_groebner(ring, columns, budget, relations=None):
+def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
     index.  ``relations`` receives the relation of every pair whose S-vector
     is zero or reduces to zero, so with it in place ``syzygies`` reads every
-    pair's relation off the all-pairs loop."""
+    pair's relation off the all-pairs loop.  The nonzero ``seeds`` follow
+    the columns into the basis with zero representation rows."""
     basis = []
     reps = []
     leads = []
@@ -184,6 +185,9 @@ def all_pairs_groebner(ring, columns, budget, relations=None):
         row = list(unit)
         row[k] = ring.one()
         add_element(c, row)
+    for c in seeds:
+        if not vec_is_zero(c):
+            add_element(c, list(unit))
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -284,7 +288,8 @@ def reference_syzygies(columns, pair_relations, residuals):
 def relation_pass_charge(ring, rank, columns):
     """Monomials that asking for relations adds to the one budget
     ``syzygies`` makes: its total, less what the engine charges when no
-    relations are asked for (on ideals its criteria then drop pairs)."""
+    relations are asked for (on ideals its criteria then drop pairs).
+    Returns that charge and the output of ``syzygies``."""
     made = []
 
     class RecordingBudget(_MonomialBudget):
@@ -293,11 +298,11 @@ def relation_pass_charge(ring, rank, columns):
             made.append(self)
 
     with patch.object(syzygies_module, "_MonomialBudget", RecordingBudget):
-        syzygies(ring, rank, columns)
+        found = syzygies(ring, rank, columns)
     assert len(made) == 1
     engine_alone = _MonomialBudget(None)
     _groebner(ring, columns, engine_alone)
-    return made[0].used - engine_alone.used
+    return made[0].used - engine_alone.used, found
 
 
 def scalar_multiple(v, w):
@@ -389,12 +394,43 @@ def test_syzygies_are_the_reference_pass_without_residuals(case):
     budget = _MonomialBudget(None)
     pair_relations, residuals = reference_relation_pass(ring, rank, columns,
                                                         budget)
-    found = syzygies(ring, rank, columns)
+    charge, found = relation_pass_charge(ring, rank, columns)
     assert found == reference_syzygies(columns, pair_relations, residuals)
     for k, w in residuals:
         if not vec_is_zero(columns[k]):
             assert any(scalar_multiple(w, z) for z in found)
-    assert relation_pass_charge(ring, rank, columns) <= budget.used
+    assert charge <= budget.used
+
+
+@PROPERTY
+@given(column_sets(), st.data())
+def test_seeds_give_the_run_on_the_seeded_columns_cut_to_the_inputs(case, data):
+    """``syzygies(..., modulo=f)`` seeds each ``f * e_k`` with a zero
+    representation row.  That is the run with those vectors as extra
+    columns -- the same basis, pairs and budget -- with every row cut to
+    the input columns; its syzygies are the cut relations, less zero
+    vectors and exact repeats, then the unit vectors of zero columns."""
+    ring, rank, columns = case
+    modulo = data.draw(st.lists(polys(ring, max_terms=2), min_size=1, max_size=2))
+    zero, m = ring.zero(), len(columns)
+    seeds = [[f if k == row else zero for k in range(rank)]
+             for f in modulo if not f.is_zero() for row in range(rank)]
+    budget, ambient_budget = _MonomialBudget(None), _MonomialBudget(None)
+    relations, ambient_relations = {}, {}
+    basis, reps = _groebner(ring, columns, budget, relations, seeds=seeds)
+    ambient = _groebner(ring, columns + seeds, ambient_budget, ambient_relations)
+    assert basis == ambient[0]
+    assert reps == [row[:m] for row in ambient[1]]
+    assert relations == {pair: row[:m] for pair, row in ambient_relations.items()}
+    assert budget.used == ambient_budget.used
+
+    expected = []
+    for _, row in sorted(ambient_relations.items()):
+        if not vec_is_zero(row[:m]) and row[:m] not in expected:
+            expected.append(row[:m])
+    expected += [[ring.one() if j == k else zero for j in range(m)]
+                 for k, c in enumerate(columns) if vec_is_zero(c)]
+    assert syzygies(ring, rank, columns, modulo=modulo) == expected
 
 
 # The criteria fire on ideals and stay off on modules

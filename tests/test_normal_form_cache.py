@@ -1,16 +1,18 @@
 """Property tests of the caches a ring presentation keeps: the monomial
-normal forms its ``normal_form`` sums, with and without a shift, checked
-against the whole-polynomial ``normal_form`` of the Groebner basis, and the
-standard monomials of each degree.  Quotients are by random homogeneous
-regular sequences on grevlex, lex and weighted rings.
+normal forms that ``normal_form`` sums, and ``encode_normal_form`` sums with
+a shift into slice coordinates, checked against the whole-polynomial
+``normal_form`` of the Groebner basis, and the standard monomials of each
+degree.  Quotients are by random homogeneous regular sequences on grevlex,
+lex and weighted rings.
 """
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cising.polyring import (
+    GradedSlice,
     PolyRing,
     RingPresentation,
     is_regular_sequence,
@@ -71,15 +73,27 @@ def test_cached_monomial_normal_forms_match_normal_form(rp):
             assert rp.normal_form(ring.monomial(mono)) == expected
 
 
+XYZ = RINGS[0]
+# not in normal form: x^2 and -y^2 reduce to canceling terms
+CANCELING = (RingPresentation(XYZ, [XYZ.parse("x^2 - y^2")]), [0, 1],
+             [XYZ.parse("x^2 - y^2 + x*y"), XYZ.parse("x")], 2, (0, 0, 0))
+
+
 @PROPERTY
 @given(normal_form_columns())
+@example(CANCELING)
 def test_shifted_normal_form_matches_normal_form_of_the_product(case):
-    rp, _, column, _, mono = case
+    """``encode_normal_form`` sums the cached normal forms of the shifted
+    monomials straight into slice coordinates: the encoded normal form of
+    the product, also when read a second time, from the cache."""
+    rp, twists, column, degree, mono = case
+    coords = GradedSlice((k, rp.standard_monomials(degree + rp.ring.wdeg(mono) - t))
+                         for k, t in enumerate(twists))
     product = rp.ring.monomial(mono)
-    for p in column:
-        expected = normal_form(product * p, rp.gb)
-        assert rp.normal_form(p, mono) == expected
-        assert rp.normal_form(p, mono) == expected
+    expected = coords.encode((k, normal_form(product * p, rp.gb))
+                             for k, p in enumerate(column))
+    assert rp.encode_normal_form(coords, enumerate(column), mono) == expected
+    assert rp.encode_normal_form(coords, enumerate(column), mono) == expected
 
 
 @PROPERTY

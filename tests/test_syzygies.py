@@ -46,6 +46,13 @@ def test_module_buchberger_rejects_wrong_length():
         module_buchberger(ring, 2, [[ring.var("x")]])
 
 
+@pytest.mark.parametrize("modulo", [["x"], [PolyRing(["y"]).var("y")]])
+def test_syzygies_reject_a_modulo_outside_the_ring(modulo):
+    ring = PolyRing(["x"])
+    with pytest.raises(ValidationError):
+        syzygies(ring, 1, [[ring.var("x")]], modulo=modulo)
+
+
 def test_representation_identity():
     ring = PolyRing(["x", "y"])
     x, y = ring.gens()
