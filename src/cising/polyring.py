@@ -14,12 +14,15 @@ and :mod:`cising.syzygies` uses the engine as it is.  Sums of polynomial
 multiples of vectors -- representation rows, composites of maps -- all go
 through :func:`vec_combine`.
 
-Coefficients are ``fractions.Fraction`` throughout; there is no floating
-point.  Two monomial orders are supported: weight-compatible graded reverse
-lexicographic (``"grevlex"``, the default) and plain lexicographic
-(``"lex"``).  Everything is deterministic -- pair selection, reducer
-selection and output ordering follow fixed conventions spelled out in the
-docstrings.
+Coefficients are ``fractions.Fraction`` in every input and output; there is
+no floating point.  Inside, ``_reduce`` works fraction-free: the vector being
+reduced is integers over one common scale, each reducer its cached integer
+form (:meth:`Poly.integer_form`), and only the remainder and cofactors are
+built as ``Fraction``.  Two monomial orders are supported: weight-compatible
+graded reverse lexicographic (``"grevlex"``, the default) and plain
+lexicographic (``"lex"``).  Everything is deterministic -- pair selection,
+reducer selection and output ordering follow fixed conventions spelled out
+in the docstrings.
 """
 
 import heapq
@@ -27,7 +30,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
+from operator import add, le, sub
 
 from .errors import (
     GradingError,
@@ -154,11 +158,7 @@ class PolyRing:
         counted without listing them."""
         if d < 0:
             return 0
-        counts = [1] + [0] * d
-        for w in self.weights:
-            for k in range(w, d + 1):
-                counts[k] += counts[k - w]
-        return counts[d]
+        return _monomial_counts(self.weights, d)[d]
 
     def format_exponent(self, expo):
         parts = []
@@ -173,27 +173,37 @@ class PolyRing:
         return parse_poly(self, text)
 
 
+def _monomial_counts(weights, d):
+    """``counts[k]``, for ``k`` in ``0..d``: how many monomials in variables
+    of the given weights have weighted degree ``k``."""
+    counts = [1] + [0] * d
+    for w in weights:
+        for k in range(w, d + 1):
+            counts[k] += counts[k - w]
+    return counts
+
+
 def _expo_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _expo_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _expo_divides(a, b):
     """True when monomial ``a`` divides monomial ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _expo_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
     """A polynomial: an immutable mapping from exponent tuples to Fractions."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_integer")
 
     def __init__(self, ring, terms):
         clean = {}
@@ -205,6 +215,7 @@ class Poly:
         self.ring = ring
         self.terms = clean
         self._lead = None
+        self._integer = None
 
     def is_zero(self):
         return not self.terms
@@ -219,6 +230,17 @@ class Poly:
         if self._lead is None:
             self._lead = max(self.terms, key=self.ring.sort_key)
         return self._lead, self.terms[self._lead]
+
+    def integer_form(self):
+        """``(d, terms)``: ``d`` the least common denominator of the
+        coefficients and ``terms`` the polynomial times ``d`` as
+        ``{exponent: int}``, built on the first call and kept (a reducer is
+        read by many reductions).  Callers must not mutate ``terms``."""
+        if self._integer is None:
+            d = lcm(*(c.denominator for c in self.terms.values()))
+            self._integer = (d, {e: c.numerator * (d // c.denominator)
+                                 for e, c in self.terms.items()})
+        return self._integer
 
     @property
     def lm(self):
@@ -580,36 +602,64 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     Terms are taken largest first (term over position) from a heap holding
     every live term; a step only adds terms below the one it removes, so an
     entry whose term has since cancelled is skipped when popped.
+
+    The arithmetic is fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
+    the vector being reduced is held as integers over one positive
+    ``scale``, and each reducer ``g`` as its :meth:`Poly.integer_form`
+    ``d * g``.  A step on the term ``a / scale`` by a reducer with integer
+    lead ``lc`` sets ``v <- (lc/h) * v - (a/h) * x^m * d * g`` with ``h =
+    gcd(a, lc)`` (signs moved so that ``scale`` grows by ``|lc/h|``, and
+    only when that is not 1).  Inputs and outputs stay ``Fraction``: the
+    cofactor ``a * d / (scale * lc)`` of a step and a remainder term
+    ``a / scale`` are the only fractions built.
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
     hkey = ring._heap_key
-    cur = [dict(p.terms) for p in v]
+    forms = [p.integer_form() for p in v]
+    scale = lcm(*(d for d, _ in forms))
+    cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in forms]
     heap = [(hkey(e), comp, e) for comp, terms in enumerate(cur) for e in terms]
     heapq.heapify(heap)
     rem = [{} for _ in v]
     cofactors = [{} for _ in reducers]
+    hits = {}   # reducer -> (d, integer lead, [(d / d_k, integer terms_k)])
     while heap:
         _, comp, expo = heapq.heappop(heap)
-        coeff = cur[comp].get(expo)
-        if coeff is None:
+        a = cur[comp].get(expo)
+        if a is None:
             continue
         for hit, lead in enumerate(leads):
             if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
                 break
         else:
-            rem[comp][expo] = coeff
+            rem[comp][expo] = Fraction(a, scale)
             del cur[comp][expo]
             continue
+        form = hits.get(hit)
+        if form is None:
+            parts = [p.integer_form() for p in reducers[hit]]
+            d = lcm(*(dk for dk, _ in parts))
+            parts = [(d // dk, terms) for dk, terms in parts]
+            factor, terms = parts[comp]
+            form = hits[hit] = (d, factor * terms[lead[1]], parts)
+        d, lc, parts = form
         shift = _expo_sub(expo, lead[1])
-        q = coeff / lead[2]
-        cofactors[hit][shift] = q
-        for gcomp, (terms, g) in enumerate(zip(cur, reducers[hit])):
-            for e, c in g.terms.items():
+        cofactors[hit][shift] = Fraction(a * d, scale * lc)
+        h = gcd(a, lc)
+        mult, b = lc // h, a // h
+        if mult < 0:
+            mult, b = -mult, -b
+        if mult != 1:
+            scale *= mult
+            cur = [{e: c * mult for e, c in terms.items()} for terms in cur]
+        for gcomp, (terms, (factor, g)) in enumerate(zip(cur, parts)):
+            bk = b * factor
+            for e, c in g.items():
                 e = _expo_add(shift, e)
                 if e not in terms:
                     heapq.heappush(heap, (hkey(e), gcomp, e))
-                s = terms.get(e, ZERO) - q * c
+                s = terms.get(e, 0) - bk * c
                 if s:
                     terms[e] = s
                 else:
@@ -739,8 +789,10 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
         zero = vec_is_zero(remainder)
         if zero and relations is None:
             continue
-        row = vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]
-                          + [(-q, rep) for q, rep in zip(cofs, reps)])
+        # a reducer that took no step adds nothing: skip negating it
+        row = vec_combine(ring, len(columns),
+                          [(mi, reps[i]), (-mj, reps[j])]
+                          + [(-q, rep) for q, rep in zip(cofs, reps) if q.terms])
         if zero:
             relations[i, j] = row
         else:
@@ -804,7 +856,7 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
         final[idx] = remainder[0]
         final_reps[idx] = vec_combine(
             ring, len(generators), [(ring.one(), final_reps[idx])]
-            + [(-q, row) for q, row in zip(cofs, final_reps)])
+            + [(-q, row) for q, row in zip(cofs, final_reps) if q.terms])
 
     order = sorted(range(len(final)), key=lambda i: ring.sort_key(final[i].lm))
     return GroebnerBasis(ring=ring,
@@ -973,12 +1025,27 @@ def hilbert_function(presentation, degree):
 
     Counts standard monomials of the leading-term ideal; requires every
     ideal generator to be homogeneous for the declared weights.  Every
-    degree is checked against the cap before any is listed.
+    degree is checked against the cap before any is listed.  Only the
+    variables of some leading monomial are listed: a monomial is standard
+    exactly when its part in those variables is, so each degree convolves
+    their standard monomials with the closed-form count of the others.
     """
     presentation.require_homogeneous()
     for d in range(degree + 1):
         presentation._require_listable(d)
-    return [presentation.dim_degree(d) for d in range(degree + 1)]
+    ring = presentation.ring
+    leads = [g.lm for g in presentation.gb.basis]
+    used = [i for i in range(ring.nvars) if any(lt[i] for lt in leads)]
+    listed = PolyRing([ring.variables[i] for i in used],
+                      [ring.weights[i] for i in used])
+    leads = [tuple(lt[i] for i in used) for lt in leads]
+    standard = [sum(1 for m in listed.monomials_of_degree(t)
+                    if not any(_expo_divides(lt, m) for lt in leads))
+                for t in range(degree + 1)]
+    others = _monomial_counts([w for i, w in enumerate(ring.weights)
+                               if i not in used], degree)
+    return [sum(standard[t] * others[d - t] for t in range(d + 1))
+            for d in range(degree + 1)]
 
 
 def _min_transversal(supports, limit):

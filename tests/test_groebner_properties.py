@@ -19,12 +19,14 @@ from cising import polyring
 from cising.polyring import (
     ONE,
     PolyRing,
+    RingPresentation,
     _expo_lcm,
     _groebner,
     _MonomialBudget,
     _reduce,
     _s_vector,
     buchberger,
+    hilbert_function,
     normal_form,
     vec_combine,
     vec_lead,
@@ -212,6 +214,33 @@ def homogeneous_polys(draw, ring, degree, max_terms=3):
     chosen = draw(st.lists(st.sampled_from(monomials), max_size=max_terms,
                            unique=True))
     return sum((ring.monomial(e, draw(coefficients)) for e in chosen), ring.zero())
+
+
+HILBERT_RINGS = [PolyRing(["x", "y", "z"], weights=[1, 2, 1]),
+                 PolyRing(["x", "y", "z"], weights=[1, 2, 1], order="lex"),
+                 PolyRing(["w", "x", "y", "z"]),
+                 PolyRing(["w", "x", "y", "z"], order="lex")]
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A weighted or four-variable ring, either order, and 1 to 3
+    homogeneous generators of degrees 1 to 3 (zero ones included)."""
+    ring = draw(st.sampled_from(HILBERT_RINGS))
+    gens = [draw(homogeneous_polys(ring, draw(st.integers(1, 3))))
+            for _ in range(draw(st.integers(1, 3)))]
+    return ring, gens
+
+
+@PROPERTY
+@given(homogeneous_ideals(), st.integers(0, 6))
+def test_hilbert_function_counts_the_standard_monomials(case, top):
+    """Listing only the variables of the leading monomials and counting
+    the others gives the length of every degree's full listing."""
+    ring, gens = case
+    rp = RingPresentation(ring, gens)
+    assert hilbert_function(rp, top) == [len(rp.standard_monomials(d))
+                                         for d in range(top + 1)]
 
 
 @st.composite

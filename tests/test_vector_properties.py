@@ -1,8 +1,10 @@
-"""Property tests of the polynomial-vector kernels: the heap-driven reduction
-against the plain max-scan loop it replaced, one linear combination against
-naive ``Poly`` sums, and the ``str``/``parse_poly`` round trip.
+"""Property tests of the polynomial-vector kernels: the heap-driven,
+fraction-free reduction against the plain max-scan ``Fraction`` loop it
+replaced, one linear combination against naive ``Poly`` sums, and the
+``str``/``parse_poly`` round trip.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from cising.polyring import (
     ZERO,
     Poly,
     PolyRing,
+    RingPresentation,
     _expo_add,
     _expo_divides,
     _expo_sub,
     _reduce,
+    normal_form,
     parse_poly,
     vec_combine,
     vec_lead,
@@ -26,7 +30,10 @@ RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
          PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
          PolyRing(["a", "b_2"], weights=[1, 2])]
 
-coefficients = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+# denominators 5, 7 and 12 and leads such as -6/5 make a step's gcd(a, lc)
+# differ from |lc| and its factor lc / gcd negative
+coefficients = st.builds(Fraction, st.integers(-6, 6),
+                         st.sampled_from([1, 1, 2, 3, 5, 7, 12]))
 
 
 @st.composite
@@ -115,8 +122,51 @@ def test_reduce_matches_the_max_scan_loop(case):
     assert remainder == expected[0]
     assert cofactors == expected[1]
     assert budget.charges == expected_budget.charges
-    for k, q in enumerate(cofactors):
-        assert list(q.terms) == list(expected[1][k].terms)
+    for got, want in zip(remainder + cofactors, expected[0] + expected[1]):
+        assert list(got.terms) == list(want.terms)
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_reduce_matches_the_max_scan_loop_when_the_scale_grows_and_signs_flip():
+    """Leads -6/5 and 4/7 against coefficients 3/4 and -10/3: the integer
+    leads -6 and 4 share only part of each term's numerator, so the scale
+    grows by a factor that is not 1, and the first one is negative."""
+    ring = PolyRing(["x", "y"])
+    v = [ring.parse("3/4*x^3 - 10/3*x^2*y + 5*x*y^2 - 7/12*y^3")]
+    reducers = [[ring.parse("-6/5*x^2 + y^2")], [ring.parse("4/7*x*y - 1/2*y^2")]]
+    leads = [vec_lead(g) for g in reducers]
+    expected_budget, budget = Recorder(), Recorder()
+    expected = max_scan_reduce(ring, v, reducers, leads, expected_budget)
+    assert _reduce(ring, v, reducers, leads, budget) == expected
+    assert budget.charges == expected_budget.charges
+    assert all(q.terms for q in expected[1])
+
+
+def test_normal_forms_build_each_reducer_integer_form_once(monkeypatch):
+    """Repeated normal forms against one basis, whole polynomials and the
+    presentation's monomial by monomial, reuse each basis element's integer
+    form: none is built twice."""
+    ring = PolyRing(["x", "y", "z"])
+    rp = RingPresentation(ring, [ring.parse("2/3*x^2 - y*z"),
+                                 ring.parse("x*y + 5/7*z^2")])
+    built = Counter()
+    original = Poly.integer_form
+
+    def integer_form(self):
+        if self._integer is None:
+            built[id(self)] += 1
+        return original(self)
+
+    monkeypatch.setattr(Poly, "integer_form", integer_form)
+    # each basis element's own lead reduces by it, so every one is used
+    inputs = ([ring.monomial(g.lm) for g in rp.gb.basis]
+              + [ring.parse(t) for t in ["x^3", "x^2*y + z^3", "x^4 - 1/2*y^4"]])
+    for p in inputs * 3:
+        normal_form(p, rp.gb)
+        rp.normal_form(p)
+    basis = {id(g) for g in rp.gb.basis}
+    assert basis <= set(built)
+    assert all(built[k] == 1 for k in basis)
 
 
 @st.composite
