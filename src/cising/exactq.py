@@ -308,14 +308,12 @@ def solver(m):
     def solve_one(b):
         if len(b) != m.nrows:
             raise ValueError("right-hand side length does not match row count")
-        support = {i: c for i, c in enumerate(b) if c}
         x = [ZERO] * n
         for p, combo in combos:
             s = ZERO
             for i, a in combo:
-                c = support.get(i)
-                if c is not None:
-                    s += a * c
+                if b[i]:
+                    s += a * b[i]
             if p < n:
                 x[p] = s
             elif s:

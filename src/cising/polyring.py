@@ -200,6 +200,11 @@ def _expo_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _is_standard(leads, m):
+    """True when no leading monomial in ``leads`` divides ``m``."""
+    return not any(_expo_divides(lt, m) for lt in leads)
+
+
 class Poly:
     """A polynomial: an immutable mapping from exponent tuples to Fractions."""
 
@@ -603,15 +608,17 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     every live term; a step only adds terms below the one it removes, so an
     entry whose term has since cancelled is skipped when popped.
 
-    The arithmetic is fraction-free (cf. Bareiss, Math. Comp. 22, 1968):
-    the vector being reduced is held as integers over one positive
-    ``scale``, and each reducer ``g`` as its :meth:`Poly.integer_form`
-    ``d * g``.  A step on the term ``a / scale`` by a reducer with integer
-    lead ``lc`` sets ``v <- (lc/h) * v - (a/h) * x^m * d * g`` with ``h =
-    gcd(a, lc)`` (signs moved so that ``scale`` grows by ``|lc/h|``, and
-    only when that is not 1).  Inputs and outputs stay ``Fraction``: the
-    cofactor ``a * d / (scale * lc)`` of a step and a remainder term
-    ``a / scale`` are the only fractions built.
+    The arithmetic is fraction-free: the vector being reduced is held as
+    integers over one positive ``scale``, and each reducer ``g`` as its
+    :meth:`Poly.integer_form` ``d * g``.  A step on the term ``a / scale``
+    by a reducer with integer lead ``lc`` sets ``v <- (lc/h) * v - (a/h) *
+    x^m * d * g`` with ``h = gcd(a, lc)`` (signs moved so that ``scale``
+    grows by ``|lc/h|``, and only when that is not 1).  ``scale`` never
+    shrinks, so it can carry factors the live terms no longer need;
+    dividing the content out at each growth timed slower than carrying
+    them.  Inputs and outputs stay ``Fraction``: the cofactor ``a * d /
+    (scale * lc)`` of a step and a remainder term ``a / scale`` are the only
+    fractions built.
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
@@ -953,16 +960,13 @@ class RingPresentation:
             leads = [g.lm for g in self.gb.basis]
             found = self._standard[d] = [
                 m for m in self.ring.monomials_of_degree(d)
-                if not any(_expo_divides(lt, m) for lt in leads)]
+                if _is_standard(leads, m)]
         return list(found)
 
     def _require_listable(self, d):
         """Refuse degree ``d`` when it has more monomials than the cap."""
         _check_cap(f"degree {d}", self.ring.monomial_count(d), "monomials",
                    self.max_monomials)
-
-    def dim_degree(self, d):
-        return len(self.standard_monomials(d))
 
     def require_homogeneous(self):
         for k, g in enumerate(self.ideal):
@@ -1040,7 +1044,7 @@ def hilbert_function(presentation, degree):
                       [ring.weights[i] for i in used])
     leads = [tuple(lt[i] for i in used) for lt in leads]
     standard = [sum(1 for m in listed.monomials_of_degree(t)
-                    if not any(_expo_divides(lt, m) for lt in leads))
+                    if _is_standard(leads, m))
                 for t in range(degree + 1)]
     others = _monomial_counts([w for i, w in enumerate(ring.weights)
                                if i not in used], degree)

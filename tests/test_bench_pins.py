@@ -4,7 +4,9 @@
 seed 1, against the SHA-256 pins in ``bench/pins.json``; this runs one round
 of each workload the same way, so a change of answer fails tier-1 too.  A
 round on seed 2 checks the oracles on other coefficients (there are no pins
-for it), so caches and certificates meet more than one set of inputs.
+for it), so caches and certificates meet more than one set of inputs.  Two
+traced rounds of each workload must record the same counts, as ``run.py
+--trace 1`` requires of its traced rounds.
 """
 
 import importlib.util
@@ -44,3 +46,16 @@ def test_benchmark_round_matches_oracles_and_pins(workload, seed, tmp_path):
     for job, path in zip(jobs, paths):
         _, problems = RUNNER.execute(cli, job, path, pins.get(job.name))
         assert problems == [], f"{workload}/seed {seed}/{job.name}: {problems}"
+
+
+@pytest.mark.parametrize("workload", RUNNER.workloads.WORKLOADS)
+def test_traced_rounds_repeat_their_counts(workload, tmp_path):
+    cli, jobs, paths = RUNNER.setup(workload, PINNED_SEED, tmp_path)
+    summaries = []
+    for _ in range(2):
+        with RUNNER.Tracer() as tracer:
+            result = RUNNER.run_round(cli, jobs, paths, PINS[workload], tracer)
+        assert result["failures"] == [], f"{workload}: {result['failures']}"
+        summaries.append(RUNNER.counts_only(tracer.summary()))
+    assert summaries[0], f"{workload}: the traced round recorded nothing"
+    assert summaries[1] == summaries[0]
