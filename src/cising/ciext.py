@@ -655,7 +655,6 @@ def hstar_dims(dg, lo, hi, max_monomials=DEFAULT_MAX_MONOMIALS):
 @dataclass
 class MinimizeResult:
     minimal: DGModule
-    perfect: bool
     hstar: dict
 
 
@@ -665,10 +664,9 @@ def minimize_dg(dg, through=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     Repeatedly find an entry with nonzero constant part (scanning rows then
     columns), cancel the corresponding pair of generators with the usual
     Gaussian update, and stop when every entry lies in the augmentation
-    ideal.  The result is quasi-isomorphic to the input; ``perfect`` records
-    that the minimal model is finitely generated (always true for finite
-    input).  ``hstar`` reports cohomology dims from the smallest generator
-    degree through ``through`` (default: 10 past the largest degree).
+    ideal.  The result is quasi-isomorphic to the input.  ``hstar`` reports
+    cohomology dims from the smallest generator degree through ``through``
+    (default: 10 past the largest degree).
 
     Raises :class:`InvariantError` unless the input and the minimal model
     have the same cohomology from one below the smallest input degree
@@ -691,7 +689,7 @@ def minimize_dg(dg, through=None, max_monomials=DEFAULT_MAX_MONOMIALS):
     if (hstar_dims(dg, check_lo, hi, max_monomials=max_monomials)
             != {t: dims[t] for t in dims if t >= check_lo}):
         raise InvariantError("minimization changed the cohomology")
-    return MinimizeResult(minimal=minimal, perfect=True,
+    return MinimizeResult(minimal=minimal,
                           hstar={t: dims[t] for t in dims if t >= lo})
 
 

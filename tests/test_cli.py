@@ -99,14 +99,17 @@ def test_unit_ideal_is_not_a_regular_sequence_exits_2(capsys, tmp_path):
     assert "regular sequence" in err
 
 
-@pytest.mark.parametrize("command", ["tower", "squarezero"])
+# all 15 degree-2 monomials in 5 variables summed: q^5 already has 1001 terms
+FIVE = ["a", "b", "c", "d", "e"]
+QUADRIC = {"variables": FIVE,
+           "map": [" + ".join(f"{u}*{v}" for i, u in enumerate(FIVE)
+                              for v in FIVE[i:])]}
+
+
+@pytest.mark.parametrize("command", ["tower"])
 def test_power_cap_exits_3(capsys, tmp_path, command):
-    names = ["a", "b", "c", "d", "e"]
-    quadric = " + ".join(f"{u}*{v}" for i, u in enumerate(names)
-                         for v in names[i:])
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"command": command, "variables": names,
-                                "map": [quadric], "n": 64}))
+    path.write_text(json.dumps({**QUADRIC, "command": command, "n": 64}))
     code, out, err = run_cli(capsys, "--max-monomials", "1000", command,
                              str(path))
     assert code == 3 and out == ""
@@ -231,34 +234,23 @@ SQUARES = {"command": "squarezero", "variables": ["a", "b", "c", "d"],
            "map": ["a^2", "b^2", "c^2", "d^2"]}
 
 
-def test_squarezero_cap_exits_3_before_building_a_stage(capsys, tmp_path,
-                                                        monkeypatch):
-    # 4 generators at n = 64: stage 63 has C(67, 64) + 4 = 47909 generators
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({**SQUARES, "n": 64}))
-    built = []
-    original = cising.polyring._capped_product
+def test_squarezero_at_n_64_finishes_with_no_polynomial_built(capsys, tmp_path,
+                                                               monkeypatch):
+    # every stage squares to zero by counting factors, so no cap is reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("squarezero built a polynomial")
 
-    def spy(factors, max_monomials):
-        built.append(len(factors))
-        return original(factors, max_monomials)
-
-    monkeypatch.setattr(cising.polyring, "_capped_product", spy)
-    code, out, err = run_cli(capsys, "squarezero", str(path),
-                             "--max-monomials", "1000")
-    assert code == 3 and out == ""
-    assert "monomial cap 1000" in err
-    assert built == [64] * 4        # the pure powers, and no product of a stage
-
-
-@pytest.mark.parametrize("cap, code", [(23, 3), (24, 0)])
-def test_squarezero_cap_takes_the_flag(capsys, tmp_path, cap, code):
-    # n = 3: stage 2 has C(6, 3) + 4 = 24 monomial generators, one term each
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({**SQUARES, "n": 3}))
-    got, _, _ = run_cli(capsys, "squarezero", str(path),
-                        "--max-monomials", str(cap))
-    assert got == code
+    monkeypatch.setattr(cising.polyring, "_capped_product", refuse)
+    monkeypatch.setattr(cising.polyring, "buchberger", refuse)
+    monkeypatch.setattr(cising.polyring.Poly, "__mul__", refuse)
+    for job in (SQUARES, {**QUADRIC, "command": "squarezero"}):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({**job, "n": 64}))
+        for cap in ([], ["--max-monomials", "1"]):
+            code, out, err = run_cli(capsys, "squarezero", str(path), *cap)
+            assert code == 0 and err == ""
+            assert "stages: " + ", ".join(["true"] * 63) + "\n" in out
+            assert "all stages square to zero: true" in out
 
 
 @pytest.mark.parametrize("flag", ["--max-monomials", "--max-width"])

@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -416,6 +418,20 @@ def test_square_zero_filtration_frozen(xy):
     assert square_zero_filtration(ring, [ring.parse("x")], 1) == []
 
 
+def square_zero_stages_by_groebner(ring, gens, n):
+    """The filtration by algebra: stage k presents the quotient by the
+    products of k+1 generators and the pure n-th powers, then checks that
+    the products of k generators square to zero there."""
+    def products(k):
+        return [prod(combo, start=ring.one())
+                for combo in combinations_with_replacement(gens, k)]
+
+    pure = [g ** n for g in gens]
+    return [is_square_zero(RingPresentation(ring, products(k + 1) + pure),
+                           products(k))
+            for k in range(n - 1, 0, -1)]
+
+
 def test_square_zero_filtration_randomized():
     rng = random.Random(43)
     ring = PolyRing(["x", "y"])
@@ -424,10 +440,36 @@ def test_square_zero_filtration_randomized():
         count = rng.randint(1, 2)
         gens = [ring.parse(rng.choice(pool)) for _ in range(count)]
         n = rng.randint(1, 3)
-        assert all(square_zero_filtration(ring, gens, n))
+        assert (square_zero_filtration(ring, gens, n)
+                == square_zero_stages_by_groebner(ring, gens, n))
 
 
-@pytest.mark.parametrize("build", [tower_ring, square_zero_filtration])
+ABCD = PolyRing(["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize("ring, gens, n", [
+    (ABCD, ["a^2", "b^2", "c^2", "d^2", "0"], 3),
+    (PolyRing(["x", "y"]), ["x", "1"], 3),
+    (PolyRing(["x", "y", "z"], weights=[1, 2, 3]), ["x^2 + y", "x*y - z"], 3),
+    (ABCD, ["a^2 + b*c", "b^2 + c*d", "c^2 + d*a"], 1),
+    (ABCD, ["a^2 + b*c", "b^2 + c*d", "c^2 + d*a"], 2),
+    (ABCD, ["a^2 + b*c", "b^2 + c*d", "c^2 + d*a"], 3),
+], ids=["zero-generator", "unit-generator", "weighted", "quadrics-1",
+        "quadrics-2", "quadrics-3"])
+def test_square_zero_filtration_matches_the_groebner_stages(ring, gens, n):
+    gens = [ring.parse(g) for g in gens]
+    expected = square_zero_stages_by_groebner(ring, gens, n)
+    assert square_zero_filtration(ring, gens, n) == expected == [True] * (n - 1)
+
+
+def test_square_zero_filtration_refuses_a_generator_outside_the_ring(xy):
+    other = PolyRing(["x", "y", "z"])
+    for stranger in (other.parse("x"), 1):
+        with pytest.raises(ValidationError, match="polynomials in the ring"):
+            square_zero_filtration(xy, [xy.parse("x"), stranger], 2)
+
+
+@pytest.mark.parametrize("build", [tower_ring])
 @pytest.mark.parametrize("n", [12, 64])
 def test_power_expansion_refused_before_buchberger(monkeypatch, build, n):
     # all 15 degree-2 monomials in 5 variables: q^5 already has 1001 terms
@@ -451,16 +493,6 @@ def test_standard_monomials_cap_raises_before_listing(monkeypatch):
     with pytest.raises(ResourceLimitError, match="monomial cap 364"):
         rp.standard_monomials(4)
     assert listed == []
-
-
-def test_square_zero_cap_counts_nonzero_generators():
-    # stage 2 of n = 3 over a^2..d^2: C(6, 3) + 4 = 24 generators; a zero
-    # generator adds none
-    ring = PolyRing(["a", "b", "c", "d"])
-    gens = [ring.parse(f"{v}^2") for v in "abcd"] + [ring.zero()]
-    assert square_zero_filtration(ring, gens, 3, max_monomials=24) == [True] * 2
-    with pytest.raises(ResourceLimitError, match="monomial cap 23"):
-        square_zero_filtration(ring, gens, 3, max_monomials=23)
 
 
 @pytest.mark.parametrize("ring", [
