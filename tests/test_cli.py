@@ -106,14 +106,21 @@ QUADRIC = {"variables": FIVE,
                               for v in FIVE[i:])]}
 
 
-@pytest.mark.parametrize("command", ["tower"])
-def test_power_cap_exits_3(capsys, tmp_path, command):
+# tower expands q^64 and stops at the cap; squarezero expands no power, so
+# the same job and cap finish (the squarezero case keeps its id from when its
+# stages expanded the power too)
+@pytest.mark.parametrize("command, expected", [("tower", 3), ("squarezero", 0)],
+                         ids=["tower", "squarezero"])
+def test_power_cap_exits_3(capsys, tmp_path, command, expected):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({**QUADRIC, "command": command, "n": 64}))
     code, out, err = run_cli(capsys, "--max-monomials", "1000", command,
                              str(path))
-    assert code == 3 and out == ""
-    assert "monomial cap 1000" in err
+    assert code == expected
+    if expected == 3:
+        assert out == "" and "monomial cap 1000" in err
+    else:
+        assert err == "" and "all stages square to zero: true" in out
 
 
 def test_width_cap_exits_3(capsys):
@@ -251,6 +258,40 @@ def test_squarezero_at_n_64_finishes_with_no_polynomial_built(capsys, tmp_path,
             assert code == 0 and err == ""
             assert "stages: " + ", ".join(["true"] * 63) + "\n" in out
             assert "all stages square to zero: true" in out
+
+
+def test_squarezero_cap_exits_3_before_building_a_stage(capsys, tmp_path,
+                                                        monkeypatch):
+    # the job that once stopped at the cap while expanding the pure powers
+    # (4 generators at n = 64) now expands no product at all and finishes
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SQUARES, "n": 64}))
+    built = []
+    original = cising.polyring._capped_product
+
+    def spy(factors, max_monomials):
+        built.append(len(factors))
+        return original(factors, max_monomials)
+
+    monkeypatch.setattr(cising.polyring, "_capped_product", spy)
+    code, out, err = run_cli(capsys, "squarezero", str(path),
+                             "--max-monomials", "1000")
+    assert code == 0 and err == ""
+    assert "stages: " + ", ".join(["true"] * 63) + "\n" in out
+    assert built == []
+
+
+# ids kept from when cap 23 stopped this n = 3 job with exit 3 and cap 24 let
+# it through; the stages are certified now, so the report ignores the cap
+@pytest.mark.parametrize("cap", [23, 24], ids=["23-3", "24-0"])
+def test_squarezero_cap_takes_the_flag(capsys, tmp_path, cap):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**SQUARES, "n": 3}))
+    uncapped = run_cli(capsys, "squarezero", str(path))
+    capped = run_cli(capsys, "squarezero", str(path),
+                     "--max-monomials", str(cap))
+    assert capped == uncapped
+    assert capped[0] == 0 and "stages: true, true\n" in capped[1]
 
 
 @pytest.mark.parametrize("flag", ["--max-monomials", "--max-width"])
