@@ -19,8 +19,7 @@ print("g =", g)
 print("f*g =", f * g)
 print("df/dx =", f.diff(0))
 
-# A Groebner basis, with the reduction certificate carried along: each
-# basis element knows how it was assembled from the input generators.
+# The reduced Groebner basis: monic, interreduced, sorted by leading term.
 gb = buchberger([f, g])
 print("groebner basis:", [str(p) for p in gb.basis])
 

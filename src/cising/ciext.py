@@ -5,7 +5,7 @@ regular sequence, this module computes minimal graded free resolutions of
 finitely presented modules, the dimensions of Ext against the residue field,
 the family of degree-2 operators acting on Ext (one per ideal generator,
 built by lifting the differentials to the ambient ring and decomposing the
-composite over the f_j with Groebner certificates), and a finite-generation
+composite over the f_j by one exact solve per degree), and a finite-generation
 verdict for Ext as a module over the operator polynomial ring.  A companion
 set of routines minimizes DG modules over that operator ring and reports
 their cohomology.
@@ -26,7 +26,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .exactq import IncrementalSpan, Mat, span_of
+from .exactq import IncrementalSpan, Mat, solver, span_of
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     GradedSlice,
@@ -35,7 +35,6 @@ from .polyring import (
     RingPresentation,
     _check_cap,
     _is_regular_given_basis,
-    normal_form_with_cofactors,
     vec_combine,
     vec_is_zero,
 )
@@ -322,13 +321,35 @@ def _assert_resolution(res):
 # ---------------------------------------------------------------------------
 
 
-def _ideal_cofactors(rp, p):
-    """Write an ideal element as a combination of the ideal generators,
-    using the Groebner basis and its build certificate."""
-    nf, cofs = normal_form_with_cofactors(p, rp.gb)
-    if not nf.is_zero():
+def _ideal_cofactors(rp, p, solvers):
+    """Cofactors ``c`` with ``p == sum_j c[j] * f_j`` for a homogeneous ``p``,
+    by one exact solve in the ambient slice of degree ``e = deg p`` whose
+    columns are the multiples ``x^m * f_j``; ``solvers`` keeps each degree's
+    solver.  Over a regular sequence two decompositions differ by Koszul
+    relations, whose entries lie in (f), inside the maximal ideal, so the
+    constant parts -- all the operators read -- do not depend on the one
+    the solve picks."""
+    ring = rp.ring
+    if p.is_zero():
+        return [ring.zero()] * len(rp.ideal)
+    e = p.homogeneous_degree()
+    if e not in solvers:
+        rp._require_listable(e)
+        coords = GradedSlice([(0, ring.monomials_of_degree(e))])
+        blocks = [ring.monomials_of_degree(e - f.homogeneous_degree()) if f
+                  else [] for f in rp.ideal]
+        columns = [coords.encode([(0, f)], shift=m)
+                   for f, block in zip(rp.ideal, blocks) for m in block]
+        solvers[e] = coords, blocks, solver(Mat.from_columns(
+            [[v.get(c, 0) for c in range(len(coords))] for v in columns],
+            len(coords)))
+    coords, blocks, solve = solvers[e]
+    b = coords.encode([(0, p)])
+    x = solve([b.get(c, 0) for c in range(len(coords))])
+    if x is None:
         raise InvariantError("entry expected to lie in the ideal")
-    return vec_combine(rp.ring, len(rp.ideal), zip(cofs, rp.gb.representation))
+    x = iter(x)
+    return [Poly(ring, {m: next(x) for m in block}) for block in blocks]
 
 
 def _koszul_shuffle(rp, cofs, entry_degree, rng):
@@ -416,12 +437,14 @@ def eisenbud_ops(rp, resolution, rng=None):
 
     operators = [[] for _ in range(c)]
     lifts = [[] for _ in range(c)]
+    solvers = {}
     for i in range(max(0, length - 1)):
         # cofs[cidx][r][j]: entry (r, cidx) of the composite over the f_j
         cofs = []
         for cidx, v in enumerate(lifted[i + 1]):
             composite = vec_combine(rp.ring, betti[i], zip(v, lifted[i]))
-            cofs.append([_ideal_cofactors(rp, entry) for entry in composite])
+            cofs.append([_ideal_cofactors(rp, entry, solvers)
+                         for entry in composite])
             if rng is not None and c >= 2:
                 cofs[-1] = [_koszul_shuffle(rp, cf, resolution.twists[i + 2][cidx]
                                             - resolution.twists[i][r], rng)

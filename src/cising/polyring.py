@@ -1,8 +1,7 @@
 """Multivariate polynomials over the rationals with weighted gradings.
 
 Provides polynomial arithmetic, a small text grammar for polynomials,
-Groebner bases that remember how each basis element was assembled from the
-input generators, normal forms, Hilbert functions of graded quotients,
+reduced Groebner bases, normal forms, Hilbert functions of graded quotients,
 a regular-sequence test, and nilpotent thickening towers: their
 presentations, the square-zero check on a presentation, and the square-zero
 filtration, whose verdicts hold for every input and are returned without
@@ -12,9 +11,9 @@ One Buchberger engine (``_groebner``) and one reduction routine
 (``_reduce``) serve ideals and free modules alike.  Both work on module
 vectors -- lists of polynomials ordered term over position -- and an ideal is
 the rank-1 case: :func:`buchberger` interreduces the engine's rank-1 basis,
-and :mod:`cising.syzygies` uses the engine as it is.  Sums of polynomial
-multiples of vectors -- representation rows, composites of maps -- all go
-through :func:`vec_combine`.
+and :mod:`cising.syzygies` asks it for relations, the only runs that build
+representation rows.  Sums of polynomial multiples of vectors -- S-vectors,
+rows, composites of maps -- all go through :func:`vec_combine`.
 
 Coefficients are ``fractions.Fraction`` in every input and output; there is
 no floating point.  Inside, ``_reduce`` works fraction-free: the vector being
@@ -338,8 +337,11 @@ class Poly:
         return self.ring == other.ring and self.terms == other.terms
 
     def diff(self, var):
-        """Partial derivative with respect to a variable (name or index)."""
-        i = self.ring._index[var] if isinstance(var, str) else var
+        """Partial derivative with respect to a variable, by name or by index
+        in ``0..nvars-1``; :class:`ValidationError` for any other."""
+        i = self.ring._index.get(var) if isinstance(var, str) else var
+        if i not in range(self.ring.nvars):
+            raise ValidationError(f"no variable {var!r}")
         terms = {}
         for expo, coeff in self.terms.items():
             e = expo[i]
@@ -546,17 +548,11 @@ def vec_lead(v):
 
 @dataclass
 class GroebnerBasis:
-    """A reduced Groebner basis together with its build certificate.
-
-    ``basis`` is monic and sorted by leading monomial (ascending).
-    ``representation[i][k]`` are polynomials with
-    ``basis[i] == sum_k representation[i][k] * generators[k]`` exactly.
-    """
+    """A reduced Groebner basis: ``basis`` is monic and sorted by leading
+    monomial (ascending)."""
 
     ring: PolyRing
-    generators: list
     basis: list
-    representation: list
 
     def __post_init__(self):
         # the basis as rank-1 reducers for _reduce, built once: a quotient
@@ -703,7 +699,7 @@ def _s_vector(ring, vi, vj, ei, ej):
 
 def _groebner(ring, columns, budget, relations=None, seeds=()):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
-    ordered term over position), with representation tracking.
+    ordered term over position), with representation rows on relations runs.
 
     Pairs are formed only between vectors whose leads share a component and
     are taken lowest weighted lcm degree first, ties by index.  On ideals
@@ -717,7 +713,7 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
     module vectors, and every pair a criterion drops would still owe its
     relation, so longer vectors and relations runs reduce every pair.
     Returns ``(basis, representation)``: monic basis vectors, not
-    interreduced, and rows with
+    interreduced, and (None unless ``relations`` is given) rows with
     ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise
     modulo the span of ``seeds``.  The nonzero ``seeds`` enter the basis
     after the columns with zero representation rows: the basis spans the
@@ -744,7 +740,8 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
         if coeff != 1:
             inv = ONE / coeff
             v = [p * inv for p in v]
-            rep = [r * inv for r in rep]
+            if rep is not None:
+                rep = [r * inv for r in rep]
         basis.append(v)
         reps.append(rep)
         budget.charge(sum(len(p.terms) for p in v))
@@ -769,16 +766,15 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
                 heapq.heappush(heap, (ring.wdeg(lcm), j, i))
         leads.append((comp, expo, ONE))
 
+    track = relations is not None
     unit = [ring.zero() for _ in columns]
     for k, c in enumerate(columns):
-        if vec_is_zero(c):
-            continue
-        row = list(unit)
-        row[k] = ring.one()
-        add_element(c, row)
+        if not vec_is_zero(c):
+            add_element(c, unit[:k] + [ring.one()] + unit[k + 1:]
+                        if track else None)
     for c in seeds:
         if not vec_is_zero(c):
-            add_element(c, list(unit))
+            add_element(c, list(unit) if track else None)
 
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -790,31 +786,27 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
         else:
             remainder, cofs = _reduce(ring, s, basis, leads, budget)
         zero = vec_is_zero(remainder)
-        if zero and relations is None:
+        if zero and not track:
             continue
         # a reducer that took no step adds nothing: skip negating it
-        row = vec_combine(ring, len(columns),
-                          [(mi, reps[i]), (-mj, reps[j])]
-                          + [(-q, rep) for q, rep in zip(cofs, reps) if q.terms])
+        row = (vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]
+                           + [(-q, rep) for q, rep in zip(cofs, reps) if q.terms])
+               if track else None)
         if zero:
             relations[i, j] = row
         else:
             add_element(remainder, row)
 
-    return basis, reps
+    return basis, reps if track else None
 
 
 def normal_form(p, gb):
     """Fully reduced normal form of ``p`` modulo a :class:`GroebnerBasis`."""
-    if not gb.basis:
-        return p
     return _reduce(p.ring, [p], gb._reducers, gb._leads)[0][0]
 
 
 def normal_form_with_cofactors(p, gb):
     """Normal form plus the cofactors against the basis elements."""
-    if not gb.basis:
-        return p, []
     remainder, cofactors = _reduce(p.ring, [p], gb._reducers, gb._leads)
     return remainder[0], cofactors
 
@@ -826,15 +818,13 @@ def module_normal_form(ring, v, gb):
 
 
 def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
-    """Reduced Groebner basis with representation tracking.
+    """Reduced Groebner basis of the ideal the generators span.
 
     The basis is :func:`_groebner`'s on rank-1 vectors: pairs are pruned by
     Buchberger's product criterion and the Gebauer-Moeller chain criteria,
     and the rest are taken lowest weighted lcm degree first, ties by the
     pair's indices.  The returned basis is monic, fully interreduced, and
-    sorted by leading monomial; ``representation`` expresses every basis
-    element exactly in terms of the input generators (zero and redundant
-    inputs included, with zero rows/columns where appropriate).
+    sorted by leading monomial.
     """
     generators = list(generators)
     if not generators:
@@ -843,35 +833,22 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     for g in generators:
         if g.ring != ring:
             raise ValidationError("generators from different rings")
-    vectors, reps = _groebner(ring, [[g] for g in generators],
-                              _MonomialBudget(max_monomials))
-    basis = [v[0] for v in vectors]
+    vectors, _ = _groebner(ring, [[g] for g in generators],
+                           _MonomialBudget(max_monomials))
 
     # interreduce: prune elements whose lead is divisible by another lead,
-    # then tail-reduce each survivor against the others.
-    order = sorted(range(len(basis)), key=lambda i: ring.sort_key(basis[i].lm))
-    kept = []
-    for i in order:
-        if any(_expo_divides(basis[j].lm, basis[i].lm) for j in kept):
-            continue
-        kept.append(i)
-    final = [basis[i] for i in kept]
-    final_reps = [reps[i] for i in kept]
+    # then tail-reduce each survivor against the others; tail reduction
+    # keeps the leads, so the survivors stay in ascending lead order
+    final = []
+    for [g] in sorted(vectors, key=lambda v: ring.sort_key(v[0].lm)):
+        if not any(_expo_divides(h.lm, g.lm) for h in final):
+            final.append(g)
     for idx in range(len(final)):
         # a None lead keeps the element itself out of its reducers
         reducers = [[g] for g in final]
         leads = [None if k == idx else vec_lead(v) for k, v in enumerate(reducers)]
-        remainder, cofs = _reduce(ring, reducers[idx], reducers, leads)
-        final[idx] = remainder[0]
-        final_reps[idx] = vec_combine(
-            ring, len(generators), [(ring.one(), final_reps[idx])]
-            + [(-q, row) for q, row in zip(cofs, final_reps) if q.terms])
-
-    order = sorted(range(len(final)), key=lambda i: ring.sort_key(final[i].lm))
-    return GroebnerBasis(ring=ring,
-                         generators=generators,
-                         basis=[final[i] for i in order],
-                         representation=[final_reps[i] for i in order])
+        final[idx] = _reduce(ring, reducers[idx], reducers, leads)[0][0]
+    return GroebnerBasis(ring=ring, basis=final)
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +883,7 @@ class RingPresentation:
         if any(not g.is_zero() for g in ideal):
             self.gb = buchberger(ideal, max_monomials=max_monomials)
         else:
-            self.gb = GroebnerBasis(ring=ring, generators=ideal, basis=[],
-                                    representation=[])
+            self.gb = GroebnerBasis(ring, [])
         self._monomial_nf = {}
         self._standard = {}
 

@@ -751,7 +751,7 @@ def test_assert_commuting_rejects_noncommuting_operators():
 def test_ideal_cofactors_rejects_element_outside_ideal():
     rp = presentation(["x", "y"], ["x^2"])
     with pytest.raises(InvariantError, match="lie in the ideal"):
-        cising.ciext._ideal_cofactors(rp, rp.ring.parse("x*y"))
+        cising.ciext._ideal_cofactors(rp, rp.ring.parse("x*y"), {})
 
 
 def test_complete_intersection_check_reuses_the_presentations_basis(

@@ -17,6 +17,7 @@ from cising.polyring import (
     PolyRing,
     RingPresentation,
     _min_transversal,
+    _reduce,
     buchberger,
     hilbert_function,
     is_regular_sequence,
@@ -25,7 +26,9 @@ from cising.polyring import (
     normal_form_with_cofactors,
     square_zero_filtration,
     tower_ring,
+    vec_combine,
 )
+from cising.syzygies import module_buchberger
 
 F = Fraction
 
@@ -100,6 +103,12 @@ def test_derivative_and_eval(xy):
     assert p.subs([F(1, 2), F(2)]) == F(1, 8) + F(1, 2) * 4 - 4
 
 
+@pytest.mark.parametrize("var", ["w", 5, 2, -1, None])
+def test_derivative_rejects_an_unknown_variable(xy, var):
+    with pytest.raises(ValidationError, match="no variable"):
+        xy.parse("x^2 + y").diff(var)
+
+
 def test_homogeneous_degree(xy):
     assert xy.parse("x^2 + y^2").homogeneous_degree() == 2
     with pytest.raises(GradingError):
@@ -134,12 +143,24 @@ def test_buchberger_frozen_example(xy):
     assert [str(g) for g in gb.basis] == ["y^2 - x", "x^2 - y"]
 
 
+def assert_same_ideal(gens, gb):
+    """Each basis element is an explicit combination of ``gens`` -- its
+    cofactors against a relations run's basis pushed through that run's
+    representation rows -- and each generator reduces to 0 against ``gb``."""
+    ring = gens[0].ring
+    mgb = module_buchberger(ring, 1, [[f] for f in gens])
+    for g in gb.basis:
+        remainder, cofs = _reduce(ring, [g], mgb.basis)
+        assert remainder[0].is_zero()
+        row = vec_combine(ring, len(gens), zip(cofs, mgb.representation))
+        assert sum((c * f for c, f in zip(row, gens)), ring.zero()) == g
+    for f in gens:
+        assert normal_form(f, gb).is_zero()
+
+
 def test_buchberger_representation_identity(xy):
-    gens = [xy.parse("x^2 - y"), xy.parse("y^2 - x")]
-    gb = buchberger(gens)
-    for g, row in zip(gb.basis, gb.representation):
-        combo = sum((c * f for c, f in zip(row, gens)), xy.zero())
-        assert combo == g
+    gens = [xy.parse("x^2 - y"), xy.parse("y^2 - x"), xy.parse("x^3 - 1")]
+    assert_same_ideal(gens, buchberger(gens))
 
 
 def test_buchberger_representation_identity_randomized(xy):
@@ -148,10 +169,7 @@ def test_buchberger_representation_identity_randomized(xy):
         gens = [rand_poly(rng, xy) for _ in range(2)]
         if all(g.is_zero() for g in gens):
             continue
-        gb = buchberger(gens)
-        for g, row in zip(gb.basis, gb.representation):
-            combo = sum((c * f for c, f in zip(row, gens)), xy.zero())
-            assert combo == g
+        assert_same_ideal(gens, buchberger(gens))
 
 
 def test_buchberger_spair_certificate_randomized(xy):
@@ -211,8 +229,27 @@ def test_buchberger_deterministic(xy):
     first = buchberger(gens)
     second = buchberger(gens)
     assert [str(g) for g in first.basis] == [str(g) for g in second.basis]
-    assert [[str(c) for c in row] for row in first.representation] == \
-           [[str(c) for c in row] for row in second.representation]
+
+
+def test_scalar_groebner_runs_build_no_representation_rows(monkeypatch):
+    """An ideal S-vector has one component and a representation row one per
+    generator, so on three generators a combination of any other length is
+    a row, which no scalar run needs."""
+    combine = cising.polyring.vec_combine
+
+    def one_component_only(ring, n, terms):
+        if n != 1:
+            raise AssertionError(f"row of length {n}")
+        return combine(ring, n, terms)
+
+    monkeypatch.setattr(cising.polyring, "vec_combine", one_component_only)
+    ring = PolyRing(["x", "y", "z"])
+    gens = [ring.parse(g) for g in ("x^2 + y*z", "y^2 + x*z", "z^2 + x*y")]
+    assert len(buchberger(gens).basis) > len(gens)
+    rp = RingPresentation(ring, gens)
+    tower_ring(ring, gens, 2)
+    is_regular_sequence(ring, gens)
+    hilbert_function(rp, 4)
 
 
 def test_monomial_cap(xy):

@@ -6,17 +6,32 @@ complexes, minimal, exact by slice ranks through a degree bound, and their
 graded Betti numbers satisfy sum_i (-1)^i beta_i(t) H_A(t) = H_M(t).  H_A is
 the closed-form Hilbert series prod_j (1 - t^deg f_j) / prod_i (1 - t^w_i) of
 a complete intersection; slices are built from plain polynomial products and
-normal forms, without the library's slice encoders.
+normal forms, without the library's slice encoders.  On the same rings, the
+decomposition of an ideal element over the generators, which the degree-2
+operators read, rebuilds the element and keeps its constant parts.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cising.ciext import cyclic_module, minimal_resolution, residue_field_module
+from cising.ciext import (
+    _ideal_cofactors,
+    cyclic_module,
+    minimal_resolution,
+    residue_field_module,
+)
+from cising.errors import ResourceLimitError
 from cising.exactq import Mat, rank
-from cising.polyring import PolyRing, RingPresentation, is_regular_sequence
+from cising.polyring import (
+    PolyRing,
+    RingPresentation,
+    _monomial_counts,
+    is_regular_sequence,
+)
 
 PROPERTY = settings(max_examples=30)
 RINGS = [PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
@@ -166,3 +181,47 @@ def test_betti_numbers_satisfy_the_hilbert_series_identity(case):
                           for i, twists in enumerate(res.twists)
                           for t in twists if t <= e)
         assert alternating == module_hilbert(rp, module, e)
+
+
+@st.composite
+def ideal_elements(draw):
+    """A quotient by 1 to 3 forms of degree 2 or 3 forming a regular
+    sequence, and multipliers ``g_j`` (zero or homogeneous, some constant)
+    of a common degree ``e`` for ``p = sum_j g_j f_j``."""
+    ring = draw(st.sampled_from(RINGS))
+    degrees = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(1, 3)))]
+    gens = [draw(homogeneous_polys(ring, d)) for d in degrees]
+    assume(is_regular_sequence(ring, gens))
+    e = draw(st.integers(max(degrees), 4))
+    multipliers = [draw(homogeneous_polys(ring, e - d)) if draw(st.booleans())
+                   else ring.zero() for d in degrees]
+    return RingPresentation(ring, gens), multipliers
+
+
+@PROPERTY
+@given(ideal_elements())
+def test_ideal_cofactors_rebuild_the_element_and_keep_constant_parts(case):
+    """Any two decompositions over a regular sequence differ by Koszul
+    relations, whose entries lie in the maximal ideal, so the constant parts
+    are those of the multipliers that built the element.  Zero has zero
+    cofactors, and a degree with more monomials than the presentation's cap
+    is refused before any monomial is listed."""
+    rp, multipliers = case
+    ring, zero = rp.ring, rp.ring.zero()
+    p = sum((g * f for g, f in zip(multipliers, rp.ideal)), zero)
+    solvers = {}
+    cofactors = _ideal_cofactors(rp, p, solvers)
+    assert len(cofactors) == len(rp.ideal)
+    assert sum((c * f for c, f in zip(cofactors, rp.ideal)), zero) == p
+    assert [c.constant_coefficient() for c in cofactors] == \
+        [g.constant_coefficient() for g in multipliers]
+    assert _ideal_cofactors(rp, zero, solvers) == [zero] * len(rp.ideal)
+
+    top = next(d for d, n in enumerate(_monomial_counts(ring.weights, 4000))
+               if n > rp.max_monomials)
+    f = rp.ideal[0]
+    huge = ring.monomial([top - f.homogeneous_degree()] + [0] * (ring.nvars - 1)) * f
+    with patch.object(PolyRing, "monomials_of_degree",
+                      side_effect=AssertionError("a monomial was listed")), \
+            pytest.raises(ResourceLimitError, match=f"degree {top} has"):
+        _ideal_cofactors(rp, huge, {})
