@@ -75,10 +75,6 @@ class Mat:
     def column(self, j):
         return [row[j] for row in self.rows]
 
-    def transpose(self):
-        return Mat([[self.rows[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)], self.nrows)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")

@@ -16,10 +16,13 @@ representation rows.  Sums of polynomial multiples of vectors -- S-vectors,
 rows, composites of maps -- all go through :func:`vec_combine`.
 
 Coefficients are ``fractions.Fraction`` in every input and output; there is
-no floating point.  Inside, ``_reduce`` works fraction-free: the vector being
-reduced is integers over one common scale, each reducer its cached integer
-form (:meth:`Poly.integer_form`), and only the remainder and cofactors are
-built as ``Fraction``.  Two monomial orders are supported: weight-compatible
+no floating point (a ``float`` is refused).  Inside, products and reductions
+work fraction-free on each polynomial's cached integer form
+(:meth:`Poly.integer_form`): :func:`vec_combine` and ``Poly * Poly`` sum
+``int`` products over one common denominator, and ``_reduce`` holds the
+vector being reduced as integers over one common scale; only the results
+are built as ``Fraction``, and a remainder is handed the lead the reduction
+found.  Two monomial orders are supported: weight-compatible
 graded reverse lexicographic (``"grevlex"``, the default) and plain
 lexicographic (``"lex"``).  Everything is deterministic -- pair selection,
 reducer selection and output ordering follow fixed conventions spelled out
@@ -31,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import (
     GradingError,
@@ -95,7 +98,7 @@ class PolyRing:
                 f"order={self.order!r})")
 
     def wdeg(self, expo):
-        return sum(w * e for w, e in zip(self.weights, expo))
+        return sum(map(mul, self.weights, expo))
 
     def sort_key(self, expo):
         """Sortable key: bigger key means bigger monomial in the ring order."""
@@ -117,7 +120,7 @@ class PolyRing:
         return Poly(self, {(0,) * self.nvars: ONE})
 
     def constant(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return Poly(self, {(0,) * self.nvars: c} if c else {})
 
     def var(self, name):
@@ -131,7 +134,7 @@ class PolyRing:
         return [self.var(name) for name in self.variables]
 
     def monomial(self, expo, coeff=ONE):
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         expo = tuple(int(e) for e in expo)
         return Poly(self, {expo: coeff} if coeff else {})
 
@@ -200,6 +203,15 @@ def _expo_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def _exact(c):
+    """``c`` as a ``Fraction``; a ``float`` is refused with
+    :class:`ValidationError`, since its binary value is not what was meant."""
+    if isinstance(c, float):
+        raise ValidationError(f"floating-point value {c!r}: pass an int, "
+                              "a Fraction or a string such as '1/10'")
+    return Fraction(c)
+
+
 def _is_standard(leads, m):
     """True when no leading monomial in ``leads`` divides ``m``."""
     return not any(_expo_divides(lt, m) for lt in leads)
@@ -214,13 +226,21 @@ class Poly:
         clean = {}
         for expo, coeff in terms.items():
             if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
             if coeff:
                 clean[expo] = coeff
         self.ring = ring
         self.terms = clean
         self._lead = None
         self._integer = None
+
+    @classmethod
+    def _of(cls, ring, terms, lead=None):
+        """The polynomial on ``terms``, nonzero ``Fraction``s taken as they
+        are, with its leading exponent ``lead`` when the caller knows it."""
+        p = cls.__new__(cls)
+        p.ring, p.terms, p._lead, p._integer = ring, terms, lead, None
+        return p
 
     def is_zero(self):
         return not self.terms
@@ -299,23 +319,17 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """A scalar multiple keeps the known lead.  A product of polynomials
+        is summed fraction-free, as :func:`vec_combine` sums."""
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = other if isinstance(other, Fraction) else _exact(other)
             if not c:
                 return self.ring.zero()
-            return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
+            return Poly._of(self.ring, {e: c * v for e, v in self.terms.items()},
+                            self._lead)
         if other.ring != self.ring:
             raise ValidationError("polynomials from different rings")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = _expo_add(e1, e2)
-                s = terms.get(expo, ZERO) + c1 * c2
-                if s:
-                    terms[expo] = s
-                else:
-                    del terms[expo]
-        return Poly(self.ring, terms)
+        return vec_combine(self.ring, 1, [(self, [other])])[0]
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -354,7 +368,7 @@ class Poly:
         """Evaluate at a rational point (one value per variable)."""
         if len(point) != self.ring.nvars:
             raise ValidationError("point length does not match variable count")
-        point = [p if isinstance(p, Fraction) else Fraction(p) for p in point]
+        point = [p if isinstance(p, Fraction) else _exact(p) for p in point]
         total = ZERO
         for expo, coeff in self.terms.items():
             value = coeff
@@ -615,7 +629,9 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     dividing the content out at each growth timed slower than carrying
     them.  Inputs and outputs stay ``Fraction``: the cofactor ``a * d /
     (scale * lc)`` of a step and a remainder term ``a / scale`` are the only
-    fractions built.
+    fractions built.  Terms leave the heap largest first, so the first term
+    a remainder component keeps is its lead: it is handed to the remainder's
+    :class:`Poly`, not searched for again.
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
@@ -670,21 +686,37 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
                     del terms[e]
         if budget is not None:
             budget.charge(sum(map(len, cur)))
-    return [Poly(ring, r) for r in rem], [Poly(ring, c) for c in cofactors]
+    return ([Poly._of(ring, r, next(iter(r), None)) for r in rem],
+            [Poly._of(ring, c) for c in cofactors])
 
 
 def vec_combine(ring, n, terms):
     """``sum(q * v for q, v in terms)`` over length-``n`` vectors of
-    polynomials, accumulated in one dict per component (a zero ``q`` has no
-    terms to loop over); :class:`Poly` drops the cancelled ones."""
+    polynomials, summed fraction-free: the product of a multiplier and an
+    entry, read from their :meth:`Poly.integer_form`\\s ``d_q * q`` and
+    ``d_p * p``, is added up in ``int``\\s over one common denominator ``D``,
+    the lcm of the ``d_q * d_p``, in one dict per component.  A zero
+    multiplier or entry is skipped, and each nonzero sum becomes one
+    ``Fraction(c, D)``."""
     acc = [{} for _ in range(n)]
+    parts = []
     for q, v in terms:
-        for e1, c1 in q.terms.items():
+        if q.terms:
+            dq, tq = q.integer_form()
             for out, p in zip(acc, v):
-                for e2, c2 in p.terms.items():
-                    e = _expo_add(e1, e2)
-                    out[e] = out.get(e, ZERO) + c1 * c2
-    return [Poly(ring, t) for t in acc]
+                if p.terms:
+                    dp, tp = p.integer_form()
+                    parts.append((dq * dp, tq, tp, out))
+    denom = lcm(*(part[0] for part in parts))
+    for d, tq, tp, out in parts:
+        factor = denom // d
+        for e1, c1 in tq.items():
+            c1 *= factor
+            for e2, c2 in tp.items():
+                e = _expo_add(e1, e2)
+                out[e] = out.get(e, 0) + c1 * c2
+    return [Poly._of(ring, {e: Fraction(c, denom) for e, c in t.items() if c})
+            for t in acc]
 
 
 def _s_vector(ring, vi, vj, ei, ej):

@@ -248,7 +248,7 @@ def test_incremental_span_matches_rank():
         span = IncrementalSpan()
         added = sum(1 for v in vecs if span.add(v))
         if vecs:
-            assert added == rank(Mat(vecs, n).transpose())
+            assert added == rank(Mat(vecs, n))
         else:
             assert added == 0
         assert span.dim == added

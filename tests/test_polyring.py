@@ -14,6 +14,7 @@ from cising.errors import (
     ValidationError,
 )
 from cising.polyring import (
+    Poly,
     PolyRing,
     RingPresentation,
     _min_transversal,
@@ -101,6 +102,24 @@ def test_derivative_and_eval(xy):
     assert p.diff("x") == xy.parse("3*x^2 + y^2")
     assert p.diff("y") == xy.parse("2*x*y - 2")
     assert p.subs([F(1, 2), F(2)]) == F(1, 8) + F(1, 2) * 4 - 4
+
+
+@pytest.mark.parametrize("build", [
+    lambda r: r.parse("x + y") * 0.1,
+    lambda r: 0.1 * r.parse("x + y"),
+    lambda r: r.constant(0.5),
+    lambda r: r.monomial((1, 0), 0.3),
+    lambda r: Poly(r, {(1, 0): 0.25}),
+    lambda r: r.parse("x*y").subs([F(1), 0.5]),
+], ids=["times", "rtimes", "constant", "monomial", "terms", "subs"])
+def test_floats_are_refused(xy, build):
+    """A float's binary value is not the rational meant (0.1 is
+    3602879701896397/36028797018963968), so exact polynomials refuse it;
+    ints, Fractions and strings still convert exactly."""
+    with pytest.raises(ValidationError, match="floating-point value"):
+        build(xy)
+    assert xy.parse("x + y") * "1/10" == xy.parse("1/10*x + 1/10*y")
+    assert xy.constant(2).subs([F(1, 2), "1/3"]) == 2
 
 
 @pytest.mark.parametrize("var", ["w", 5, 2, -1, None])
