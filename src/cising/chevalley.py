@@ -61,10 +61,9 @@ class ChevalleyComplex:
         """Coordinates of bidegree (p, e): exterior ``p``-subsets of the odd
         generators times even monomials of degree ``e``."""
         if p < 0 or p > self.odd_count or e < 0:
-            return GradedSlice([])
-        monos = self.even_ring.monomials_of_degree(e)
-        return GradedSlice((s, monos)
-                           for s in combinations(range(self.odd_count), p))
+            return GradedSlice(self.even_ring, [])
+        return GradedSlice(self.even_ring, (
+            (s, e) for s in combinations(range(self.odd_count), p)))
 
 
 @dataclass
@@ -129,9 +128,9 @@ def _differential(source, target, signed):
     (p-1, e+2), as sparse columns in the target's coordinates.
     ``signed[j]`` is ``(q_j, -q_j)``; each image is encoded shifted by the
     basis element's monomial, with no product polynomial."""
-    return [target.encode(((subset[:t] + subset[t + 1:], signed[j][t % 2])
-                           for t, j in enumerate(subset)), shift=mono)
-            for subset, mono in source]
+    return target.images(source, lambda subset: (
+        (subset[:t] + subset[t + 1:], signed[j][t % 2])
+        for t, j in enumerate(subset)))
 
 
 def ce_cohomology(ce, degree, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -153,15 +152,11 @@ def ce_cohomology(ce, degree, max_monomials=DEFAULT_MAX_MONOMIALS):
         _check_cap(f"cochain slice ({p}, {e})",
                    comb(b, p) * ce.even_ring.monomial_count(e), "coordinates",
                    max_monomials)
-    # the slices of ChevalleyComplex.slice, each degree's monomials listed once
-    monos = [ce.even_ring.monomials_of_degree(e) for e in range(degree + 3)]
-    slices = {(p, e): GradedSlice((s, monos[e])
-                                  for s in combinations(range(b), p))
-              for p, e in shape}
-    empty = GradedSlice([])
+    # the empty slices of p = -1 and b + 1 included
+    slices = {(p, e): ce.slice(p, e) for p in range(-1, b + 2)
+              for e in range(degree + 3)}
     signed = [(q, -q) for q in ce.differentials]
-    columns = {(p, e): _differential(slices.get((p, e), empty),
-                                     slices.get((p - 1, e + 2), empty), signed)
+    columns = {(p, e): _differential(slices[p, e], slices[p - 1, e + 2], signed)
                for p in range(b + 2) for e in range(degree + 1)}
     ranks = {key: span_of(cols).dim for key, cols in columns.items()}
     table = []

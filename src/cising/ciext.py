@@ -183,8 +183,7 @@ def minimal_generators(rp, twists, columns):
             cols.append((d, j, nf))
     accepted = []
     for e in sorted({d for d, _, _ in cols}):
-        coords = GradedSlice((k, rp.standard_monomials(e - t))
-                             for k, t in enumerate(twists))
+        coords = GradedSlice(rp, ((k, e - t) for k, t in enumerate(twists)))
         span = IncrementalSpan()
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
@@ -335,7 +334,7 @@ def _ideal_cofactors(rp, p, solvers):
     e = p.homogeneous_degree()
     if e not in solvers:
         rp._require_listable(e)
-        coords = GradedSlice([(0, ring.monomials_of_degree(e))])
+        coords = GradedSlice(ring, [(0, e)])
         blocks = [ring.monomials_of_degree(e - f.homogeneous_degree()) if f
                   else [] for f in rp.ideal]
         columns = [coords.encode([(0, f)], shift=m)
@@ -654,22 +653,16 @@ def hstar_dims(dg, lo, hi, max_monomials=DEFAULT_MAX_MONOMIALS):
         _check_cap(f"DG slice of total degree {tau}",
                    sum(ring.monomial_count(tau - dk) for dk in dg.degrees),
                    "coordinates", max_monomials)
-    monos = {d: ring.monomials_of_degree(d)
-             for d in {tau - dk for tau in taus for dk in dg.degrees}}
-    coords = {tau: GradedSlice((k, monos[tau - dk])
-                               for k, dk in enumerate(dg.degrees))
+    coords = {tau: GradedSlice(ring, ((k, tau - dk)
+                                     for k, dk in enumerate(dg.degrees)))
               for tau in taus}
 
     # the nonzero entries of each column of the differential
     columns = [[(r, row[k]) for r, row in enumerate(dg.differential) if row[k]]
                for k in range(dg.rank)]
 
-    def boundary_images(tau):
-        target = coords[tau + 1]
-        for k, mono in coords[tau]:
-            yield target.encode(columns[k], shift=mono)
-
-    ranks = {tau: span_of(boundary_images(tau)).dim
+    ranks = {tau: span_of(coords[tau + 1].images(coords[tau],
+                                                 columns.__getitem__)).dim
              for tau in range(lo - 1, hi + 1)}
     return {tau: len(coords[tau]) - ranks[tau] - ranks[tau - 1]
             for tau in range(lo, hi + 1)}

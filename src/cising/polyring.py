@@ -15,6 +15,15 @@ and :mod:`cising.syzygies` asks it for relations, the only runs that build
 representation rows.  Sums of polynomial multiples of vectors -- S-vectors,
 rows, composites of maps -- all go through :func:`vec_combine`.
 
+Monomials are packed, one ``int`` each (Monagan and Pearce, J. Symb. Comp.
+46, 2011): a 16-bit field per variable and one for the weighted degree, each
+topped by a guard bit, so exponents and degrees are at most
+:data:`MAX_EXPONENT`.  A product is ``a + b`` (a set guard bit raises
+:class:`ResourceLimitError`), ``a`` divides ``b`` when ``((b | G) - a) & G
+== G``, and the order compares ``m - 2 * (m & low)`` (``PolyRing.__init__``
+lays out the fields).  Exponent tuples are taken and given only at the
+edge, and a bad one raises :class:`ValidationError`.
+
 Coefficients are ``fractions.Fraction`` in every input and output; there is
 no floating point (a ``float`` is refused).  Inside, products and reductions
 work fraction-free on each polynomial's cached integer form
@@ -34,7 +43,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import index, mul
+from types import MappingProxyType
 
 from .errors import (
     GradingError,
@@ -49,6 +59,11 @@ ONE = Fraction(1)
 #: Default cap on stored monomials per Groebner run.
 DEFAULT_MAX_MONOMIALS = 10**6
 
+_FIELD = 16
+_MASK = (1 << _FIELD) - 1
+#: Largest exponent and weighted degree of a monomial (packed fields).
+MAX_EXPONENT = (1 << _FIELD - 1) - 1
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -59,7 +74,8 @@ class PolyRing:
     lexicographically) or ``"lex"`` on the variables as listed.
     """
 
-    __slots__ = ("variables", "weights", "order", "_index")
+    __slots__ = ("variables", "weights", "order", "_index", "_shifts",
+                 "_dshift", "_low", "_units", "_guard")
 
     def __init__(self, variables, weights=None, order="grevlex"):
         variables = tuple(variables)
@@ -81,6 +97,15 @@ class PolyRing:
         self.weights = weights
         self.order = order
         self._index = {name: i for i, name in enumerate(variables)}
+        # grevlex: variable i in field i, the degree on top; lex: in field
+        # n - i, the degree at the bottom; so m - 2 * (m & low) keys the order
+        n, grevlex = len(variables), order == "grevlex"
+        self._shifts = tuple(_FIELD * (i if grevlex else n - i) for i in range(n))
+        self._dshift = _FIELD * n if grevlex else 0
+        self._low = (1 << self._dshift) - 1
+        self._units = tuple((1 << s) + (w << self._dshift)
+                            for s, w in zip(self._shifts, weights))
+        self._guard = sum(1 << s + _FIELD - 1 for s in self._shifts + (self._dshift,))
 
     @property
     def nvars(self):
@@ -106,55 +131,80 @@ class PolyRing:
             return tuple(expo)
         return (self.wdeg(expo), tuple(-e for e in reversed(expo)))
 
-    def _heap_key(self, expo):
-        """Key for :mod:`heapq`: smaller key means bigger monomial (the
-        componentwise negation of :meth:`sort_key`)."""
-        if self.order == "lex":
-            return tuple(-e for e in expo)
-        return (-self.wdeg(expo), expo[::-1])
+    def _pack(self, expo):
+        """The packed monomial of an exponent tuple of ``nvars`` nonnegative
+        integers, weighted degree at most the limit; else ValidationError."""
+        try:
+            ints = tuple(map(index, expo))
+            if (len(ints) == self.nvars and min(ints, default=0) >= 0
+                    and self.wdeg(ints) <= MAX_EXPONENT):
+                return sum(map(mul, ints, self._units))
+        except TypeError:
+            pass
+        raise ValidationError(f"exponent {expo!r} is not {self.nvars} nonnegative "
+                              f"integers of weighted degree at most {MAX_EXPONENT}")
+
+    def _unpack(self, m):
+        return tuple([m >> s & _MASK for s in self._shifts])
+
+    def _key(self, m):
+        """The packed monomial's sort key: bigger for a bigger monomial."""
+        return m - 2 * (m & self._low)
+
+    def _degree(self, m):
+        return m >> self._dshift & _MASK
+
+    def _divides(self, a, b):
+        """True when packed monomial ``a`` divides packed monomial ``b``."""
+        return ((b | self._guard) - a) & self._guard == self._guard
+
+    def _lcm(self, a, b):
+        # fields of at most twice the limit: a set guard bit is an overflow
+        m = sum(map(mul, map(max, self._unpack(a), self._unpack(b)), self._units))
+        _refuse_overflow(self, (m,))
+        return m
 
     def zero(self):
-        return Poly(self, {})
+        return Poly._of(self, {})
 
     def one(self):
-        return Poly(self, {(0,) * self.nvars: ONE})
+        return Poly._of(self, {0: ONE})
 
     def constant(self, c):
         c = _exact(c)
-        return Poly(self, {(0,) * self.nvars: c} if c else {})
+        return Poly._of(self, {0: c} if c else {})
 
     def var(self, name):
         i = self._index.get(name)
         if i is None:
             raise ValidationError(f"no variable named {name!r}")
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {expo: ONE})
+        return Poly._of(self, {self._units[i]: ONE})
 
     def gens(self):
         return [self.var(name) for name in self.variables]
 
     def monomial(self, expo, coeff=ONE):
         coeff = _exact(coeff)
-        expo = tuple(int(e) for e in expo)
-        return Poly(self, {expo: coeff} if coeff else {})
+        m = self._pack(expo)
+        return Poly._of(self, {m: coeff} if coeff else {})
 
     def monomials_of_degree(self, d):
         """All exponent tuples of weighted degree exactly ``d``, listed with
         earlier variables taking the largest exponents first."""
-        out = []
+        return list(map(self._unpack, self._packed_monomials(d)))
 
-        def rec(idx, remaining, prefix):
-            if idx == self.nvars:
-                if remaining == 0:
-                    out.append(tuple(prefix))
-                return
-            w = self.weights[idx]
-            for e in range(remaining // w, -1, -1):
-                rec(idx + 1, remaining - w * e, prefix + [e])
-
-        if d >= 0:
-            rec(0, d, [])
-        return out
+    def _packed_monomials(self, d):
+        """:meth:`monomials_of_degree`, packed."""
+        if d > MAX_EXPONENT:
+            raise ValidationError(f"degree {d} is over {MAX_EXPONENT}")
+        if not self._units:
+            return [0] if d == 0 else []
+        *head, (last, w_last) = zip(self._units, self.weights)
+        level = [(0, d)] if d >= 0 else []      # (packed prefix, degree left)
+        for u, w in head:
+            level = [(m + e * u, rest - e * w) for m, rest in level
+                     for e in range(rest // w, -1, -1)]
+        return [m + rest // w_last * last for m, rest in level if not rest % w_last]
 
     def monomial_count(self, d):
         """How many exponent tuples have weighted degree exactly ``d``,
@@ -186,21 +236,11 @@ def _monomial_counts(weights, d):
     return counts
 
 
-def _expo_add(a, b):
-    return tuple(map(add, a, b))
-
-
-def _expo_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _expo_divides(a, b):
-    """True when monomial ``a`` divides monomial ``b``."""
-    return all(map(le, a, b))
-
-
-def _expo_lcm(a, b):
-    return tuple(map(max, a, b))
+def _refuse_overflow(ring, monomials):
+    """ResourceLimitError when a product set a guard bit in ``monomials``."""
+    if any(map(ring._guard.__and__, monomials)):
+        raise ResourceLimitError(
+            f"a product has an exponent or weighted degree over {MAX_EXPONENT}")
 
 
 def _exact(c):
@@ -212,59 +252,66 @@ def _exact(c):
     return Fraction(c)
 
 
-def _is_standard(leads, m):
-    """True when no leading monomial in ``leads`` divides ``m``."""
-    return not any(_expo_divides(lt, m) for lt in leads)
-
-
 class Poly:
-    """A polynomial: an immutable mapping from exponent tuples to Fractions."""
+    """A polynomial: an immutable map from (packed) exponents to Fractions."""
 
-    __slots__ = ("ring", "terms", "_lead", "_integer")
+    __slots__ = ("ring", "_terms", "_lead", "_integer")
 
     def __init__(self, ring, terms):
         clean = {}
         for expo, coeff in terms.items():
+            m = ring._pack(expo)
             if not isinstance(coeff, Fraction):
                 coeff = _exact(coeff)
             if coeff:
-                clean[expo] = coeff
+                clean[m] = coeff
         self.ring = ring
-        self.terms = clean
+        self._terms = clean
         self._lead = None
         self._integer = None
 
     @classmethod
     def _of(cls, ring, terms, lead=None):
-        """The polynomial on ``terms``, nonzero ``Fraction``s taken as they
-        are, with its leading exponent ``lead`` when the caller knows it."""
+        """The polynomial on packed ``terms`` (nonzero ``Fraction``s, taken
+        as they are), with its packed lead when the caller knows it."""
         p = cls.__new__(cls)
-        p.ring, p.terms, p._lead, p._integer = ring, terms, lead, None
+        p.ring, p._terms, p._lead, p._integer = ring, terms, lead, None
         return p
 
+    @property
+    def terms(self):
+        """A read-only ``{exponent tuple: Fraction}`` view, built on read."""
+        unpack = self.ring._unpack
+        return MappingProxyType({unpack(m): c for m, c in self._terms.items()})
+
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def _leading(self):
+        """Leading ``(packed monomial, coefficient)`` pair."""
+        if not self._terms:
+            raise ValueError("the zero polynomial has no leading term")
+        if self._lead is None:
+            self._lead = max(self._terms, key=self.ring._key)
+        return self._lead, self._terms[self._lead]
 
     def lead(self):
         """Leading ``(exponent, coefficient)`` pair in the ring order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        if self._lead is None:
-            self._lead = max(self.terms, key=self.ring.sort_key)
-        return self._lead, self.terms[self._lead]
+        m, c = self._leading()
+        return self.ring._unpack(m), c
 
     def integer_form(self):
         """``(d, terms)``: ``d`` the least common denominator of the
-        coefficients and ``terms`` the polynomial times ``d`` as
-        ``{exponent: int}``, built on the first call and kept (a reducer is
+        coefficients and ``terms`` the polynomial times ``d`` as ``{packed
+        monomial: int}``, built on the first call and kept (a reducer is
         read by many reductions).  Callers must not mutate ``terms``."""
         if self._integer is None:
-            d = lcm(*(c.denominator for c in self.terms.values()))
-            self._integer = (d, {e: c.numerator * (d // c.denominator)
-                                 for e, c in self.terms.items()})
+            d = lcm(*(c.denominator for c in self._terms.values()))
+            self._integer = (d, {m: c.numerator * (d // c.denominator)
+                                 for m, c in self._terms.items()})
         return self._integer
 
     @property
@@ -273,44 +320,43 @@ class Poly:
 
     @property
     def lc(self):
-        return self.lead()[1]
+        return self._leading()[1]
 
     def constant_coefficient(self):
-        return self.terms.get((0,) * self.ring.nvars, ZERO)
+        return self._terms.get(0, ZERO)
 
     def homogeneous_degree(self):
         """The common weighted degree of all terms; None for the zero poly.
 
         Raises :class:`GradingError` when the support mixes degrees.
         """
-        if not self.terms:
+        if not self._terms:
             return None
-        degrees = {self.ring.wdeg(e) for e in self.terms}
+        degrees = set(map(self.ring._degree, self._terms))
         if len(degrees) > 1:
             raise GradingError(f"not homogeneous: {self} has degrees {sorted(degrees)}")
         return degrees.pop()
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        return len({self.ring.wdeg(e) for e in self.terms}) == 1
+        return len(set(map(self.ring._degree, self._terms))) <= 1
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            s = terms.get(expo, ZERO) + coeff
+        terms = dict(self._terms)
+        for m, coeff in other._terms.items():
+            s = terms.get(m, ZERO) + coeff
             if s:
-                terms[expo] = s
+                terms[m] = s
             else:
-                terms.pop(expo, None)
-        return Poly(self.ring, terms)
+                del terms[m]
+        return Poly._of(self.ring, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.ring, {m: -c for m, c in self._terms.items()},
+                        self._lead)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -325,7 +371,7 @@ class Poly:
             c = other if isinstance(other, Fraction) else _exact(other)
             if not c:
                 return self.ring.zero()
-            return Poly._of(self.ring, {e: c * v for e, v in self.terms.items()},
+            return Poly._of(self.ring, {m: c * v for m, v in self._terms.items()},
                             self._lead)
         if other.ring != self.ring:
             raise ValidationError("polynomials from different rings")
@@ -348,7 +394,11 @@ class Poly:
             if isinstance(other, (int, Fraction)):
                 return self == self.ring.constant(other)
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
+
+    def __hash__(self):     # a constant hashes as the number it equals
+        t = self._terms
+        return hash(t.get(0, ZERO)) if t.keys() <= {0} else hash(frozenset(t.items()))
 
     def diff(self, var):
         """Partial derivative with respect to a variable, by name or by index
@@ -356,13 +406,13 @@ class Poly:
         i = self.ring._index.get(var) if isinstance(var, str) else var
         if i not in range(self.ring.nvars):
             raise ValidationError(f"no variable {var!r}")
+        shift, unit = self.ring._shifts[i], self.ring._units[i]
         terms = {}
-        for expo, coeff in self.terms.items():
-            e = expo[i]
+        for m, coeff in self._terms.items():
+            e = m >> shift & _MASK
             if e:
-                lowered = tuple(v - 1 if j == i else v for j, v in enumerate(expo))
-                terms[lowered] = terms.get(lowered, ZERO) + coeff * e
-        return Poly(self.ring, terms)
+                terms[m - unit] = coeff * e
+        return Poly._of(self.ring, terms)
 
     def subs(self, point):
         """Evaluate at a rational point (one value per variable)."""
@@ -370,22 +420,23 @@ class Poly:
             raise ValidationError("point length does not match variable count")
         point = [p if isinstance(p, Fraction) else _exact(p) for p in point]
         total = ZERO
-        for expo, coeff in self.terms.items():
+        for m, coeff in self._terms.items():
             value = coeff
-            for p, e in zip(point, expo):
-                for _ in range(e):
+            for p, shift in zip(point, self.ring._shifts):
+                for _ in range(m >> shift & _MASK):
                     value *= p
             total += value
         return total
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
-        items = sorted(self.terms.items(),
-                       key=lambda kv: self.ring.sort_key(kv[0]), reverse=True)
+        ring = self.ring
+        items = sorted(self._terms.items(), key=lambda kv: ring._key(kv[0]),
+                       reverse=True)
         parts = []
-        for idx, (expo, coeff) in enumerate(items):
-            mono = self.ring.format_exponent(expo)
+        for idx, (m, coeff) in enumerate(items):
+            mono = ring.format_exponent(ring._unpack(m))
             neg = coeff < 0
             mag = -coeff if neg else coeff
             if mono:
@@ -542,7 +593,7 @@ def vec_is_zero(v):
 
 
 def vec_lead(v):
-    """Leading ``(component, exponent, coefficient)`` of a module vector.
+    """Leading ``(component, packed monomial, coefficient)`` of a vector.
 
     The winning term has the largest ring monomial; among components sharing
     that monomial the smallest index wins.  Returns None for the zero vector.
@@ -550,13 +601,13 @@ def vec_lead(v):
     best_key = None
     best = None
     for comp, p in enumerate(v):
-        if p.is_zero():
+        if not p._terms:
             continue
-        expo, coeff = p.lead()
-        key = (p.ring.sort_key(expo), -comp)
+        m, coeff = p._leading()
+        key = p.ring._key(m)
         if best_key is None or key > best_key:
             best_key = key
-            best = (comp, expo, coeff)
+            best = (comp, m, coeff)
     return best
 
 
@@ -615,9 +666,10 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     already has them.  Each reduction step charges ``budget`` the number of
     terms left to reduce.
 
-    Terms are taken largest first (term over position) from a heap holding
-    every live term; a step only adds terms below the one it removes, so an
-    entry whose term has since cancelled is skipped when popped.
+    Terms are taken largest first (term over position) from a heap of ints,
+    a live term's negated sort key above its component.  A step only adds
+    terms below the one it removes, so an entry whose term has since
+    cancelled is skipped when popped.
 
     The arithmetic is fraction-free: the vector being reduced is held as
     integers over one positive ``scale``, and each reducer ``g`` as its
@@ -635,22 +687,33 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
-    hkey = ring._heap_key
+    guard, low = ring._guard, ring._low
+    bits = (len(v) - 1).bit_length()
+    cmask = (1 << bits) - 1
+    push = heapq.heappush
+    divisors = [[] for _ in v]      # per component: (reducer, packed lead)
+    for hit, lead in enumerate(leads):
+        if lead is not None and lead[0] < len(v):
+            divisors[lead[0]].append((hit, lead[1]))
     forms = [p.integer_form() for p in v]
     scale = lcm(*(d for d, _ in forms))
     cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in forms]
-    heap = [(hkey(e), comp, e) for comp, terms in enumerate(cur) for e in terms]
+    heap = [((2 * (e & low) - e) << bits) | comp
+            for comp, terms in enumerate(cur) for e in terms]
     heapq.heapify(heap)
     rem = [{} for _ in v]
     cofactors = [{} for _ in reducers]
     hits = {}   # reducer -> (d, integer lead, [(d / d_k, integer terms_k)])
     while heap:
-        _, comp, expo = heapq.heappop(heap)
+        top = heapq.heappop(heap)
+        comp, expo = top & cmask, top >> bits
+        expo = 2 * (expo & low) - expo
         a = cur[comp].get(expo)
         if a is None:
             continue
-        for hit, lead in enumerate(leads):
-            if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
+        over = expo | guard
+        for hit, lt in divisors[comp]:
+            if (over - lt) & guard == guard:
                 break
         else:
             rem[comp][expo] = Fraction(a, scale)
@@ -662,9 +725,9 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
             d = lcm(*(dk for dk, _ in parts))
             parts = [(d // dk, terms) for dk, terms in parts]
             factor, terms = parts[comp]
-            form = hits[hit] = (d, factor * terms[lead[1]], parts)
+            form = hits[hit] = (d, factor * terms[lt], parts)
         d, lc, parts = form
-        shift = _expo_sub(expo, lead[1])
+        shift = expo - lt
         cofactors[hit][shift] = Fraction(a * d, scale * lc)
         h = gcd(a, lc)
         mult, b = lc // h, a // h
@@ -676,14 +739,19 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
         for gcomp, (terms, (factor, g)) in enumerate(zip(cur, parts)):
             bk = b * factor
             for e, c in g.items():
-                e = _expo_add(shift, e)
-                if e not in terms:
-                    heapq.heappush(heap, (hkey(e), gcomp, e))
-                s = terms.get(e, 0) - bk * c
-                if s:
-                    terms[e] = s
+                e += shift
+                s = terms.get(e)
+                if s is None:
+                    if e & guard:
+                        _refuse_overflow(ring, (e,))
+                    push(heap, ((2 * (e & low) - e) << bits) | gcomp)
+                    terms[e] = -bk * c
                 else:
-                    del terms[e]
+                    s -= bk * c
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
         if budget is not None:
             budget.charge(sum(map(len, cur)))
     return ([Poly._of(ring, r, next(iter(r), None)) for r in rem],
@@ -701,10 +769,10 @@ def vec_combine(ring, n, terms):
     acc = [{} for _ in range(n)]
     parts = []
     for q, v in terms:
-        if q.terms:
+        if q._terms:
             dq, tq = q.integer_form()
             for out, p in zip(acc, v):
-                if p.terms:
+                if p._terms:
                     dp, tp = p.integer_form()
                     parts.append((dq * dp, tq, tp, out))
     denom = lcm(*(part[0] for part in parts))
@@ -713,20 +781,29 @@ def vec_combine(ring, n, terms):
         for e1, c1 in tq.items():
             c1 *= factor
             for e2, c2 in tp.items():
-                e = _expo_add(e1, e2)
+                e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
+    _refuse_overflow(ring, (e for t in acc for e in t))
     return [Poly._of(ring, {e: Fraction(c, denom) for e, c in t.items() if c})
             for t in acc]
 
 
 def _s_vector(ring, vi, vj, ei, ej):
     """``(mi, mj, mi * vi - mj * vj)`` for vectors whose monic leads share a
-    component, at exponents ``ei`` and ``ej``; the monomials ``mi`` and
-    ``mj`` take both leads to their lcm."""
-    lcm = _expo_lcm(ei, ej)
-    mi = ring.monomial(_expo_sub(lcm, ei))
-    mj = ring.monomial(_expo_sub(lcm, ej))
+    component, at packed monomials ``ei`` and ``ej``; the monomials ``mi``
+    and ``mj`` take both leads to their lcm."""
+    lcm = ring._lcm(ei, ej)
+    mi = Poly._of(ring, {lcm - ei: ONE})
+    mj = Poly._of(ring, {lcm - ej: ONE})
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
+
+
+def _scaled(p, num, den):
+    """``p * (num / den)`` for ints, one ``Fraction`` (one gcd) per term of
+    :meth:`Poly.integer_form`; the lead is kept."""
+    d, terms = p.integer_form()
+    return Poly._of(p.ring, {m: Fraction(c * num, d * den) for m, c in terms.items()},
+                    p._lead)
 
 
 def _groebner(ring, columns, budget, relations=None, seeds=()):
@@ -770,32 +847,34 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
     def add_element(v, rep):
         comp, expo, coeff = vec_lead(v)
         if coeff != 1:
-            inv = ONE / coeff
-            v = [p * inv for p in v]
+            # 1 / coeff is d / n for the lead's integer form n / d
+            d, terms = v[comp].integer_form()
+            v = [_scaled(p, d, terms[expo]) for p in v]
             if rep is not None:
-                rep = [r * inv for r in rep]
+                rep = [_scaled(r, d, terms[expo]) for r in rep]
         basis.append(v)
         reps.append(rep)
-        budget.charge(sum(len(p.terms) for p in v))
+        budget.charge(sum(len(p._terms) for p in v))
         i = len(basis) - 1
         new = {}
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
-                new.setdefault(_expo_lcm(jexpo, expo), []).append(j)
+                new.setdefault(ring._lcm(jexpo, expo), []).append(j)
         if prune:
             # B_k, then M, F and the product criterion on the new pairs
+            divides = ring._divides
             for (a, b), lcm in list(pending.items()):
-                if (_expo_divides(expo, lcm)
-                        and _expo_lcm(leads[a][1], expo) != lcm
-                        and _expo_lcm(leads[b][1], expo) != lcm):
+                if (divides(expo, lcm)
+                        and ring._lcm(leads[a][1], expo) != lcm
+                        and ring._lcm(leads[b][1], expo) != lcm):
                     del pending[a, b]
             new = {lcm: js[:1] for lcm, js in new.items()
-                   if not any(o != lcm and _expo_divides(o, lcm) for o in new)
-                   and not any(_expo_add(leads[j][1], expo) == lcm for j in js)}
+                   if not any(o != lcm and divides(o, lcm) for o in new)
+                   and not any(leads[j][1] + expo == lcm for j in js)}
         for lcm, js in new.items():
             for j in js:
                 pending[j, i] = lcm
-                heapq.heappush(heap, (ring.wdeg(lcm), j, i))
+                heapq.heappush(heap, (ring._degree(lcm), j, i))
         leads.append((comp, expo, ONE))
 
     track = relations is not None
@@ -822,7 +901,7 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
             continue
         # a reducer that took no step adds nothing: skip negating it
         row = (vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]
-                           + [(-q, rep) for q, rep in zip(cofs, reps) if q.terms])
+                           + [(-q, rep) for q, rep in zip(cofs, reps) if q._terms])
                if track else None)
         if zero:
             relations[i, j] = row
@@ -872,8 +951,8 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     # then tail-reduce each survivor against the others; tail reduction
     # keeps the leads, so the survivors stay in ascending lead order
     final = []
-    for [g] in sorted(vectors, key=lambda v: ring.sort_key(v[0].lm)):
-        if not any(_expo_divides(h.lm, g.lm) for h in final):
+    for [g] in sorted(vectors, key=lambda v: ring._key(v[0]._leading()[0])):
+        if not any(ring._divides(h._lead, g._lead) for h in final):
             final.append(g)
     for idx in range(len(final)):
         # a None lead keeps the element itself out of its reducers
@@ -928,21 +1007,22 @@ class RingPresentation:
         monomials: the normal form is linear, so no monomial is reduced
         twice."""
         terms = {}
-        for expo, coeff in p.terms.items():
-            for e, c in self._monomial_normal_form(expo).items():
+        for m, coeff in p._terms.items():
+            for e, c in self._monomial_normal_form(m).items():
                 terms[e] = terms.get(e, ZERO) + coeff * c
-        return Poly(self.ring, terms)
+        return Poly._of(self.ring, {e: c for e, c in terms.items() if c})
 
     def encode_normal_form(self, coords, entries, shift):
         """``coords.encode`` of the normal form of ``x^shift * sum(label *
         poly for label, poly in entries)``: the cached normal forms of the
         shifted monomials are summed straight into the slice coordinates,
         so neither a product nor a normal form polynomial is built."""
+        shift = self.ring._pack(shift)
         vec = {}
         for label, poly in entries:
             block = coords.index[label]
-            for expo, coeff in poly.terms.items():
-                for e, a in self._monomial_normal_form(_expo_add(shift, expo)).items():
+            for m, coeff in poly._terms.items():
+                for e, a in self._monomial_normal_form(shift + m).items():
                     c = block[e]
                     s = vec.get(c)
                     s = coeff * a if s is None else s + coeff * a
@@ -952,26 +1032,31 @@ class RingPresentation:
                         del vec[c]
         return vec
 
-    def _monomial_normal_form(self, expo):
-        """Terms of the normal form of ``x^expo``, reduced once and cached."""
-        reduced = self._monomial_nf.get(expo)
+    def _monomial_normal_form(self, m):
+        """Packed terms of the normal form of ``m``, reduced once and cached."""
+        reduced = self._monomial_nf.get(m)
         if reduced is None:
-            reduced = self._monomial_nf[expo] = normal_form(
-                Poly(self.ring, {expo: ONE}), self.gb).terms
+            _refuse_overflow(self.ring, (m,))
+            reduced = self._monomial_nf[m] = normal_form(
+                Poly._of(self.ring, {m: ONE}, m), self.gb)._terms
         return reduced
 
     def standard_monomials(self, d):
         """Exponents of weighted degree ``d`` outside the leading-term ideal,
         as a fresh list.  Raises :class:`ResourceLimitError`, before listing
         any, when the ring has more monomials of degree ``d`` than the cap."""
+        return list(map(self.ring._unpack, self._packed_monomials(d)))
+
+    def _packed_monomials(self, d):
+        """:meth:`standard_monomials`, packed, listed once and kept."""
         found = self._standard.get(d)
         if found is None:
             self._require_listable(d)
-            leads = [g.lm for g in self.gb.basis]
+            leads = [g._leading()[0] for g in self.gb.basis]
             found = self._standard[d] = [
-                m for m in self.ring.monomials_of_degree(d)
-                if _is_standard(leads, m)]
-        return list(found)
+                m for m in self.ring._packed_monomials(d)
+                if not any(self.ring._divides(lt, m) for lt in leads)]
+        return found
 
     def _require_listable(self, d):
         """Refuse degree ``d`` when it has more monomials than the cap."""
@@ -986,45 +1071,54 @@ class RingPresentation:
 
 
 class GradedSlice:
-    """Coordinates of one graded slice of a free module: one per ``(label,
-    monomial)`` pair, in the order of ``pieces`` = ``(label, monomials)``,
-    one piece per label.  ``encode`` gives the sparse vectors
-    :class:`exactq.IncrementalSpan` takes.
-    """
+    """Coordinates of a graded slice of a free module, one per ``(label,
+    monomial)``: ``pieces`` are ``(label, degree)``, one per label, over every
+    monomial of a :class:`PolyRing` ``source`` or the standard ones of a
+    :class:`RingPresentation`.  ``encode`` gives :class:`exactq.IncrementalSpan`
+    its sparse vectors."""
 
-    __slots__ = ("index", "size")
+    __slots__ = ("ring", "index", "size")
 
-    def __init__(self, pieces):
-        self.index = {}     # label -> {monomial: coordinate}
-        size = 0
-        for label, monomials in pieces:
-            block = self.index.setdefault(label, {})
-            for mono in monomials:
-                block[mono] = size
-                size += 1
+    def __init__(self, source, pieces):
+        self.ring = source.ring if isinstance(source, RingPresentation) else source
+        self.index = {}     # label -> {packed monomial: coordinate}
+        listed, size = {}, 0
+        for label, degree in pieces:
+            monomials = listed.get(degree)
+            if monomials is None:
+                monomials = listed[degree] = source._packed_monomials(degree)
+            self.index.setdefault(label, {}).update(
+                zip(monomials, range(size, size + len(monomials))))
+            size += len(monomials)
         self.size = size
 
     def __len__(self):
         return self.size
 
     def __iter__(self):
-        return ((label, mono) for label, block in self.index.items()
-                for mono in block)
+        return ((label, self.ring._unpack(m)) for label, block in self.index.items()
+                for m in block)
 
     def encode(self, entries, shift=None):
         """Sparse coordinates of ``x^shift * sum(label * poly for label, poly
         in entries)``; every term must lie in the slice.  The shift adds
         exponents, so no product polynomial is built."""
+        return self._encode(entries, 0 if shift is None else self.ring._pack(shift))
+
+    def images(self, source, entries):
+        """``encode(entries(label), shift=mono)`` per coordinate of ``source``."""
+        return [self._encode(entries(label), m)
+                for label, block in source.index.items() for m in block]
+
+    def _encode(self, entries, shift):
         index = self.index
         vec = {}
         for label, poly in entries:
-            if not poly.terms:
+            if not poly._terms:
                 continue
             block = index[label]
-            for expo, coeff in poly.terms.items():
-                if shift is not None:
-                    expo = _expo_add(shift, expo)
-                c = block[expo]
+            for m, coeff in poly._terms.items():
+                c = block[m + shift]
                 s = vec.get(c)
                 s = coeff if s is None else s + coeff
                 if s:
@@ -1052,9 +1146,9 @@ def hilbert_function(presentation, degree):
     used = [i for i in range(ring.nvars) if any(lt[i] for lt in leads)]
     listed = PolyRing([ring.variables[i] for i in used],
                       [ring.weights[i] for i in used])
-    leads = [tuple(lt[i] for i in used) for lt in leads]
-    standard = [sum(1 for m in listed.monomials_of_degree(t)
-                    if _is_standard(leads, m))
+    leads = [listed._pack([lt[i] for i in used]) for lt in leads]
+    standard = [sum(1 for m in listed._packed_monomials(t)
+                    if not any(listed._divides(lt, m) for lt in leads))
                 for t in range(degree + 1)]
     others = _monomial_counts([w for i, w in enumerate(ring.weights)
                                if i not in used], degree)
@@ -1122,7 +1216,7 @@ def _capped_product(factors, max_monomials):
     product = factors[0]
     for f in factors[1:]:
         product = product * f
-        if max_monomials is not None and len(product.terms) > max_monomials:
+        if max_monomials is not None and len(product._terms) > max_monomials:
             raise ResourceLimitError(
                 f"monomial cap {max_monomials} exceeded while expanding a "
                 "product of generators")

@@ -108,7 +108,7 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     result, hashes = [], set()
     for _, relation in sorted(gb.relations.items()):
         # only hashes are kept; a relation is compared when its hash repeats
-        key = hash(tuple(frozenset(p.terms.items()) for p in relation))
+        key = hash(tuple(relation))
         if vec_is_zero(relation) or (key in hashes and relation in result):
             continue
         hashes.add(key)

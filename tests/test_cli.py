@@ -149,7 +149,7 @@ def test_chevalley_slice_cap_exits_3_before_enumerating(capsys, tmp_path,
     path.write_text(json.dumps({
         "command": "chevalley", "variables": ["a", "b", "c", "d", "e", "f"],
         "map": ["a*b + c^2", "d*e - f^2"]}))
-    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    monkeypatch.setattr(PolyRing, "_packed_monomials", _refuse_enumeration)
     code, out, err = run_cli(capsys, "chevalley", str(path), "--degree", "64")
     assert code == 3 and out == ""
     assert "monomial cap 1000000" in err
@@ -178,7 +178,7 @@ def test_minimize_slice_cap_exits_3_before_enumerating(capsys, tmp_path,
     code, _, _ = run_cli(capsys, "minimize", str(path), "--degree", "24",
                          "--max-monomials", "100")
     assert code == 0
-    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    monkeypatch.setattr(PolyRing, "_packed_monomials", _refuse_enumeration)
     code, out, err = run_cli(capsys, "minimize", str(path), "--degree", "64",
                              "--max-monomials", "100")
     assert code == 3 and out == ""
@@ -189,9 +189,9 @@ TWELVE = list("abcdefghijkl")
 
 
 def _listing_at_most(cap):
-    """``monomials_of_degree`` that refuses any degree with over ``cap``
-    monomials."""
-    original = PolyRing.monomials_of_degree
+    """``_packed_monomials``, which every listing goes through, refusing any
+    degree with over ``cap`` monomials."""
+    original = PolyRing._packed_monomials
 
     def listing(self, d):
         if self.monomial_count(d) > cap:
@@ -206,7 +206,7 @@ def test_tower_cap_exits_3_before_enumerating(capsys, tmp_path, monkeypatch):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "tower", "variables": TWELVE,
                                 "map": ["a^2", "b^2"], "n": 1}))
-    monkeypatch.setattr(PolyRing, "monomials_of_degree", _listing_at_most(1000))
+    monkeypatch.setattr(PolyRing, "_packed_monomials", _listing_at_most(1000))
     code, out, err = run_cli(capsys, "tower", str(path), "--degree", "64",
                              "--max-monomials", "1000")
     assert code == 3 and out == ""
@@ -220,7 +220,7 @@ def test_tower_checks_every_degree_before_listing_any(capsys, tmp_path,
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "tower", "variables": TWELVE,
                                 "map": ["a^2", "b^2"], "n": 1}))
-    monkeypatch.setattr(PolyRing, "monomials_of_degree", _refuse_enumeration)
+    monkeypatch.setattr(PolyRing, "_packed_monomials", _refuse_enumeration)
     code, out, err = run_cli(capsys, "tower", str(path), "--degree", "64")
     assert code == 3 and out == ""
     assert err == ("error: degree 12 has 1352078 monomials, over the monomial "
@@ -543,13 +543,13 @@ def test_tower_lists_no_ambient_monomial(capsys, monkeypatch):
     0..8 of the job is listed once, for the tower, and the report is the
     pinned one."""
     listed = []
-    original = PolyRing.monomials_of_degree
+    original = PolyRing._packed_monomials
 
     def spy(self, d):
         listed.append(d)
         return original(self, d)
 
-    monkeypatch.setattr(PolyRing, "monomials_of_degree", spy)
+    monkeypatch.setattr(PolyRing, "_packed_monomials", spy)
     code, out, _ = run_cli(capsys, "tower", str(JOBS / "tower_cone.json"))
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN_DIR / "tower_cone.txt").read_bytes()

@@ -10,15 +10,16 @@ the largest term, found afresh.
 """
 
 from fractions import Fraction
+from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cising.polyring import (
+    ONE,
     ZERO,
     Poly,
     PolyRing,
-    _expo_add,
     _groebner,
     _MonomialBudget,
     _reduce,
@@ -46,13 +47,17 @@ def polys(draw, ring, max_exponent=3, max_terms=4, coefficients=coefficients):
                                            max_size=max_terms)))
 
 
+def expo_add(a, b):
+    return tuple(map(add, a, b))
+
+
 def fraction_product(p, q):
     """``Poly.__mul__`` before the integer forms: one ``Fraction`` product
     and sum per pair of terms."""
     terms = {}
     for e1, c1 in p.terms.items():
         for e2, c2 in q.terms.items():
-            expo = _expo_add(e1, e2)
+            expo = expo_add(e1, e2)
             s = terms.get(expo, ZERO) + c1 * c2
             if s:
                 terms[expo] = s
@@ -69,7 +74,7 @@ def fraction_combine(n, terms):
         for e1, c1 in q.terms.items():
             for out, p in zip(acc, v):
                 for e2, c2 in p.terms.items():
-                    e = _expo_add(e1, e2)
+                    e = expo_add(e1, e2)
                     out[e] = out.get(e, ZERO) + c1 * c2
     return [{e: c for e, c in t.items() if c} for t in acc]
 
@@ -139,7 +144,7 @@ def assert_leads_handed_over(ring, vectors):
         for p in v:
             if p.terms:
                 assert p._lead is not None
-                assert p._lead == max(p.terms, key=ring.sort_key)
+                assert ring._unpack(p._lead) == max(p.terms, key=ring.sort_key)
 
 
 # Groebner runs on small coefficients, so that lex bases stay small
@@ -183,3 +188,20 @@ def test_buchberger_elements_carry_their_leads(case):
     ring, columns = case
     gb = buchberger([p for [p] in columns])
     assert_leads_handed_over(ring, [gb.basis])
+
+
+@PROPERTY
+@given(column_sets())
+def test_monic_scaling_matches_the_fraction_product(case):
+    """Each nonzero column enters the engine's basis divided by its lead
+    coefficient, and so does its representation row: built from integer
+    forms, both equal the ``Fraction`` products ``p * (ONE / lc)``."""
+    ring, columns = case
+    basis, reps = _groebner(ring, columns, _MonomialBudget(None), relations={})
+    nonzero = [k for k, c in enumerate(columns) if any(c)]
+    for v, row, k in zip(basis, reps, nonzero):
+        lc = vec_lead(columns[k])[2]
+        unit = [ring.one() if j == k else ring.zero() for j in range(len(columns))]
+        assert v == [p * (ONE / lc) for p in columns[k]]
+        assert row == [r * (ONE / lc) for r in unit]
+        assert all(type(c) is Fraction for p in v + row for c in p.terms.values())

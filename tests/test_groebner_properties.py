@@ -20,7 +20,6 @@ from cising.polyring import (
     ONE,
     PolyRing,
     RingPresentation,
-    _expo_lcm,
     _groebner,
     _MonomialBudget,
     _reduce,
@@ -174,7 +173,8 @@ def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
         i = len(basis) - 1
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
-                heapq.heappush(pairs, (ring.wdeg(_expo_lcm(jexpo, expo)), j, i))
+                lcm = map(max, ring._unpack(jexpo), ring._unpack(expo))
+                heapq.heappush(pairs, (ring.wdeg(tuple(lcm)), j, i))
         leads.append((comp, expo, ONE))
 
     unit = [ring.zero() for _ in columns]
@@ -462,8 +462,9 @@ XYZ = RINGS[1]
 
 
 def spy_on_engine(monkeypatch):
-    """Record the lead exponents of every S-vector ``_groebner`` and the
-    all-pairs loop form, and count the reductions each of them runs."""
+    """Record the lead exponents (unpacked) of every S-vector ``_groebner``
+    and the all-pairs loop form, and count the reductions each of them
+    runs."""
     calls = {"_groebner": [], "all_pairs_groebner": []}
     reductions = {"_groebner": 0, "all_pairs_groebner": 0}
     original_s_vector, original_reduce = polyring._s_vector, polyring._reduce
@@ -471,7 +472,7 @@ def spy_on_engine(monkeypatch):
     def s_vector(ring, vi, vj, ei, ej):
         caller = sys._getframe(1).f_code.co_name
         if caller in calls:
-            calls[caller].append({ei, ej})
+            calls[caller].append({ring._unpack(ei), ring._unpack(ej)})
         return original_s_vector(ring, vi, vj, ei, ej)
 
     def reduce(ring, v, reducers, leads=None, budget=None):

@@ -87,8 +87,8 @@ def test_shifted_normal_form_matches_normal_form_of_the_product(case):
     monomials straight into slice coordinates: the encoded normal form of
     the product, also when read a second time, from the cache."""
     rp, twists, column, degree, mono = case
-    coords = GradedSlice((k, rp.standard_monomials(degree + rp.ring.wdeg(mono) - t))
-                         for k, t in enumerate(twists))
+    coords = GradedSlice(rp, ((k, degree + rp.ring.wdeg(mono) - t)
+                              for k, t in enumerate(twists)))
     product = rp.ring.monomial(mono)
     expected = coords.encode((k, normal_form(product * p, rp.gb))
                              for k, p in enumerate(column))

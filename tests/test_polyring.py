@@ -122,6 +122,32 @@ def test_floats_are_refused(xy, build):
     assert xy.constant(2).subs([F(1, 2), "1/3"]) == 2
 
 
+@pytest.mark.parametrize("expo", [
+    (1,), (1, 2, 3), (-1, 2), (1, 2.5), (1, 2.0), (F(1, 2), 0), ("1", 0),
+    (32768, 0), (0, 32768), (20000, 20000), 7,
+], ids=["short", "long", "negative", "float", "integral-float", "fraction",
+        "string", "over-x", "over-y", "degree-over", "not-a-tuple"])
+@pytest.mark.parametrize("build", [
+    lambda r, e: r.monomial(e),
+    lambda r, e: r.monomial(e, 0),
+    lambda r, e: Poly(r, {e: 1}),
+], ids=["monomial", "zero-monomial", "terms"])
+def test_bad_exponent_tuples_are_refused(xy, build, expo):
+    """An exponent tuple must be one nonnegative integer per variable, of
+    weighted degree at most 32767, even where its coefficient is zero."""
+    with pytest.raises(ValidationError, match="nonnegative integers"):
+        build(xy, expo)
+
+
+def test_hash_agrees_with_equality(xy):
+    x, y = xy.gens()
+    p, q = (x + y) * (x - y), xy.parse("-y^2 + x^2")
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, x * x - y * y, x}) == 2
+    for c in (0, 3, F(1, 2)):
+        assert xy.constant(c) == c and hash(xy.constant(c)) == hash(c)
+
+
 @pytest.mark.parametrize("var", ["w", 5, 2, -1, None])
 def test_derivative_rejects_an_unknown_variable(xy, var):
     with pytest.raises(ValidationError, match="no variable"):
@@ -362,7 +388,8 @@ def test_hilbert_function_checks_every_degree_before_listing(monkeypatch,
         def refuse(self, d):
             raise AssertionError(f"monomials of degree {d} were listed")
 
-        monkeypatch.setattr(PolyRing, "monomials_of_degree", refuse)
+        # every listing, tuples or packed, goes through _packed_monomials
+        monkeypatch.setattr(PolyRing, "_packed_monomials", refuse)
         message = "degree 4 has 1365 monomials, over the monomial cap 1364"
         with pytest.raises(ResourceLimitError, match=message):
             hilbert_function(rp, 4)
@@ -544,7 +571,7 @@ def test_standard_monomials_cap_raises_before_listing(monkeypatch):
     rp = RingPresentation(PolyRing(list("abcdefghijkl")), [], max_monomials=364)
     assert len(rp.standard_monomials(3)) == 364
     listed = []
-    monkeypatch.setattr(PolyRing, "monomials_of_degree",
+    monkeypatch.setattr(PolyRing, "_packed_monomials",
                         lambda self, d: listed.append(d))
     with pytest.raises(ResourceLimitError, match="monomial cap 364"):
         rp.standard_monomials(4)

@@ -221,7 +221,7 @@ def test_ideal_cofactors_rebuild_the_element_and_keep_constant_parts(case):
                if n > rp.max_monomials)
     f = rp.ideal[0]
     huge = ring.monomial([top - f.homogeneous_degree()] + [0] * (ring.nvars - 1)) * f
-    with patch.object(PolyRing, "monomials_of_degree",
+    with patch.object(PolyRing, "_packed_monomials",
                       side_effect=AssertionError("a monomial was listed")), \
             pytest.raises(ResourceLimitError, match=f"degree {top} has"):
         _ideal_cofactors(rp, huge, {})

@@ -56,8 +56,7 @@ def shifted_entries(draw):
             entries.append((label, -p))
     mono = draw(st.sampled_from(ring.monomials_of_degree(draw(st.integers(0, 2)))))
     top = degree + ring.wdeg(mono)
-    coords = GradedSlice((k, ring.monomials_of_degree(top - t))
-                         for k, t in enumerate(twists))
+    coords = GradedSlice(ring, ((k, top - t) for k, t in enumerate(twists)))
     return ring, coords, entries, mono
 
 
@@ -120,8 +119,7 @@ def product_boundary_columns(dg, lo, hi):
     ring = dg.ring
 
     def coords(tau):
-        return GradedSlice((k, ring.monomials_of_degree(tau - dk))
-                           for k, dk in enumerate(dg.degrees))
+        return GradedSlice(ring, ((k, tau - dk) for k, dk in enumerate(dg.degrees)))
 
     out = []
     for tau in range(lo - 1, hi + 1):

@@ -6,6 +6,7 @@ replaced, one linear combination against naive ``Poly`` sums, and the
 
 from collections import Counter
 from fractions import Fraction
+from operator import add, le, sub
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,6 @@ from cising.polyring import (
     Poly,
     PolyRing,
     RingPresentation,
-    _expo_add,
-    _expo_divides,
-    _expo_sub,
     _reduce,
     normal_form,
     parse_poly,
@@ -60,7 +58,10 @@ class Recorder:
 def max_scan_reduce(ring, v, reducers, leads, budget):
     """The reduction loop before the heap: each step rescans every remaining
     term for the largest one (term over position, smallest component on
-    ties)."""
+    ties).  Exponents are tuples throughout; the packed leads of
+    :func:`vec_lead` are unpacked first."""
+    leads = [None if lead is None else (lead[0], ring._unpack(lead[1]), lead[2])
+             for lead in leads]
     key = ring.sort_key
     cur = [dict(p.terms) for p in v]
     rem = [{} for _ in v]
@@ -78,18 +79,18 @@ def max_scan_reduce(ring, v, reducers, leads, budget):
         _, comp, expo = best
         coeff = cur[comp][expo]
         for hit, lead in enumerate(leads):
-            if lead is not None and lead[0] == comp and _expo_divides(lead[1], expo):
+            if lead is not None and lead[0] == comp and all(map(le, lead[1], expo)):
                 break
         else:
             rem[comp][expo] = coeff
             del cur[comp][expo]
             continue
-        shift = _expo_sub(expo, lead[1])
+        shift = tuple(map(sub, expo, lead[1]))
         q = coeff / lead[2]
         cofactors[hit][shift] = q
         for terms, g in zip(cur, reducers[hit]):
             for e, c in g.terms.items():
-                e = _expo_add(shift, e)
+                e = tuple(map(add, shift, e))
                 s = terms.get(e, ZERO) - q * c
                 if s:
                     terms[e] = s
