@@ -171,9 +171,8 @@ def minimal_generators(rp, twists, columns):
     lower-degree part (and the columns already kept in its own degree) is
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
-    columns by standard monomials; each multiple is encoded by
-    :meth:`RingPresentation.encode_normal_form` with the monomial as its
-    shift.
+    columns by standard monomials, encoded in normal form by
+    :meth:`RingPresentation.encode_multiples`.
     """
     cols = []
     for j, column in enumerate(columns):
@@ -187,8 +186,8 @@ def minimal_generators(rp, twists, columns):
         span = IncrementalSpan()
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
-            for mono in rp.standard_monomials(e - d):
-                span.add(rp.encode_normal_form(coords, enumerate(v), mono))
+            for vec in rp.encode_multiples(coords, enumerate(v), e - d):
+                span.add(vec)
         accepted += [(d, j, v) for d, j, v in cols
                      if d == e and span.add(coords.encode(enumerate(v)))]
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]

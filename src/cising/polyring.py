@@ -25,17 +25,17 @@ lays out the fields).  Exponent tuples are taken and given only at the
 edge, and a bad one raises :class:`ValidationError`.
 
 Coefficients are ``fractions.Fraction`` in every input and output; there is
-no floating point (a ``float`` is refused).  Inside, products and reductions
-work fraction-free on each polynomial's cached integer form
-(:meth:`Poly.integer_form`): :func:`vec_combine` and ``Poly * Poly`` sum
-``int`` products over one common denominator, and ``_reduce`` holds the
-vector being reduced as integers over one common scale; only the results
-are built as ``Fraction``, and a remainder is handed the lead the reduction
-found.  Two monomial orders are supported: weight-compatible
-graded reverse lexicographic (``"grevlex"``, the default) and plain
-lexicographic (``"lex"``).  Everything is deterministic -- pair selection,
-reducer selection and output ordering follow fixed conventions spelled out
-in the docstrings.
+no floating point (a ``float`` is refused).  Inside, products, reductions
+and quotient normal forms work fraction-free on each polynomial's cached
+integer form (:meth:`Poly.integer_form`): :func:`vec_combine`, ``Poly *
+Poly`` and a quotient's normal forms sum ``int``\\s over one common
+denominator, and ``_reduce`` holds the vector being reduced as integers
+over one common scale; only the results are built as ``Fraction``, and a
+remainder is handed the lead the reduction found.  Two monomial orders
+are supported: weight-compatible graded reverse lexicographic
+(``"grevlex"``, the default) and plain lexicographic (``"lex"``).
+Everything is deterministic -- pair selection, reducer selection and
+output ordering follow fixed conventions spelled out in the docstrings.
 """
 
 import heapq
@@ -75,7 +75,7 @@ class PolyRing:
     """
 
     __slots__ = ("variables", "weights", "order", "_index", "_shifts",
-                 "_dshift", "_low", "_units", "_guard")
+                 "_dshift", "_low", "_units", "_guard", "_zero")
 
     def __init__(self, variables, weights=None, order="grevlex"):
         variables = tuple(variables)
@@ -106,6 +106,7 @@ class PolyRing:
         self._units = tuple((1 << s) + (w << self._dshift)
                             for s, w in zip(self._shifts, weights))
         self._guard = sum(1 << s + _FIELD - 1 for s in self._shifts + (self._dshift,))
+        self._zero = Poly._of(self, {})     # polynomials are immutable: one zero
 
     @property
     def nvars(self):
@@ -159,13 +160,13 @@ class PolyRing:
         return ((b | self._guard) - a) & self._guard == self._guard
 
     def _lcm(self, a, b):
-        # fields of at most twice the limit: a set guard bit is an overflow
-        m = sum(map(mul, map(max, self._unpack(a), self._unpack(b)), self._units))
-        _refuse_overflow(self, (m,))
-        return m
+        # not refused: only the degree field can pass the limit (to at most
+        # twice it); the pair criteria still read it exactly or miss it (so
+        # keep a pair), and _s_vector refuses it
+        return sum(map(mul, map(max, self._unpack(a), self._unpack(b)), self._units))
 
     def zero(self):
-        return Poly._of(self, {})
+        return self._zero
 
     def one(self):
         return Poly._of(self, {0: ONE})
@@ -624,6 +625,7 @@ class GroebnerBasis:
         # ring takes many normal forms against the same basis
         self._reducers = [[g] for g in self.basis]
         self._leads = [vec_lead(v) for v in self._reducers]
+        self._forms = {}    # the reducers' integer forms, as _reduce uses them
 
     def __iter__(self):
         return iter(self.basis)
@@ -655,7 +657,7 @@ class _MonomialBudget:
                 f"monomial cap {self.cap} exceeded during Groebner computation")
 
 
-def _reduce(ring, v, reducers, leads=None, budget=None):
+def _reduce(ring, v, reducers, leads=None, budget=None, forms=None):
     """Fully reduce the module vector ``v`` by ``reducers``, scanned in
     order (first divisor wins).
 
@@ -673,20 +675,25 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
 
     The arithmetic is fraction-free: the vector being reduced is held as
     integers over one positive ``scale``, and each reducer ``g`` as its
-    :meth:`Poly.integer_form` ``d * g``.  A step on the term ``a / scale``
-    by a reducer with integer lead ``lc`` sets ``v <- (lc/h) * v - (a/h) *
-    x^m * d * g`` with ``h = gcd(a, lc)`` (signs moved so that ``scale``
-    grows by ``|lc/h|``, and only when that is not 1).  ``scale`` never
-    shrinks, so it can carry factors the live terms no longer need;
-    dividing the content out at each growth timed slower than carrying
-    them.  Inputs and outputs stay ``Fraction``: the cofactor ``a * d /
-    (scale * lc)`` of a step and a remainder term ``a / scale`` are the only
-    fractions built.  Terms leave the heap largest first, so the first term
-    a remainder component keeps is its lead: it is handed to the remainder's
-    :class:`Poly`, not searched for again.
+    integer form ``d * g`` (its nonzero components' :meth:`Poly.integer_form`
+    over their common ``d``), built on its first step and kept in ``forms``,
+    which a caller may keep while its reducers stay the same.  A step on
+    the term ``a / scale`` by a reducer with integer lead ``lc`` sets ``v <-
+    (lc/h) * v - (a/h) * x^m * d * g`` with ``h = gcd(a, lc)`` (signs moved
+    so that ``scale`` grows by ``|lc/h|``, and only when that is not 1).
+    ``scale`` never shrinks, so it can carry factors the live terms no
+    longer need; dividing the content out at each growth timed slower than
+    carrying them.  Inputs and outputs stay ``Fraction``: the cofactor ``a
+    * d / (scale * lc)`` of a step and a remainder term ``a / scale`` are
+    the only fractions built.  Terms leave the heap largest first, so the
+    first term of a remainder component or a cofactor is its lead, handed
+    to its :class:`Poly`; cofactors are kept sparse, and every zero is the
+    ring's one zero.
     """
     if leads is None:
         leads = [vec_lead(g) for g in reducers]
+    if forms is None:
+        forms = {}
     guard, low = ring._guard, ring._low
     bits = (len(v) - 1).bit_length()
     cmask = (1 << bits) - 1
@@ -695,15 +702,14 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
     for hit, lead in enumerate(leads):
         if lead is not None and lead[0] < len(v):
             divisors[lead[0]].append((hit, lead[1]))
-    forms = [p.integer_form() for p in v]
-    scale = lcm(*(d for d, _ in forms))
-    cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in forms]
+    integer = [p.integer_form() for p in v]
+    scale = lcm(*(d for d, _ in integer))
+    cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in integer]
     heap = [((2 * (e & low) - e) << bits) | comp
             for comp, terms in enumerate(cur) for e in terms]
     heapq.heapify(heap)
     rem = [{} for _ in v]
-    cofactors = [{} for _ in reducers]
-    hits = {}   # reducer -> (d, integer lead, [(d / d_k, integer terms_k)])
+    cofactors = {}      # reducer -> {packed shift: Fraction}
     while heap:
         top = heapq.heappop(heap)
         comp, expo = top & cmask, top >> bits
@@ -719,16 +725,17 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
             rem[comp][expo] = Fraction(a, scale)
             del cur[comp][expo]
             continue
-        form = hits.get(hit)
+        form = forms.get(hit)
         if form is None:
-            parts = [p.integer_form() for p in reducers[hit]]
-            d = lcm(*(dk for dk, _ in parts))
-            parts = [(d // dk, terms) for dk, terms in parts]
-            factor, terms = parts[comp]
-            form = hits[hit] = (d, factor * terms[lt], parts)
+            parts = [(k, p.integer_form()) for k, p in enumerate(reducers[hit])
+                     if p._terms]
+            d = lcm(*(dk for _, (dk, _) in parts))
+            parts = [(k, d // dk, terms) for k, (dk, terms) in parts]
+            lc = next(f * terms[lt] for k, f, terms in parts if k == comp)
+            form = forms[hit] = (d, lc, parts)
         d, lc, parts = form
         shift = expo - lt
-        cofactors[hit][shift] = Fraction(a * d, scale * lc)
+        cofactors.setdefault(hit, {})[shift] = Fraction(a * d, scale * lc)
         h = gcd(a, lc)
         mult, b = lc // h, a // h
         if mult < 0:
@@ -736,7 +743,8 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
         if mult != 1:
             scale *= mult
             cur = [{e: c * mult for e, c in terms.items()} for terms in cur]
-        for gcomp, (terms, (factor, g)) in enumerate(zip(cur, parts)):
+        for gcomp, factor, g in parts:
+            terms = cur[gcomp]
             bk = b * factor
             for e, c in g.items():
                 e += shift
@@ -754,8 +762,11 @@ def _reduce(ring, v, reducers, leads=None, budget=None):
                         del terms[e]
         if budget is not None:
             budget.charge(sum(map(len, cur)))
-    return ([Poly._of(ring, r, next(iter(r), None)) for r in rem],
-            [Poly._of(ring, c) for c in cofactors])
+    zero = ring.zero()
+    out = [zero] * len(reducers)
+    for hit, c in cofactors.items():
+        out[hit] = Poly._of(ring, c, next(iter(c)))
+    return [Poly._of(ring, r, next(iter(r))) if r else zero for r in rem], out
 
 
 def vec_combine(ring, n, terms):
@@ -784,8 +795,23 @@ def vec_combine(ring, n, terms):
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
     _refuse_overflow(ring, (e for t in acc for e in t))
-    return [Poly._of(ring, {e: Fraction(c, denom) for e, c in t.items() if c})
-            for t in acc]
+    return [_from_ints(ring, denom, {e: c for e, c in t.items() if c}) if t
+            else ring._zero for t in acc]
+
+
+def _from_ints(ring, den, ints):
+    """``ints / den`` (packed ``ints``, no zero value) handed its
+    :meth:`Poly.integer_form`, ``den`` and ``ints`` over their gcd."""
+    if not ints:
+        return ring._zero
+    g = gcd(den, *ints.values())
+    if g != 1:
+        den //= g
+        ints = {e: c // g for e, c in ints.items()}
+    p = Poly._of(ring, {e: Fraction(c, den) for e, c in ints.items()} if den != 1
+                 else {e: Fraction(c) for e, c in ints.items()})
+    p._integer = den, ints
+    return p
 
 
 def _s_vector(ring, vi, vj, ei, ej):
@@ -793,6 +819,7 @@ def _s_vector(ring, vi, vj, ei, ej):
     component, at packed monomials ``ei`` and ``ej``; the monomials ``mi``
     and ``mj`` take both leads to their lcm."""
     lcm = ring._lcm(ei, ej)
+    _refuse_overflow(ring, (lcm,))
     mi = Poly._of(ring, {lcm - ei: ONE})
     mj = Poly._of(ring, {lcm - ej: ONE})
     return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
@@ -840,6 +867,7 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
     basis = []
     reps = []
     leads = []
+    forms = {}    # the basis elements' integer forms, built as _reduce uses them
     heap = []
     pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
     prune = relations is None and all(len(c) == 1 for c in columns)
@@ -895,7 +923,7 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
         if vec_is_zero(s):
             remainder, cofs = s, []
         else:
-            remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            remainder, cofs = _reduce(ring, s, basis, leads, budget, forms)
         zero = vec_is_zero(remainder)
         if zero and not track:
             continue
@@ -913,12 +941,13 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
 
 def normal_form(p, gb):
     """Fully reduced normal form of ``p`` modulo a :class:`GroebnerBasis`."""
-    return _reduce(p.ring, [p], gb._reducers, gb._leads)[0][0]
+    return _reduce(p.ring, [p], gb._reducers, gb._leads, forms=gb._forms)[0][0]
 
 
 def normal_form_with_cofactors(p, gb):
     """Normal form plus the cofactors against the basis elements."""
-    remainder, cofactors = _reduce(p.ring, [p], gb._reducers, gb._leads)
+    remainder, cofactors = _reduce(p.ring, [p], gb._reducers, gb._leads,
+                                   forms=gb._forms)
     return remainder[0], cofactors
 
 
@@ -973,11 +1002,11 @@ class RingPresentation:
     The ideal's Groebner basis is computed on construction; normal forms and
     standard-monomial counts are then exact and deterministic.  Two caches
     live as long as the presentation and fill as they are asked: the normal
-    form of each monomial, which :meth:`normal_form` and
-    :meth:`encode_normal_form` sum (the normal form is unique and linear),
-    and the standard monomials of each degree.  ``max_monomials`` caps the
-    Groebner computation and every degree whose standard monomials are
-    listed.
+    form of each monomial as its integer form ``(d, {packed: int})``, which
+    the normal forms and encoders sum in ``int``\\s over one common
+    denominator (the normal form is unique and linear), and the packed
+    standard monomials of each degree.  ``max_monomials`` caps the Groebner
+    computation and every degree whose standard monomials are listed.
     """
 
     __slots__ = ("ring", "ideal", "gb", "max_monomials", "_monomial_nf",
@@ -1006,39 +1035,63 @@ class RingPresentation:
         """Normal form of ``p``, summed from the cached normal forms of its
         monomials: the normal form is linear, so no monomial is reduced
         twice."""
-        terms = {}
-        for m, coeff in p._terms.items():
-            for e, c in self._monomial_normal_form(m).items():
-                terms[e] = terms.get(e, ZERO) + coeff * c
-        return Poly._of(self.ring, {e: c for e, c in terms.items() if c})
+        if not p._terms:
+            return p
+        dp, terms = p.integer_form()
+        parts = [(c, self._monomial_normal_form(m)) for m, c in terms.items()]
+        den = lcm(*(d for _, (d, _) in parts))
+        acc = {}
+        for c, (d, nf) in parts:
+            c *= den // d
+            for e, a in nf.items():
+                acc[e] = acc.get(e, 0) + c * a
+        return _from_ints(self.ring, den * dp, {e: c for e, c in acc.items() if c})
 
     def encode_normal_form(self, coords, entries, shift):
         """``coords.encode`` of the normal form of ``x^shift * sum(label *
         poly for label, poly in entries)``: the cached normal forms of the
         shifted monomials are summed straight into the slice coordinates,
-        so neither a product nor a normal form polynomial is built."""
-        shift = self.ring._pack(shift)
-        vec = {}
-        for label, poly in entries:
-            block = coords.index[label]
-            for m, coeff in poly._terms.items():
-                for e, a in self._monomial_normal_form(shift + m).items():
-                    c = block[e]
-                    s = vec.get(c)
-                    s = coeff * a if s is None else s + coeff * a
-                    if s:
-                        vec[c] = s
-                    else:
-                        del vec[c]
-        return vec
+        in ``int``\\s over one common denominator, so neither a product nor
+        a normal form polynomial is built.  A coordinate is an ``int`` when
+        that denominator is 1, else a ``Fraction``."""
+        return self._encode(coords, entries, [self.ring._pack(shift)])[0]
+
+    def encode_multiples(self, coords, entries, degree):
+        """:meth:`encode_normal_form` shifted by each standard monomial of
+        weighted degree ``degree``, in :meth:`standard_monomials` order,
+        read from the packed cache."""
+        return self._encode(coords, entries, self._packed_monomials(degree))
+
+    def _encode(self, coords, entries, shifts):
+        forms = [(coords.index[label], poly.integer_form())
+                 for label, poly in entries if poly._terms]
+        den = lcm(*(d for _, (d, _) in forms))
+        terms = [(block, m, c * (den // d))
+                 for block, (d, t) in forms for m, c in t.items()]
+        nf = self._monomial_normal_form
+        out = []
+        for shift in shifts:
+            parts = [(block, c, nf(shift + m)) for block, m, c in terms]
+            scale = lcm(*(d for _, _, (d, _) in parts))
+            vec = {}
+            for block, c, (d, t) in parts:
+                c *= scale // d
+                for e, a in t.items():
+                    k = block[e]
+                    vec[k] = vec.get(k, 0) + c * a
+            scale *= den
+            out.append({k: a if scale == 1 else Fraction(a, scale)
+                        for k, a in vec.items() if a})
+        return out
 
     def _monomial_normal_form(self, m):
-        """Packed terms of the normal form of ``m``, reduced once and cached."""
+        """The :meth:`Poly.integer_form` ``(d, {packed: int})`` of the
+        normal form of ``m``, reduced once and cached."""
         reduced = self._monomial_nf.get(m)
         if reduced is None:
             _refuse_overflow(self.ring, (m,))
             reduced = self._monomial_nf[m] = normal_form(
-                Poly._of(self.ring, {m: ONE}, m), self.gb)._terms
+                Poly._of(self.ring, {m: ONE}, m), self.gb).integer_form()
         return reduced
 
     def standard_monomials(self, d):

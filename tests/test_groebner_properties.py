@@ -475,11 +475,11 @@ def spy_on_engine(monkeypatch):
             calls[caller].append({ring._unpack(ei), ring._unpack(ej)})
         return original_s_vector(ring, vi, vj, ei, ej)
 
-    def reduce(ring, v, reducers, leads=None, budget=None):
+    def reduce(*args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
         if caller in reductions:
             reductions[caller] += 1
-        return original_reduce(ring, v, reducers, leads, budget)
+        return original_reduce(*args, **kwargs)
 
     for module in (polyring, sys.modules[__name__]):
         monkeypatch.setattr(module, "_s_vector", s_vector)

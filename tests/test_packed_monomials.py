@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cising.cli import main
 from cising.errors import ResourceLimitError, ValidationError
 from cising.polyring import MAX_EXPONENT, PolyRing, buchberger, normal_form
+from cising.syzygies import syzygies
 
 PROPERTY = settings(max_examples=100)
 RINGS = [PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
@@ -92,9 +93,12 @@ def test_a_product_over_the_limit_is_refused(ring):
         x * ring.gens()[0]
     with pytest.raises(ResourceLimitError, match="over 32767"):
         x * y
-    # coprime leads, so no S-vector is formed, but their lcm is over the limit
+    # coprime leads: their lcm is over the limit, but the product criterion
+    # drops the pair, so no S-vector is formed and nothing is refused
+    assert set(buchberger([x, y]).basis) == {x, y}
+    # a relations run reduces every pair, so it forms that S-vector
     with pytest.raises(ResourceLimitError, match="over 32767"):
-        buchberger([x, y])
+        syzygies(ring, 1, [[x], [y]])
 
 
 def test_a_reduction_step_over_the_limit_is_refused():
