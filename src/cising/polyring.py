@@ -12,8 +12,8 @@ One Buchberger engine (``_groebner``) and one reduction routine
 vectors -- lists of polynomials ordered term over position -- and an ideal is
 the rank-1 case: :func:`buchberger` interreduces the engine's rank-1 basis,
 and :mod:`cising.syzygies` asks it for relations, the only runs that build
-representation rows.  Sums of polynomial multiples of vectors -- S-vectors,
-rows, composites of maps -- all go through :func:`vec_combine`.
+representation rows, which the reduction carries beside each S-vector.
+Other sums of polynomial multiples of vectors go through :func:`vec_combine`.
 
 Monomials are packed, one ``int`` each (Monagan and Pearce, J. Symb. Comp.
 46, 2011): a 16-bit field per variable and one for the weighted degree, each
@@ -28,14 +28,15 @@ Coefficients are ``fractions.Fraction`` in every input and output; there is
 no floating point (a ``float`` is refused).  Inside, products, reductions
 and quotient normal forms work fraction-free on each polynomial's cached
 integer form (:meth:`Poly.integer_form`): :func:`vec_combine`, ``Poly *
-Poly`` and a quotient's normal forms sum ``int``\\s over one common
-denominator, and ``_reduce`` holds the vector being reduced as integers
-over one common scale; only the results are built as ``Fraction``, and a
-remainder is handed the lead the reduction found.  Two monomial orders
-are supported: weight-compatible graded reverse lexicographic
-(``"grevlex"``, the default) and plain lexicographic (``"lex"``).
-Everything is deterministic -- pair selection, reducer selection and
-output ordering follow fixed conventions spelled out in the docstrings.
+Poly``, S-vectors and a quotient's normal forms sum ``int``\\s over one
+common denominator, and ``_reduce`` holds the vector being reduced as
+integers over one common scale; only the results are built as
+``Fraction``, and a remainder is handed the lead the reduction found.  Two
+monomial orders are supported: weight-compatible graded reverse
+lexicographic (``"grevlex"``, the default) and plain lexicographic
+(``"lex"``).  Everything is deterministic -- pair selection, reducer
+selection and output ordering follow fixed conventions spelled out in the
+docstrings.
 """
 
 import heapq
@@ -162,7 +163,7 @@ class PolyRing:
     def _lcm(self, a, b):
         # not refused: only the degree field can pass the limit (to at most
         # twice it); the pair criteria still read it exactly or miss it (so
-        # keep a pair), and _s_vector refuses it
+        # keep a pair), and _s_pair refuses it
         return sum(map(mul, map(max, self._unpack(a), self._unpack(b)), self._units))
 
     def zero(self):
@@ -657,59 +658,70 @@ class _MonomialBudget:
                 f"monomial cap {self.cap} exceeded during Groebner computation")
 
 
-def _reduce(ring, v, reducers, leads=None, budget=None, forms=None):
-    """Fully reduce the module vector ``v`` by ``reducers``, scanned in
-    order (first divisor wins).
+def _reducer_form(g, comp, lt):
+    """The integer form ``(d, lc, parts)`` of the vector ``g`` whose packed
+    lead ``lt`` sits in component ``comp``: ``parts`` lists ``(k, d / d_k,
+    d_k * g_k)`` per nonzero component, from :meth:`Poly.integer_form`, over
+    their common ``d``, and ``lc`` is the integer lead of ``d * g``."""
+    parts = [(k, p.integer_form()) for k, p in enumerate(g) if p._terms]
+    d = lcm(*(dk for _, (dk, _) in parts))
+    parts = [(k, d // dk, terms) for k, (dk, terms) in parts]
+    return d, next(f * terms[lt] for k, f, terms in parts if k == comp), parts
 
-    Returns ``(remainder, cofactors)`` with
-    ``v == sum_k cofactors[k] * reducers[k] + remainder`` componentwise and no
-    remainder term divisible by a reducer's lead (same component, dividing
-    monomial).  ``leads`` are the reducers' :func:`vec_lead` when the caller
-    already has them.  Each reduction step charges ``budget`` the number of
-    terms left to reduce.
+
+def _reduce(ring, v, reducers, leads=None, budget=None, forms=None, width=None):
+    """Fully reduce the components ``< width`` (default: all) of the module
+    vector ``v`` by ``reducers``, scanned in order (first divisor wins).
+
+    Returns ``v - sum_k q_k * reducers[k]`` for the reduction's cofactors
+    ``q``: its first ``width`` components are the remainder, with no term
+    divisible by a reducer's lead (same component, dividing monomial), and
+    the rest are *carried*, updated by each step but never reduced or
+    charged, so carrying unit vectors (reducers ``[g_k | e_k]``) leaves
+    minus the cofactors there.  ``leads`` are the :func:`vec_lead`\\s of
+    the reducers' first ``width`` components when the caller has them.
+    Each step charges ``budget`` the number of reduced terms left.
 
     Terms are taken largest first (term over position) from a heap of ints,
     a live term's negated sort key above its component.  A step only adds
     terms below the one it removes, so an entry whose term has since
-    cancelled is skipped when popped.
-
-    The arithmetic is fraction-free: the vector being reduced is held as
-    integers over one positive ``scale``, and each reducer ``g`` as its
-    integer form ``d * g`` (its nonzero components' :meth:`Poly.integer_form`
-    over their common ``d``), built on its first step and kept in ``forms``,
-    which a caller may keep while its reducers stay the same.  A step on
-    the term ``a / scale`` by a reducer with integer lead ``lc`` sets ``v <-
-    (lc/h) * v - (a/h) * x^m * d * g`` with ``h = gcd(a, lc)`` (signs moved
-    so that ``scale`` grows by ``|lc/h|``, and only when that is not 1).
-    ``scale`` never shrinks, so it can carry factors the live terms no
-    longer need; dividing the content out at each growth timed slower than
-    carrying them.  Inputs and outputs stay ``Fraction``: the cofactor ``a
-    * d / (scale * lc)`` of a step and a remainder term ``a / scale`` are
-    the only fractions built.  Terms leave the heap largest first, so the
-    first term of a remainder component or a cofactor is its lead, handed
-    to its :class:`Poly`; cofactors are kept sparse, and every zero is the
-    ring's one zero.
+    cancelled is skipped when popped.  The arithmetic is fraction-free
+    (:func:`_reduce_ints`, the core the engine calls): the vector is held
+    as integers over one positive ``scale`` and each reducer ``g`` as its
+    :func:`_reducer_form`, kept in ``forms``, which a caller may keep while
+    its reducers stay the same.  A step on the term ``a / scale`` by a
+    reducer with integer lead ``lc`` sets ``v <- (lc/h) * v - (a/h) * x^m *
+    d * g`` with ``h = gcd(a, lc)`` (signs moved so that ``scale`` grows by
+    ``|lc/h|``, and only when that is not 1); ``scale`` never shrinks, as
+    dividing the content out at each growth timed slower.  The output is
+    built by :func:`_from_ints`, each remainder component handed its lead
+    (the first term to leave the heap), every zero the ring's one zero.
     """
+    width = len(v) if width is None else width
     if leads is None:
-        leads = [vec_lead(g) for g in reducers]
-    if forms is None:
-        forms = {}
-    guard, low = ring._guard, ring._low
-    bits = (len(v) - 1).bit_length()
-    cmask = (1 << bits) - 1
-    push = heapq.heappush
-    divisors = [[] for _ in v]      # per component: (reducer, packed lead)
-    for hit, lead in enumerate(leads):
-        if lead is not None and lead[0] < len(v):
-            divisors[lead[0]].append((hit, lead[1]))
+        leads = [vec_lead(g[:width]) for g in reducers]
     integer = [p.integer_form() for p in v]
     scale = lcm(*(d for d, _ in integer))
     cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in integer]
+    return _reduce_ints(ring, scale, cur, reducers, leads, budget,
+                        {} if forms is None else forms, width)
+
+
+def _reduce_ints(ring, scale, cur, reducers, leads, budget, forms, width):
+    """:func:`_reduce` of the vector ``cur / scale``, one ``{packed: int}``
+    per component (taken over and changed)."""
+    guard, low = ring._guard, ring._low
+    bits = (width - 1).bit_length()
+    cmask = (1 << bits) - 1
+    push = heapq.heappush
+    divisors = [[] for _ in range(width)]      # per component: (reducer, packed lead)
+    for hit, lead in enumerate(leads):
+        if lead is not None and lead[0] < width:
+            divisors[lead[0]].append((hit, lead[1]))
     heap = [((2 * (e & low) - e) << bits) | comp
-            for comp, terms in enumerate(cur) for e in terms]
+            for comp in range(width) for e in cur[comp]]
     heapq.heapify(heap)
-    rem = [{} for _ in v]
-    cofactors = {}      # reducer -> {packed shift: Fraction}
+    rem = [{} for _ in range(width)]
     while heap:
         top = heapq.heappop(heap)
         comp, expo = top & cmask, top >> bits
@@ -722,20 +734,14 @@ def _reduce(ring, v, reducers, leads=None, budget=None, forms=None):
             if (over - lt) & guard == guard:
                 break
         else:
-            rem[comp][expo] = Fraction(a, scale)
+            rem[comp][expo] = a
             del cur[comp][expo]
             continue
         form = forms.get(hit)
         if form is None:
-            parts = [(k, p.integer_form()) for k, p in enumerate(reducers[hit])
-                     if p._terms]
-            d = lcm(*(dk for _, (dk, _) in parts))
-            parts = [(k, d // dk, terms) for k, (dk, terms) in parts]
-            lc = next(f * terms[lt] for k, f, terms in parts if k == comp)
-            form = forms[hit] = (d, lc, parts)
-        d, lc, parts = form
+            form = forms[hit] = _reducer_form(reducers[hit], comp, lt)
+        _, lc, parts = form
         shift = expo - lt
-        cofactors.setdefault(hit, {})[shift] = Fraction(a * d, scale * lc)
         h = gcd(a, lc)
         mult, b = lc // h, a // h
         if mult < 0:
@@ -743,16 +749,17 @@ def _reduce(ring, v, reducers, leads=None, budget=None, forms=None):
         if mult != 1:
             scale *= mult
             cur = [{e: c * mult for e, c in terms.items()} for terms in cur]
+            rem = [{e: c * mult for e, c in terms.items()} for terms in rem]
         for gcomp, factor, g in parts:
-            terms = cur[gcomp]
-            bk = b * factor
+            terms, bk, live = cur[gcomp], b * factor, gcomp < width
             for e, c in g.items():
                 e += shift
                 s = terms.get(e)
                 if s is None:
                     if e & guard:
                         _refuse_overflow(ring, (e,))
-                    push(heap, ((2 * (e & low) - e) << bits) | gcomp)
+                    if live:
+                        push(heap, ((2 * (e & low) - e) << bits) | gcomp)
                     terms[e] = -bk * c
                 else:
                     s -= bk * c
@@ -761,12 +768,10 @@ def _reduce(ring, v, reducers, leads=None, budget=None, forms=None):
                     else:
                         del terms[e]
         if budget is not None:
-            budget.charge(sum(map(len, cur)))
-    zero = ring.zero()
-    out = [zero] * len(reducers)
-    for hit, c in cofactors.items():
-        out[hit] = Poly._of(ring, c, next(iter(c)))
-    return [Poly._of(ring, r, next(iter(r))) if r else zero for r in rem], out
+            budget.charge(sum(map(len, cur[:width])))
+    zero = ring._zero
+    return ([_from_ints(ring, scale, r, next(iter(r))) if r else zero for r in rem]
+            + [_from_ints(ring, scale, t) if t else zero for t in cur[width:]])
 
 
 def vec_combine(ring, n, terms):
@@ -799,9 +804,10 @@ def vec_combine(ring, n, terms):
             else ring._zero for t in acc]
 
 
-def _from_ints(ring, den, ints):
+def _from_ints(ring, den, ints, lead=None):
     """``ints / den`` (packed ``ints``, no zero value) handed its
-    :meth:`Poly.integer_form`, ``den`` and ``ints`` over their gcd."""
+    :meth:`Poly.integer_form`, ``den`` and ``ints`` over their gcd, and its
+    packed lead when the caller knows it."""
     if not ints:
         return ring._zero
     g = gcd(den, *ints.values())
@@ -809,20 +815,37 @@ def _from_ints(ring, den, ints):
         den //= g
         ints = {e: c // g for e, c in ints.items()}
     p = Poly._of(ring, {e: Fraction(c, den) for e, c in ints.items()} if den != 1
-                 else {e: Fraction(c) for e, c in ints.items()})
+                 else {e: Fraction(c) for e, c in ints.items()}, lead)
     p._integer = den, ints
     return p
 
 
-def _s_vector(ring, vi, vj, ei, ej):
-    """``(mi, mj, mi * vi - mj * vj)`` for vectors whose monic leads share a
-    component, at packed monomials ``ei`` and ``ej``; the monomials ``mi``
-    and ``mj`` take both leads to their lcm."""
-    lcm = ring._lcm(ei, ej)
-    _refuse_overflow(ring, (lcm,))
-    mi = Poly._of(ring, {lcm - ei: ONE})
-    mj = Poly._of(ring, {lcm - ej: ONE})
-    return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
+def _s_pair(ring, n, ei, ej, fi, fj):
+    """The S-vector of two reducers whose monic leads, at packed ``ei`` and
+    ``ej``, share a component, from their :func:`_reducer_form`\\s (a monic
+    integer lead is ``d``): ``(D, cur)``, its ``n`` components times ``D =
+    lcm(d_i, d_j)`` as ``{packed: int}``.  The lcm of the leads and every
+    shifted term are refused over the limit."""
+    top = ring._lcm(ei, ej)
+    _refuse_overflow(ring, (top,))
+    den = lcm(fi[0], fj[0])
+    acc = [{} for _ in range(n)]
+    for shift, f, (d, _, parts) in ((top - ei, 1, fi), (top - ej, -1, fj)):
+        f *= den // d
+        for comp, factor, terms in parts:
+            out, k = acc[comp], f * factor
+            for e, c in terms.items():
+                e += shift
+                s = out.get(e)
+                if s is None:
+                    if e & ring._guard:
+                        _refuse_overflow(ring, (e,))
+                    out[e] = k * c
+                elif s := s + k * c:
+                    out[e] = s
+                else:
+                    del out[e]
+    return den, acc
 
 
 def _scaled(p, num, den):
@@ -855,22 +878,23 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
     after the columns with zero representation rows: the basis spans the
     columns and the seeds, and the rows track only the columns.
 
-    A dict passed as ``relations`` receives ``(i, j) -> row`` for each
-    pair whose S-vector is zero or reduces to zero, where ``row`` is
-    ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` with ``q`` the
-    reduction's cofactors: the relation ``sum_k row[k] * columns[k] == 0``
-    among the input columns modulo the seeds (for a pair that leaves a
-    remainder, the row of its new element).  So every same-component pair
-    but those that added an element (whose relation is zero) gives its
-    relation.
+    Each element is one reducer, lifted to ``basis[k] + representation[k]``
+    on relations runs (Moeller, Mora and Traverso, ISSAC 1992), its
+    :func:`_reducer_form` built once.  A pair's S-vector is summed from the
+    two forms (:func:`_s_pair`) and reduced with the row part carried: the
+    carried ``row`` is ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]``
+    (``q`` the cofactors), a new element's row, or, when the S-vector is
+    zero or reduces to zero, the relation ``sum_k row[k] * columns[k] ==
+    0`` modulo the seeds, which a dict passed as ``relations`` receives as
+    ``(i, j) -> row``.  So every same-component pair but those that added
+    an element (whose relation is zero) gives its relation.
     """
-    basis = []
-    reps = []
-    leads = []
-    forms = {}    # the basis elements' integer forms, built as _reduce uses them
-    heap = []
+    basis, reps, leads, heap = [], [], [], []
+    lifted = []   # basis[k], plus reps[k] on relations runs: the reducers
+    forms = {}    # the reducers' integer forms, one per element for the run
     pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
     prune = relations is None and all(len(c) == 1 for c in columns)
+    track = relations is not None
 
     def add_element(v, rep):
         comp, expo, coeff = vec_lead(v)
@@ -882,8 +906,10 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
                 rep = [_scaled(r, d, terms[expo]) for r in rep]
         basis.append(v)
         reps.append(rep)
+        lifted.append(v + rep if track else v)
         budget.charge(sum(len(p._terms) for p in v))
         i = len(basis) - 1
+        forms[i] = _reducer_form(lifted[i], comp, expo)
         new = {}
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
@@ -905,7 +931,6 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
                 heapq.heappush(heap, (ring._degree(lcm), j, i))
         leads.append((comp, expo, ONE))
 
-    track = relations is not None
     unit = [ring.zero() for _ in columns]
     for k, c in enumerate(columns):
         if not vec_is_zero(c):
@@ -919,42 +944,43 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
         _, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
-        mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
-        if vec_is_zero(s):
-            remainder, cofs = s, []
+        rank = len(basis[i])
+        scale, cur = _s_pair(ring, len(lifted[i]), leads[i][1], leads[j][1],
+                             forms[i], forms[j])
+        if any(cur[:rank]):
+            out = _reduce_ints(ring, scale, cur, lifted, leads, budget, forms, rank)
+        elif track:     # a zero S-vector: the relation is the carried part
+            out = [_from_ints(ring, scale, t) for t in cur]
         else:
-            remainder, cofs = _reduce(ring, s, basis, leads, budget, forms)
-        zero = vec_is_zero(remainder)
-        if zero and not track:
             continue
-        # a reducer that took no step adds nothing: skip negating it
-        row = (vec_combine(ring, len(columns), [(mi, reps[i]), (-mj, reps[j])]
-                           + [(-q, rep) for q, rep in zip(cofs, reps) if q._terms])
-               if track else None)
-        if zero:
-            relations[i, j] = row
-        else:
-            add_element(remainder, row)
+        if not vec_is_zero(out[:rank]):
+            add_element(out[:rank], out[rank:] if track else None)
+        elif track:
+            relations[i, j] = out[rank:]
 
     return basis, reps if track else None
 
 
 def normal_form(p, gb):
     """Fully reduced normal form of ``p`` modulo a :class:`GroebnerBasis`."""
-    return _reduce(p.ring, [p], gb._reducers, gb._leads, forms=gb._forms)[0][0]
+    return _reduce(p.ring, [p], gb._reducers, gb._leads, forms=gb._forms)[0]
 
 
 def normal_form_with_cofactors(p, gb):
-    """Normal form plus the cofactors against the basis elements."""
-    remainder, cofactors = _reduce(p.ring, [p], gb._reducers, gb._leads,
-                                   forms=gb._forms)
-    return remainder[0], cofactors
+    """Normal form plus the cofactors against the basis elements: ``[p | 0]``
+    reduced by the ``[g_k | e_k]`` with the unit vectors carried, which
+    leaves minus the cofactors there."""
+    ring, n = p.ring, len(gb.basis)
+    lifted = [[g] + [ring.one() if j == k else ring._zero for j in range(n)]
+              for k, g in enumerate(gb.basis)]
+    out = _reduce(ring, [p] + [ring._zero] * n, lifted, gb._leads, width=1)
+    return out[0], [-q for q in out[1:]]
 
 
 def module_normal_form(ring, v, gb):
     """Normal form of the module vector ``v`` against a module Groebner basis
     (:class:`cising.syzygies.ModuleGroebnerBasis`), uncapped."""
-    return _reduce(ring, v, gb.basis)[0]
+    return _reduce(ring, v, gb.basis)
 
 
 def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
@@ -987,7 +1013,7 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
         # a None lead keeps the element itself out of its reducers
         reducers = [[g] for g in final]
         leads = [None if k == idx else vec_lead(v) for k, v in enumerate(reducers)]
-        final[idx] = _reduce(ring, reducers[idx], reducers, leads)[0][0]
+        final[idx] = _reduce(ring, reducers[idx], reducers, leads)[0]
     return GroebnerBasis(ring=ring, basis=final)
 
 
@@ -1047,22 +1073,15 @@ class RingPresentation:
                 acc[e] = acc.get(e, 0) + c * a
         return _from_ints(self.ring, den * dp, {e: c for e, c in acc.items() if c})
 
-    def encode_normal_form(self, coords, entries, shift):
-        """``coords.encode`` of the normal form of ``x^shift * sum(label *
-        poly for label, poly in entries)``: the cached normal forms of the
-        shifted monomials are summed straight into the slice coordinates,
-        in ``int``\\s over one common denominator, so neither a product nor
-        a normal form polynomial is built.  A coordinate is an ``int`` when
-        that denominator is 1, else a ``Fraction``."""
-        return self._encode(coords, entries, [self.ring._pack(shift)])[0]
-
     def encode_multiples(self, coords, entries, degree):
-        """:meth:`encode_normal_form` shifted by each standard monomial of
-        weighted degree ``degree``, in :meth:`standard_monomials` order,
-        read from the packed cache."""
-        return self._encode(coords, entries, self._packed_monomials(degree))
-
-    def _encode(self, coords, entries, shifts):
+        """``coords.encode`` of the normal form of ``x^m * sum(label * poly
+        for label, poly in entries)`` for each standard monomial ``m`` of
+        weighted degree ``degree``, in :meth:`standard_monomials` order, read
+        from the packed cache: the cached normal forms of the shifted
+        monomials are summed straight into the slice coordinates, in
+        ``int``\\s over one common denominator, so neither a product nor a
+        normal form polynomial is built.  A coordinate is an ``int`` when
+        that denominator is 1, else a ``Fraction``."""
         forms = [(coords.index[label], poly.integer_form())
                  for label, poly in entries if poly._terms]
         den = lcm(*(d for _, (d, _) in forms))
@@ -1070,7 +1089,7 @@ class RingPresentation:
                  for block, (d, t) in forms for m, c in t.items()]
         nf = self._monomial_normal_form
         out = []
-        for shift in shifts:
+        for shift in self._packed_monomials(degree):
             parts = [(block, c, nf(shift + m)) for block, m, c in terms]
             scale = lcm(*(d for _, _, (d, _) in parts))
             vec = {}

@@ -169,7 +169,7 @@ def test_reduce_hands_over_the_remainder_leads(case, data):
     v = data.draw(st.lists(polys(ring), min_size=len(columns[0]),
                            max_size=len(columns[0])))
     reducers = [c for c in columns if any(c)]
-    remainder, _ = _reduce(ring, v, reducers, [vec_lead(c) for c in reducers])
+    remainder = _reduce(ring, v, reducers, [vec_lead(c) for c in reducers])
     assert_leads_handed_over(ring, [remainder])
 
 

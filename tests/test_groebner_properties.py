@@ -1,6 +1,9 @@
 """Property tests of Groebner bases, normal forms and syzygies, with sympy as
 an independent oracle for reduced Groebner bases, and the engine's pruned
-pair set against the all-pairs loop it replaced.
+pair set against the all-pairs loop it replaced.  The references form each
+S-vector with ``vec_combine`` and read a reduction's cofactors off the
+unit vectors it carries, where the engine sums S-vectors in ``int``\\s and
+carries the representation rows.
 
 sympy is used here only; the library never imports it.
 """
@@ -23,7 +26,6 @@ from cising.polyring import (
     _groebner,
     _MonomialBudget,
     _reduce,
-    _s_vector,
     buchberger,
     hilbert_function,
     normal_form,
@@ -149,6 +151,27 @@ REFERENCE_RINGS = [PolyRing(["x", "y"]), PolyRing(["x", "y"], order="lex"),
                    PolyRing(["a", "b_2"], weights=[1, 2])]
 
 
+def s_vector(ring, vi, vj, ei, ej):
+    """``(mi, mj, mi * vi - mj * vj)`` for vectors whose monic leads share a
+    component, at packed monomials ``ei`` and ``ej``; the monomials ``mi``
+    and ``mj`` take both leads to their lcm."""
+    lcm = ring._lcm(ei, ej)
+    mi = ring.monomial(ring._unpack(lcm - ei))
+    mj = ring.monomial(ring._unpack(lcm - ej))
+    return mi, mj, vec_combine(ring, len(vi), [(mi, vi), (-mj, vj)])
+
+
+def reduce_with_cofactors(ring, v, reducers, leads, budget):
+    """``(remainder, cofactors)``: ``_reduce`` of ``[v | 0]`` by the
+    ``[g_k | e_k]``, reducing the components of ``v`` and carrying the unit
+    vectors, which leaves minus the cofactors."""
+    n, zero = len(reducers), ring.zero()
+    lifted = [g + [ring.one() if j == k else zero for j in range(n)]
+              for k, g in enumerate(reducers)]
+    out = _reduce(ring, v + [zero] * n, lifted, leads, budget, width=len(v))
+    return out[:len(v)], [-q for q in out[len(v):]]
+
+
 def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
@@ -190,10 +213,10 @@ def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        mi, mj, s = _s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
+        mi, mj, s = s_vector(ring, basis[i], basis[j], leads[i][1], leads[j][1])
         remainder, cofs = s, []
         if not vec_is_zero(s):
-            remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            remainder, cofs = reduce_with_cofactors(ring, s, basis, leads, budget)
         rep = vec_combine(ring, len(columns),
                           [(mi, reps[i]), (-mj, reps[j])]
                           + [(-q, row) for q, row in zip(cofs, reps)])
@@ -280,9 +303,10 @@ def reference_relation_pass(ring, rank, columns, budget):
         for j in range(i + 1, t):
             if leads[i][0] != leads[j][0]:
                 continue
-            mi, mj, s = _s_vector(ring, basis[i], basis[j],
-                                  leads[i][1], leads[j][1])
-            remainder, cofs = _reduce(ring, s, basis, leads, budget)
+            mi, mj, s = s_vector(ring, basis[i], basis[j],
+                                 leads[i][1], leads[j][1])
+            remainder, cofs = reduce_with_cofactors(ring, s, basis, leads,
+                                                    budget)
             assert vec_is_zero(remainder)
             z = [-q for q in cofs]
             z[i] = z[i] + mi
@@ -291,7 +315,7 @@ def reference_relation_pass(ring, rank, columns, budget):
                 pair_relations.append(vec_combine(ring, m, zip(z, reps)))
     residuals = []
     for k, c in enumerate(columns):
-        remainder, cofs = _reduce(ring, c, basis, leads, budget)
+        remainder, cofs = reduce_with_cofactors(ring, c, basis, leads, budget)
         assert vec_is_zero(remainder)
         w = vec_combine(ring, m, [(-q, row) for q, row in zip(cofs, reps)])
         w[k] = w[k] + ring.one()
@@ -463,27 +487,36 @@ XYZ = RINGS[1]
 
 def spy_on_engine(monkeypatch):
     """Record the lead exponents (unpacked) of every S-vector ``_groebner``
-    and the all-pairs loop form, and count the reductions each of them
-    runs."""
+    (``_s_pair``) and the all-pairs loop (``s_vector``) form, and count the
+    reductions each of them runs (``_reduce_ints`` and
+    ``reduce_with_cofactors``)."""
     calls = {"_groebner": [], "all_pairs_groebner": []}
     reductions = {"_groebner": 0, "all_pairs_groebner": 0}
-    original_s_vector, original_reduce = polyring._s_vector, polyring._reduce
 
-    def s_vector(ring, vi, vj, ei, ej):
-        caller = sys._getframe(1).f_code.co_name
-        if caller in calls:
-            calls[caller].append({ring._unpack(ei), ring._unpack(ej)})
-        return original_s_vector(ring, vi, vj, ei, ej)
+    def record_pair(original, at):
+        # the packed leads are the arguments at ``at`` and ``at + 1``
+        def pair(ring, *args):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in calls:
+                calls[caller].append({ring._unpack(e) for e in args[at:at + 2]})
+            return original(ring, *args)
+        return pair
 
-    def reduce(*args, **kwargs):
-        caller = sys._getframe(1).f_code.co_name
-        if caller in reductions:
-            reductions[caller] += 1
-        return original_reduce(*args, **kwargs)
+    def count_reduction(original):
+        def reduce(*args, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in reductions:
+                reductions[caller] += 1
+            return original(*args, **kwargs)
+        return reduce
 
-    for module in (polyring, sys.modules[__name__]):
-        monkeypatch.setattr(module, "_s_vector", s_vector)
-        monkeypatch.setattr(module, "_reduce", reduce)
+    this = sys.modules[__name__]
+    monkeypatch.setattr(polyring, "_s_pair", record_pair(polyring._s_pair, 1))
+    monkeypatch.setattr(this, "s_vector", record_pair(s_vector, 2))
+    monkeypatch.setattr(polyring, "_reduce_ints",
+                        count_reduction(polyring._reduce_ints))
+    monkeypatch.setattr(this, "reduce_with_cofactors",
+                        count_reduction(reduce_with_cofactors))
     return calls, reductions
 
 
@@ -574,19 +607,27 @@ def test_relations_run_forms_in_flight_the_pair_the_f_criterion_drops(
 
 def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
     """``syzygies`` reads its relations off the engine: every S-vector of a
-    call, on ideals and on modules, is formed inside ``_groebner``."""
-    callers = []
-    original = polyring._s_vector
+    call, on ideals and on modules, is formed inside ``_groebner``, and no
+    module but ``polyring`` calls a reduction."""
+    callers = {"_s_pair": [], "_reduce": [], "_reduce_ints": []}
 
-    def s_vector(ring, vi, vj, ei, ej):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(ring, vi, vj, ei, ej)
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            callers[name].append((frame.f_globals["__name__"],
+                                  frame.f_code.co_name))
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(polyring, "_s_vector", s_vector)
-    for name in ("_s_vector", "_reduce"):
+    for name in callers:
+        monkeypatch.setattr(polyring, name, spy(name, getattr(polyring, name)))
         assert not hasattr(syzygies_module, name)
     syzygies(XYZ, 1, [[XYZ.parse("x*z + z^2")], [XYZ.parse("x*y - z^2")],
                       [XYZ.parse("x^2")]])
     syzygies(XYZ, 2, [[XYZ.parse("x"), XYZ.parse("y")],
                       [XYZ.parse("y"), XYZ.parse("z")]])
-    assert callers and set(callers) == {"_groebner"}
+    assert callers["_s_pair"] and set(callers["_s_pair"]) == {
+        ("cising.polyring", "_groebner")}
+    assert callers["_reduce_ints"]
+    assert {module for calls in callers.values() for module, _ in calls} == {
+        "cising.polyring"}

@@ -25,8 +25,10 @@ from cising.polyring import (
     _groebner,
     _MonomialBudget,
     _reduce,
+    _reduce_ints,
     normal_form,
     normal_form_with_cofactors,
+    vec_combine,
 )
 
 PROPERTY = settings(max_examples=60)
@@ -78,16 +80,24 @@ def fresh_integer_form(p):
 @PROPERTY
 @given(presentations(), st.data())
 def test_summed_normal_form_is_the_groebner_normal_form(rp, data):
-    """Also its handed-over integer form, and the cofactors against the
-    basis with the reducer forms it keeps against forms built afresh."""
+    """Also its handed-over integer form, and the remainder and cofactors
+    that carrying unit vectors through the reduction gives (forms built
+    afresh for the lifted reducers) against the basis's kept reducer forms
+    and the same reduction with nothing carried."""
+    ring = rp.ring
     for _ in range(3):
-        p = data.draw(polys(rp.ring))
+        p = data.draw(polys(ring))
         nf = rp.normal_form(p)
         assert nf == normal_form(p, rp.gb)
         assert all(type(c) is Fraction for c in nf.terms.values())
         assert nf.integer_form() == fresh_integer_form(nf)
-        remainder, cofactors = _reduce(rp.ring, [p], rp.gb._reducers, rp.gb._leads)
-        assert normal_form_with_cofactors(p, rp.gb) == (remainder[0], cofactors)
+        remainder, cofactors = normal_form_with_cofactors(p, rp.gb)
+        assert [remainder] == _reduce(ring, [p], rp.gb._reducers) == [nf]
+        assert len(cofactors) == len(rp.gb.basis)
+        rebuilt = vec_combine(ring, 1, [(q, [g]) for q, g in
+                                        zip(cofactors, rp.gb.basis)])[0]
+        assert rebuilt + remainder == p
+        assert remainder.integer_form() == fresh_integer_form(remainder)
 
 
 @st.composite
@@ -139,9 +149,10 @@ def engine_runs(draw):
     return ring, columns, seeds
 
 
-def rebuilding_reduce(ring, v, reducers, leads=None, budget=None, forms=None):
-    """``_reduce`` with no reducer form kept from an earlier call."""
-    return _reduce(ring, v, reducers, leads, budget)
+def rebuilding_reduce(ring, scale, cur, reducers, leads, budget, forms, width):
+    """The engine's reduction with no reducer form kept from an earlier
+    call."""
+    return _reduce_ints(ring, scale, cur, reducers, leads, budget, {}, width)
 
 
 @PROPERTY
@@ -152,10 +163,10 @@ def test_kept_reducer_forms_match_forms_rebuilt_on_every_reduction(case, track):
     turns a run that would never end into a failure."""
     ring, columns, seeds = case
     runs = []
-    for reduce in (_reduce, rebuilding_reduce):
+    for reduce in (_reduce_ints, rebuilding_reduce):
         relations = {} if track else None
         budget = _MonomialBudget(10**5)
-        with patch.object(polyring, "_reduce", reduce):
+        with patch.object(polyring, "_reduce_ints", reduce):
             basis, reps = _groebner(ring, columns, budget, relations, seeds=seeds)
         runs.append((basis, reps, relations, budget.used))
     assert runs[0] == runs[1]

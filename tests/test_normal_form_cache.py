@@ -1,8 +1,8 @@
 """Property tests of the caches a ring presentation keeps: the monomial
-normal forms that ``normal_form`` sums, and ``encode_normal_form`` sums with
-a shift into slice coordinates, checked against the whole-polynomial
-``normal_form`` of the Groebner basis, and the standard monomials of each
-degree.  Quotients are by random homogeneous regular sequences on grevlex,
+normal forms that ``normal_form`` sums, and ``encode_multiples`` sums with
+each standard monomial of a degree as the shift into slice coordinates,
+checked against the whole-polynomial ``normal_form`` of the Groebner basis,
+and the standard monomials of each degree.  Quotients are by random homogeneous regular sequences on grevlex,
 lex and weighted rings.
 """
 
@@ -50,7 +50,8 @@ def quotients(draw):
 @st.composite
 def normal_form_columns(draw):
     """A quotient, twists, a homogeneous column in normal form that is not
-    zero in the quotient, its degree and a monomial to shift it by."""
+    zero in the quotient, its degree and the degree of the standard
+    monomials to shift it by."""
     rp = draw(quotients())
     ring = rp.ring
     twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
@@ -58,8 +59,7 @@ def normal_form_columns(draw):
     column = [rp.normal_form(draw(homogeneous_polys(ring, degree - t)))
               for t in twists]
     assume(any(not p.is_zero() for p in column))
-    mono = draw(st.sampled_from(ring.monomials_of_degree(draw(st.integers(0, 2)))))
-    return rp, twists, column, degree, mono
+    return rp, twists, column, degree, draw(st.integers(0, 2))
 
 
 @PROPERTY
@@ -76,24 +76,25 @@ def test_cached_monomial_normal_forms_match_normal_form(rp):
 XYZ = RINGS[0]
 # not in normal form: x^2 and -y^2 reduce to canceling terms
 CANCELING = (RingPresentation(XYZ, [XYZ.parse("x^2 - y^2")]), [0, 1],
-             [XYZ.parse("x^2 - y^2 + x*y"), XYZ.parse("x")], 2, (0, 0, 0))
+             [XYZ.parse("x^2 - y^2 + x*y"), XYZ.parse("x")], 2, 0)
 
 
 @PROPERTY
 @given(normal_form_columns())
 @example(CANCELING)
-def test_shifted_normal_form_matches_normal_form_of_the_product(case):
-    """``encode_normal_form`` sums the cached normal forms of the shifted
-    monomials straight into slice coordinates: the encoded normal form of
-    the product, also when read a second time, from the cache."""
-    rp, twists, column, degree, mono = case
-    coords = GradedSlice(rp, ((k, degree + rp.ring.wdeg(mono) - t)
+def test_encoded_multiples_match_normal_forms_of_the_products(case):
+    """``encode_multiples`` sums the cached normal forms of the shifted
+    monomials straight into slice coordinates: per standard monomial of the
+    shift degree, the encoded normal form of the product, also when read a
+    second time, from the cache."""
+    rp, twists, column, degree, shift = case
+    coords = GradedSlice(rp, ((k, degree + shift - t)
                               for k, t in enumerate(twists)))
-    product = rp.ring.monomial(mono)
-    expected = coords.encode((k, normal_form(product * p, rp.gb))
-                             for k, p in enumerate(column))
-    assert rp.encode_normal_form(coords, enumerate(column), mono) == expected
-    assert rp.encode_normal_form(coords, enumerate(column), mono) == expected
+    expected = [coords.encode((k, normal_form(rp.ring.monomial(m) * p, rp.gb))
+                              for k, p in enumerate(column))
+                for m in rp.standard_monomials(shift)]
+    assert rp.encode_multiples(coords, enumerate(column), shift) == expected
+    assert rp.encode_multiples(coords, enumerate(column), shift) == expected
 
 
 @PROPERTY

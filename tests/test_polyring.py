@@ -191,13 +191,17 @@ def test_buchberger_frozen_example(xy):
 def assert_same_ideal(gens, gb):
     """Each basis element is an explicit combination of ``gens`` -- its
     cofactors against a relations run's basis pushed through that run's
-    representation rows -- and each generator reduces to 0 against ``gb``."""
+    representation rows, carried as ``[b_k | rep_k]`` through the
+    reduction of ``[g | 0]``, which leaves minus the row -- and each
+    generator reduces to 0 against ``gb``."""
     ring = gens[0].ring
     mgb = module_buchberger(ring, 1, [[f] for f in gens])
+    lifted = [b + rep for b, rep in zip(mgb.basis, mgb.representation)]
     for g in gb.basis:
-        remainder, cofs = _reduce(ring, [g], mgb.basis)
-        assert remainder[0].is_zero()
-        row = vec_combine(ring, len(gens), zip(cofs, mgb.representation))
+        remainder, *carried = _reduce(ring, [g] + [ring.zero()] * len(gens),
+                                      lifted, width=1)
+        assert remainder.is_zero()
+        row = vec_combine(ring, len(gens), [(ring.constant(-1), carried)])
         assert sum((c * f for c, f in zip(row, gens)), ring.zero()) == g
     for f in gens:
         assert normal_form(f, gb).is_zero()

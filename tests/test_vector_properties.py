@@ -1,7 +1,8 @@
 """Property tests of the polynomial-vector kernels: the heap-driven,
 fraction-free reduction against the plain max-scan ``Fraction`` loop it
-replaced, one linear combination against naive ``Poly`` sums, and the
-``str``/``parse_poly`` round trip.
+replaced (its cofactors read off the carried unit vectors), one linear
+combination against naive ``Poly`` sums, and the ``str``/``parse_poly``
+round trip.
 """
 
 from collections import Counter
@@ -100,6 +101,17 @@ def max_scan_reduce(ring, v, reducers, leads, budget):
     return [Poly(ring, r) for r in rem], [Poly(ring, c) for c in cofactors]
 
 
+def carrying_reduce(ring, v, reducers, leads, budget):
+    """``(remainder, cofactors)`` of ``_reduce`` on ``[v | 0]`` by the
+    ``[g_k | e_k]``, reducing the components of ``v`` and carrying the unit
+    vectors: the cofactors are minus the carried part."""
+    n, zero = len(reducers), ring.zero()
+    lifted = [g + [ring.one() if j == k else zero for j in range(n)]
+              for k, g in enumerate(reducers)]
+    out = _reduce(ring, v + [zero] * n, lifted, leads, budget, width=len(v))
+    return out[:len(v)], [-q for q in out[len(v):]]
+
+
 @st.composite
 def reductions(draw):
     """A ring, a vector of rank 1 to 3, and 1 to 4 nonzero reducers, some of
@@ -119,7 +131,7 @@ def test_reduce_matches_the_max_scan_loop(case):
     ring, v, reducers, leads = case
     expected_budget, budget = Recorder(), Recorder()
     expected = max_scan_reduce(ring, v, reducers, leads, expected_budget)
-    remainder, cofactors = _reduce(ring, v, reducers, leads, budget)
+    remainder, cofactors = carrying_reduce(ring, v, reducers, leads, budget)
     assert remainder == expected[0]
     assert cofactors == expected[1]
     assert budget.charges == expected_budget.charges
@@ -138,22 +150,24 @@ def test_reduce_matches_the_max_scan_loop_when_the_scale_grows_and_signs_flip():
     leads = [vec_lead(g) for g in reducers]
     expected_budget, budget = Recorder(), Recorder()
     expected = max_scan_reduce(ring, v, reducers, leads, expected_budget)
-    assert _reduce(ring, v, reducers, leads, budget) == expected
+    assert carrying_reduce(ring, v, reducers, leads, budget) == expected
     assert budget.charges == expected_budget.charges
     assert all(q.terms for q in expected[1])
 
 
 def test_normal_forms_build_each_reducer_integer_form_once(monkeypatch):
     """Repeated normal forms against one basis, whole polynomials and the
-    presentation's monomial by monomial, reuse each basis element's integer
-    form: none is built twice."""
+    presentation's monomial by monomial, read each basis element's integer
+    form and reuse it: none is built twice (the reduction that made a
+    basis element hands it over, so it may be built never)."""
     ring = PolyRing(["x", "y", "z"])
     rp = RingPresentation(ring, [ring.parse("2/3*x^2 - y*z"),
                                  ring.parse("x*y + 5/7*z^2")])
-    built = Counter()
+    built, read = Counter(), set()
     original = Poly.integer_form
 
     def integer_form(self):
+        read.add(id(self))
         if self._integer is None:
             built[id(self)] += 1
         return original(self)
@@ -166,8 +180,8 @@ def test_normal_forms_build_each_reducer_integer_form_once(monkeypatch):
         normal_form(p, rp.gb)
         rp.normal_form(p)
     basis = {id(g) for g in rp.gb.basis}
-    assert basis <= set(built)
-    assert all(built[k] == 1 for k in basis)
+    assert basis <= read
+    assert all(built[k] <= 1 for k in basis)
 
 
 @st.composite
