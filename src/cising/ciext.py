@@ -16,7 +16,6 @@ rejected (pointwise invariants at a rational zero live in
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     GradingError,
@@ -350,64 +349,16 @@ def _ideal_cofactors(rp, p, solvers):
     return [Poly(ring, {m: next(x) for m in block}) for block in blocks]
 
 
-def _koszul_shuffle(rp, cofs, entry_degree, rng):
-    """Randomize a decomposition sum(cofs[j] * f_j) without changing it, by
-    adding the antisymmetric combinations g*f_l to cofs[j] and -g*f_j to
-    cofs[l]."""
-    ring = rp.ring
-    out = list(cofs)
-    c = len(out)
-    for j in range(c):
-        for l in range(j + 1, c):
-            dg = (entry_degree - rp.ideal[j].homogeneous_degree()
-                  - rp.ideal[l].homogeneous_degree())
-            if dg < 0 or rng.random() < 0.5:
-                continue
-            monos = ring.monomials_of_degree(dg)
-            if not monos:
-                continue
-            g = ring.monomial(rng.choice(monos), Fraction(rng.randint(-2, 2)))
-            out[j] = out[j] + g * rp.ideal[l]
-            out[l] = out[l] - g * rp.ideal[j]
-    return out
-
-
-def _randomized_lifts(rp, resolution, rng):
-    """Ambient lifts of the differentials with random ideal multiples mixed
-    into the entries (the class modulo the ideal is unchanged)."""
-    ring = rp.ring
-    lifted = []
-    for i, cols in enumerate(resolution.differentials):
-        src = resolution.twists[i + 1]
-        tgt = resolution.twists[i]
-        new_cols = []
-        for cidx, col in enumerate(cols):
-            new_col = list(col)
-            for ridx in range(len(new_col)):
-                for f in rp.ideal:
-                    dd = src[cidx] - tgt[ridx] - f.homogeneous_degree()
-                    if dd < 0 or rng.random() < 0.5:
-                        continue
-                    monos = ring.monomials_of_degree(dd)
-                    if not monos:
-                        continue
-                    g = ring.monomial(rng.choice(monos),
-                                      Fraction(rng.randint(-2, 2)))
-                    new_col[ridx] = new_col[ridx] + g * f
-            new_cols.append(new_col)
-        lifted.append(new_cols)
-    return lifted
-
-
-def eisenbud_ops(rp, resolution, rng=None):
+def eisenbud_ops(rp, resolution):
     """Degree-2 operator family on Ext, one operator per ideal generator.
 
     Lift the differentials to the ambient polynomial ring, decompose the
     composite of consecutive lifts over the ideal generators, and read the
     induced maps on Ext off the constant parts (the resolution is minimal,
     so Ext against the residue field is the dual of the resolution with
-    zero differential).  The induced maps are independent of every lift
-    choice; pass ``rng`` to randomize the choices and exercise that.
+    zero differential).  The induced maps are independent of the lifts and
+    of the decomposition chosen (Eisenbud, Trans. AMS 260, 1980); the
+    differentials and the solve's decomposition are used as given.
 
     Returns ``(operators, lifts)``: ``operators[j][i]`` is the rational
     matrix Ext^i -> Ext^{i+2} for ideal generator ``j`` (i = 0..length-2);
@@ -428,10 +379,8 @@ def eisenbud_ops(rp, resolution, rng=None):
     c = len(rp.ideal)
     betti = resolution.betti
     length = resolution.length
-    if rng is None:
-        lifted = resolution.differentials
-    else:
-        lifted = _randomized_lifts(rp, resolution, rng)
+    # the differentials' entries are ambient polynomials: their own lifts
+    lifted = resolution.differentials
 
     operators = [[] for _ in range(c)]
     lifts = [[] for _ in range(c)]
@@ -443,10 +392,6 @@ def eisenbud_ops(rp, resolution, rng=None):
             composite = vec_combine(rp.ring, betti[i], zip(v, lifted[i]))
             cofs.append([_ideal_cofactors(rp, entry, solvers)
                          for entry in composite])
-            if rng is not None and c >= 2:
-                cofs[-1] = [_koszul_shuffle(rp, cf, resolution.twists[i + 2][cidx]
-                                            - resolution.twists[i][r], rng)
-                            for r, cf in enumerate(cofs[-1])]
         for j in range(c):
             tcols = [[cf[j] for cf in column] for column in cofs]
             operators[j].append(Mat([[p.constant_coefficient() for p in col]
@@ -475,7 +420,7 @@ class ExtModule:
         return len(self.dims) - 1
 
 
-def ext_module(rp, module, length, rng=None, max_width=DEFAULT_MAX_WIDTH,
+def ext_module(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
                max_monomials=DEFAULT_MAX_MONOMIALS):
     """Ext of the module against the residue field, out to degree ``length``.
 
@@ -485,7 +430,7 @@ def ext_module(rp, module, length, rng=None, max_width=DEFAULT_MAX_WIDTH,
     """
     resolution = minimal_resolution(rp, module, length, max_width=max_width,
                                     max_monomials=max_monomials)
-    operators, lifts = eisenbud_ops(rp, resolution, rng=rng)
+    operators, lifts = eisenbud_ops(rp, resolution)
     ext = ExtModule(dims=resolution.betti, operators=operators,
                     resolution=resolution, operator_lifts=lifts)
     _assert_commuting(ext)
@@ -724,14 +669,13 @@ class CoherenceReport:
     ext: ExtModule
 
 
-def coherence_report(rp, module, window=None, rng=None,
-                     max_width=DEFAULT_MAX_WIDTH,
+def coherence_report(rp, module, window=None, max_width=DEFAULT_MAX_WIDTH,
                      max_monomials=DEFAULT_MAX_MONOMIALS):
     """Resolve, compute Ext with its operators, and return the verdict."""
     if window is None:
         window = default_window()
     lo, hi = int(window[0]), int(window[1])
-    ext = ext_module(rp, module, hi, rng=rng, max_width=max_width,
+    ext = ext_module(rp, module, hi, max_width=max_width,
                      max_monomials=max_monomials)
     verdict = fg_check(ext, (lo, hi))
     return CoherenceReport(betti=ext.resolution.betti,

@@ -353,7 +353,7 @@ def _check_exact_row(a, b, which):
         raise ExactnessError(f"{which} row: not exact at the middle term")
 
 
-def snake_boundary(top, bottom, verticals, rng=None):
+def snake_boundary(top, bottom, verticals):
     """Connecting map of a six-term snake diagram.
 
     ``top = (a, b)`` and ``bottom = (a2, b2)`` are short exact rows,
@@ -361,9 +361,9 @@ def snake_boundary(top, bottom, verticals, rng=None):
     :class:`SubquotientMap` from ``ker(gamma)`` to ``coker(alpha)``: lift
     along ``b``, push through ``beta``, pull back along ``a2``, project.
 
-    The interior lift is not unique; pass ``rng`` (a ``random.Random``) to
-    randomize it.  The resulting map is identical for every lift -- that is
-    the point of the construction, and tests rely on it.
+    The interior lift along ``b`` is not unique; the solver's lift is used,
+    and the resulting map is the same for every lift -- that is the point
+    of the construction.
     """
     a, b = top
     a2, b2 = bottom
@@ -377,16 +377,10 @@ def snake_boundary(top, bottom, verticals, rng=None):
 
     kernel = kernel_basis(gamma)
     projection = cokernel_presentation(alpha)
-    lift_freedom = kernel_basis(b) if rng is not None else []
     lift, pull_back = solver(b), solver(a2)
     columns = []
     for c in kernel:
-        u = lift(c)
-        if rng is not None:
-            for kv in lift_freedom:
-                coeff = Fraction(rng.randint(-4, 4))
-                u = [ui + coeff * ki for ui, ki in zip(u, kv)]
-        w = beta.vec(u)
+        w = beta.vec(lift(c))
         v = pull_back(w)
         if v is None:
             raise ExactnessError("pushed lift is not in the image of the bottom row")

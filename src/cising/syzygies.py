@@ -98,21 +98,16 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     ``sum_k s[k] * columns[k] == 0`` componentwise modulo the ideal of
     ``modulo`` (exactly, when it is empty); together they generate every
     such relation.  The output order is deterministic: the relations
-    :func:`module_buchberger` hands over, in pair order, less zero vectors
-    and exact repeats (two pairs can push down to the same vector), then the
-    unit vector of each zero input column.  The reductions behind them all
+    :func:`module_buchberger` hands over, in pair order, less zero vectors,
+    then the unit vector of each zero input column.  Two pairs can push
+    down to the same vector; such repeats are kept (a caller after a
+    minimal set drops them as dependent columns).  The reductions behind them all
     charge the one ``max_monomials`` budget of the engine run.
     """
     gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials,
                            modulo=modulo)
-    result, hashes = [], set()
-    for _, relation in sorted(gb.relations.items()):
-        # only hashes are kept; a relation is compared when its hash repeats
-        key = hash(tuple(relation))
-        if vec_is_zero(relation) or (key in hashes and relation in result):
-            continue
-        hashes.add(key)
-        result.append(relation)
+    result = [relation for _, relation in sorted(gb.relations.items())
+              if not vec_is_zero(relation)]
     for k, c in enumerate(gb.generators):
         if vec_is_zero(c):
             unit = [ring.zero()] * len(gb.generators)

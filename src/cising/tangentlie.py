@@ -184,16 +184,15 @@ def diffop_fiber(fiber):
                                   Mat.from_columns(gamma_cols, tdim)))
 
 
-def hessian_snake(fiber, rng=None):
+def hessian_snake(fiber):
     """Bracket via the snake boundary of the differential-operator diagram.
 
     The boundary map lands on the kernel of the symmetric square of the
     Jacobian; precomposing with the symmetrization of kernel pairs gives the
-    bracket in the same bases as :func:`hessian_direct`.  ``rng`` randomizes
-    the interior lift; the result never depends on it.
+    bracket in the same bases as :func:`hessian_direct`.
     """
     diagram = diffop_fiber(fiber)
-    sq = snake_boundary(diagram.top, diagram.bottom, diagram.verticals, rng=rng)
+    sq = snake_boundary(diagram.top, diagram.bottom, diagram.verticals)
     spairs = diagram.source_pairs
     pair_index = {pair: idx for idx, pair in enumerate(spairs)}
     coordinates = solver(Mat.from_columns(sq.domain_basis, len(spairs)))

@@ -526,8 +526,8 @@ def test_validate_passes_what_a_run_accepts_or_rejects_later(capsys, tmp_path,
 def test_failed_cross_check_exits_4(capsys, monkeypatch):
     original = cising.tangentlie.hessian_snake
 
-    def skewed(fiber, rng=None):
-        bracket = original(fiber, rng=rng)
+    def skewed(fiber):
+        bracket = original(fiber)
         bracket[0][0] = [c + 1 for c in bracket[0][0]]
         return bracket
 

@@ -326,12 +326,9 @@ def reference_relation_pass(ring, rank, columns, budget):
 
 def reference_syzygies(columns, pair_relations, residuals):
     """What ``syzygies`` returns: the reference relation pass on
-    ``columns`` without its zero vectors, its exact repeats and the
-    residuals of the nonzero input columns."""
-    found = []
-    for z in pair_relations:
-        if not vec_is_zero(z) and z not in found:
-            found.append(z)
+    ``columns`` without its zero vectors and the residuals of the nonzero
+    input columns.  Repeats are kept."""
+    found = [z for z in pair_relations if not vec_is_zero(z)]
     return found + [w for k, w in residuals if vec_is_zero(columns[k])]
 
 
@@ -431,8 +428,8 @@ DIVISIBLE_LEADS = (XY, 1, [[XY.parse("x")], [XY.parse("x*y")]])
 @given(engine_inputs(ranks=[1, 2, 3]))
 def test_syzygies_are_the_reference_pass_without_residuals(case):
     """``syzygies`` gives the relation pass that pushed every pair down and
-    added a residual per input column, less its zero vectors, its exact
-    repeats and the residuals of nonzero columns.  Each such residual is a
+    added a residual per input column, less its zero vectors and the
+    residuals of nonzero columns (repeats are kept).  Each such residual is a
     multiple of a relation it still gives, so the span is the same.  Asking
     for relations reduces, once each, the pairs the criteria would drop on
     ideals, so that charges the budget no more than the pass did."""
@@ -455,7 +452,7 @@ def test_seeds_give_the_run_on_the_seeded_columns_cut_to_the_inputs(case, data):
     representation row.  That is the run with those vectors as extra
     columns -- the same basis, pairs and budget -- with every row cut to
     the input columns; its syzygies are the cut relations, less zero
-    vectors and exact repeats, then the unit vectors of zero columns."""
+    vectors (repeats are kept), then the unit vectors of zero columns."""
     ring, rank, columns = case
     modulo = data.draw(st.lists(polys(ring, max_terms=2), min_size=1, max_size=2))
     zero, m = ring.zero(), len(columns)
@@ -470,10 +467,8 @@ def test_seeds_give_the_run_on_the_seeded_columns_cut_to_the_inputs(case, data):
     assert relations == {pair: row[:m] for pair, row in ambient_relations.items()}
     assert budget.used == ambient_budget.used
 
-    expected = []
-    for _, row in sorted(ambient_relations.items()):
-        if not vec_is_zero(row[:m]) and row[:m] not in expected:
-            expected.append(row[:m])
+    expected = [row[:m] for _, row in sorted(ambient_relations.items())
+                if not vec_is_zero(row[:m])]
     expected += [[ring.one() if j == k else zero for j in range(m)]
                  for k, c in enumerate(columns) if vec_is_zero(c)]
     assert syzygies(ring, rank, columns, modulo=modulo) == expected
@@ -600,9 +595,9 @@ def test_relations_run_forms_in_flight_the_pair_the_f_criterion_drops(
     assert sorted(relations) == [(0, 2), (1, 2)]
     for row in relations.values():
         assert vec_is_zero(combine(XYZ, row, columns))
-    # both push down to the Koszul relation; syzygies keeps one copy
+    # both push down to the Koszul relation; syzygies hands over both copies
     assert relations[0, 2] == relations[1, 2]
-    assert syzygies(XYZ, 1, columns) == [relations[0, 2]]
+    assert syzygies(XYZ, 1, columns) == [relations[0, 2], relations[1, 2]]
 
 
 def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
