@@ -185,7 +185,7 @@ class Job:
                 return None
             try:
                 out.append(self.ring.parse(text))
-            except ParseError as err:
+            except (ParseError, ValidationError) as err:
                 self._note(f"{field}[{k}]: {err}")
                 return None
         return out
@@ -262,6 +262,11 @@ class Job:
         degrees = dg.get("degrees")
         if not _list_of(degrees, _is_int):
             self._note("dg 'degrees' must be a list of integers")
+            return
+        far = [d for d in degrees if abs(d) > _MAX_DEGREE]
+        if far:
+            self._note(f"dg degree {far[0]} outside "
+                       f"{-_MAX_DEGREE}..{_MAX_DEGREE}")
             return
         matrix = dg.get("matrix")
         n = len(degrees)

@@ -461,8 +461,9 @@ def test_run_refuses_exactly_what_validate_flags(capsys, tmp_path, name):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
-# Jobs the library refuses once a run has started: validate lists each
-# refusal as a finding, and a run exits 1 with the finding as its message.
+# Jobs the library refuses once a run has started, and DG degrees past the
+# bound that keeps a run's slice count finite: validate lists each refusal
+# as a finding, and a run exits 1 with the finding as its message.
 REFUSED_BY_VALIDATE = {
     "tangent_empty_map": ("tangent", {"variables": ["x"], "map": []},
                           "need at least one polynomial"),
@@ -480,6 +481,18 @@ REFUSED_BY_VALIDATE = {
     "dg_weight_1": ("minimize", {
         "variables": ["s"], "dg": {"degrees": [0], "matrix": [["0"]]}},
         "operator variables must all have weight 2"),
+    "map_exponent_over_cap": ("tower", {
+        "variables": ["x", "y"], "map": ["x^40000"], "n": 2, "degree": 3},
+        "map[0]: exponent (40000, 0) is not 2 nonnegative integers of "
+        "weighted degree at most 32767"),
+    "weight_over_cap": ("tower", {
+        "variables": ["x"], "weights": [40000], "map": ["x"]},
+        "map[0]: exponent (1,) is not 1 nonnegative integers of weighted "
+        "degree at most 32767"),
+    "dg_degree_far_negative": ("minimize", {
+        "variables": ["s"], "weights": [2],
+        "dg": {"degrees": [-10**9, 0], "matrix": [["0", "0"], ["0", "0"]]}},
+        "dg degree -1000000000 outside -64..64"),
     "fgcheck_default_window_start": ("fgcheck", {
         "variables": ["x"], "map": ["x^2"], "degree": 2},
         "default window [1, 2] of degree 2 too narrow: need start >= 2 and "

@@ -3,19 +3,29 @@
 ``GradedSlice.encode(entries, shift=m)`` encodes ``x^m * sum(entries)`` by
 adding exponents.  These tests compare it with the encoding of the explicit
 products ``x^m * p``: directly, on grevlex, lex and weighted rings; in the
-cochain differential of :mod:`cising.chevalley`; and in the boundary
-columns :func:`cising.ciext.hstar_dims` hands to its rank computations.
-The product encodings are kept here as references.
+cochain differential of :mod:`cising.chevalley`, encoded from its one
+face-and-sign rule ``_boundary``; and in the boundary columns
+:func:`cising.ciext.hstar_dims` hands to its rank computations.  The
+product encodings are kept here as references.
+
+:func:`cising.chevalley.ce_cohomology` checks d o d = 0 once, on the
+exterior basis.  The per-slice composite it replaced is kept here as a
+reference: under sign rules drawn at random, it finds a nonzero composite on
+a slice (p, e) through degree 4 exactly when the exterior-basis check
+raises, for every e alike.  A planted sign fault must raise.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cising.chevalley
 import cising.ciext
-from cising.chevalley import ChevalleyComplex, _differential
+from cising.chevalley import ChevalleyComplex, _boundary, ce_cohomology
 from cising.ciext import DGModule, hstar_dims
+from cising.errors import InvariantError
 from cising.polyring import GradedSlice, PolyRing
 
 PROPERTY = settings(max_examples=60)
@@ -90,11 +100,12 @@ def product_differential(ce, p, e):
 
 
 @st.composite
-def cochain_complexes(draw):
-    """2-4 even generators and 1-3 quadratic (possibly zero) odd images."""
+def cochain_complexes(draw, min_odd=1):
+    """2-4 even generators and ``min_odd``-3 quadratic (possibly zero) odd
+    images."""
     ring = PolyRing([f"y{k + 1}" for k in range(draw(st.integers(2, 4)))])
     differentials = [draw(homogeneous_polys(ring, 2))
-                     for _ in range(draw(st.integers(1, 3)))]
+                     for _ in range(draw(st.integers(min_odd, 3)))]
     return ChevalleyComplex(even_ring=ring, differentials=differentials)
 
 
@@ -104,8 +115,94 @@ def test_cochain_differential_equals_product_encoding(ce):
     signed = [(q, -q) for q in ce.differentials]
     for p in range(ce.odd_count + 2):
         for e in range(3):
-            got = _differential(ce.slice(p, e), ce.slice(p - 1, e + 2), signed)
+            got = ce.slice(p - 1, e + 2).images(
+                ce.slice(p, e), lambda subset: _boundary(subset, signed))
             assert got == product_differential(ce, p, e)
+
+
+# ---------------------------------------------------------------------------
+# d o d: the per-slice reference against the exterior-basis check
+# ---------------------------------------------------------------------------
+
+
+def composes_to_zero(outer, inner):
+    """True when every sparse column of ``inner``, pushed through the
+    columns ``outer``, gives zero."""
+    for col in inner:
+        image = {}
+        for c, a in col.items():
+            for r, x in outer[c].items():
+                image[r] = image.get(r, 0) + a * x
+        if any(image.values()):
+            return False
+    return True
+
+
+def slice_composite_is_zero(ce, p, e):
+    """Whether d o d vanishes on slice (p, e), by composing the encoded
+    columns of (p, e) -> (p-1, e+2) -> (p-2, e+4)."""
+    signed = [(q, -q) for q in ce.differentials]
+
+    def columns(p, e):
+        return ce.slice(p - 1, e + 2).images(
+            ce.slice(p, e),
+            lambda subset: cising.chevalley._boundary(subset, signed))
+
+    return composes_to_zero(columns(p - 1, e + 2), columns(p, e))
+
+
+def raises_invariant_error(ce):
+    try:
+        ce_cohomology(ce, 0)
+    except InvariantError:
+        return True
+    return False
+
+
+@st.composite
+def sign_rules(draw, b):
+    """A face rule that picks ``signed[j][pick[j][t]]`` for member j at
+    position t: the correct rule, or one with random wrong signs."""
+    if draw(st.booleans()):
+        return _boundary
+    pick = draw(st.lists(st.lists(st.integers(0, 1), min_size=b, max_size=b),
+                         min_size=b, max_size=b))
+
+    def rule(subset, signed):
+        return ((subset[:t] + subset[t + 1:], signed[j][pick[j][t]])
+                for t, j in enumerate(subset))
+
+    return rule
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_exterior_basis_check_agrees_with_per_slice_reference(data):
+    ce = data.draw(cochain_complexes(min_odd=2))
+    rule = data.draw(sign_rules(ce.odd_count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cising.chevalley, "_boundary", rule)
+        verdicts = [[slice_composite_is_zero(ce, p, e) for e in range(5)]
+                    for p in range(2, ce.odd_count + 1)]
+        raised = raises_invariant_error(ce)
+    # k[y]-linearity: a slice's verdict depends on p alone
+    assert all(len(set(row)) == 1 for row in verdicts)
+    assert raised == (not all(all(row) for row in verdicts))
+
+
+def test_planted_sign_fault_raises(monkeypatch):
+    ring = PolyRing(["y1", "y2"])
+    ce = ChevalleyComplex(even_ring=ring, differentials=[
+        ring.parse("y1^2"), ring.parse("y1*y2")])
+    assert not raises_invariant_error(ce)
+
+    def plus_at_every_position(subset, signed):
+        return ((subset[:t] + subset[t + 1:], signed[j][0])
+                for t, j in enumerate(subset))
+
+    monkeypatch.setattr(cising.chevalley, "_boundary", plus_at_every_position)
+    with pytest.raises(InvariantError, match="does not square to zero"):
+        ce_cohomology(ce, 0)
 
 
 # ---------------------------------------------------------------------------
