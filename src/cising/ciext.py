@@ -16,6 +16,7 @@ rejected (pointwise invariants at a rational zero live in
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import (
     GradingError,
@@ -33,6 +34,7 @@ from .polyring import (
     PolyRing,
     RingPresentation,
     _check_cap,
+    _from_ints,
     _is_regular_given_basis,
     vec_combine,
     vec_is_zero,
@@ -50,17 +52,21 @@ FG_WINDOW = "WindowFG"
 FG_NOT = "NotFGWithinWindow"
 
 
-def _column_degree(twists, column, what):
-    """Common degree of a homogeneous column, or None when it is zero.
+def _column_degree(ring, twists, column, what):
+    """Common degree of a homogeneous column of integer forms, or None
+    when it is zero.
 
     Entry ``i`` of a degree-``d`` column must be homogeneous of degree
     ``d - twists[i]``.
     """
     degree = None
-    for i, p in enumerate(column):
-        if p.is_zero():
+    for i, (den, terms) in enumerate(column):
+        if not terms:
             continue
-        d = twists[i] + p.homogeneous_degree()
+        degrees = set(map(ring._degree, terms))
+        if len(degrees) > 1:    # the entry's own GradingError names it
+            _from_ints(ring, den, terms).homogeneous_degree()
+        d = twists[i] + degrees.pop()
         if degree is None:
             degree = d
         elif degree != d:
@@ -94,9 +100,10 @@ class GradedModulePresentation:
                 if not isinstance(p, Poly) or p.ring != rp.ring:
                     raise ValidationError(
                         "relation entries must be polynomials in the ring")
-                nf.append(rp.normal_form(p))
-            degrees.append(_column_degree(twists, nf, f"relation column {j + 1}"))
-            cleaned.append(nf)
+                nf.append(rp._integer_normal_form(p))
+            degrees.append(_column_degree(rp.ring, twists, nf,
+                                          f"relation column {j + 1}"))
+            cleaned.append([_from_ints(rp.ring, *f) for f in nf])
         self.rp = rp
         self.twists = twists
         self.relations = cleaned
@@ -171,12 +178,13 @@ def minimal_generators(rp, twists, columns):
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
     columns by standard monomials, encoded in normal form by
-    :meth:`RingPresentation.encode_multiples`.
+    :meth:`RingPresentation.encode_multiples`.  Offered columns are read
+    as integer normal forms; only the kept ones are built as polynomials.
     """
-    cols = []
+    ring, cols = rp.ring, []
     for j, column in enumerate(columns):
-        nf = [rp.normal_form(p) for p in column]
-        d = _column_degree(twists, nf, f"column {j + 1}")
+        nf = [rp._integer_normal_form(p) for p in column]
+        d = _column_degree(ring, twists, nf, f"column {j + 1}")
         if d is not None:
             cols.append((d, j, nf))
     accepted = []
@@ -187,8 +195,13 @@ def minimal_generators(rp, twists, columns):
         for d, _, v in accepted:
             for vec in rp.encode_multiples(coords, enumerate(v), e - d):
                 span.add(vec)
-        accepted += [(d, j, v) for d, j, v in cols
-                     if d == e and span.add(coords.encode(enumerate(v)))]
+        for d, j, nf in cols:
+            if d != e:
+                continue
+            den = lcm(*(dk for dk, _ in nf))
+            if span.add({coords.index[k][m]: c * (den // dk)
+                         for k, (dk, t) in enumerate(nf) for m, c in t.items()}):
+                accepted.append((d, j, [_from_ints(ring, *f) for f in nf]))
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
 
 
@@ -333,20 +346,19 @@ def _ideal_cofactors(rp, p, solvers):
     if e not in solvers:
         rp._require_listable(e)
         coords = GradedSlice(ring, [(0, e)])
-        blocks = [ring.monomials_of_degree(e - f.homogeneous_degree()) if f
-                  else [] for f in rp.ideal]
-        columns = [coords.encode([(0, f)], shift=m)
-                   for f, block in zip(rp.ideal, blocks) for m in block]
-        solvers[e] = coords, blocks, solver(Mat.from_columns(
+        source = GradedSlice(ring, [(j, e - f.homogeneous_degree())
+                                    for j, f in enumerate(rp.ideal) if f])
+        columns = coords.images(source, lambda j: [(0, rp.ideal[j])])
+        solvers[e] = coords, source, solver(Mat.from_columns(
             [[v.get(c, 0) for c in range(len(coords))] for v in columns],
             len(coords)))
-    coords, blocks, solve = solvers[e]
+    coords, source, solve = solvers[e]
     b = coords.encode([(0, p)])
     x = solve([b.get(c, 0) for c in range(len(coords))])
     if x is None:
         raise InvariantError("entry expected to lie in the ideal")
-    x = iter(x)
-    return [Poly(ring, {m: next(x) for m in block}) for block in blocks]
+    return [Poly._of(ring, {m: x[i] for m, i in source.index.get(j, {}).items()
+                            if x[i]}) for j in range(len(rp.ideal))]
 
 
 def eisenbud_ops(rp, resolution):

@@ -1,19 +1,16 @@
 """Multivariate polynomials over the rationals with weighted gradings.
 
-Provides polynomial arithmetic, a small text grammar for polynomials,
-reduced Groebner bases, normal forms, Hilbert functions of graded quotients,
-a regular-sequence test, and nilpotent thickening towers: their
-presentations, the square-zero check on a presentation, and the square-zero
-filtration, whose verdicts hold for every input and are returned without
-building a polynomial.
+Provides polynomial arithmetic and a text grammar for it, reduced Groebner
+bases, normal forms, Hilbert functions of graded quotients, a
+regular-sequence test, and nilpotent thickening towers with their
+square-zero checks.
 
-One Buchberger engine (``_groebner``) and one reduction routine
-(``_reduce``) serve ideals and free modules alike.  Both work on module
-vectors -- lists of polynomials ordered term over position -- and an ideal is
-the rank-1 case: :func:`buchberger` interreduces the engine's rank-1 basis,
-and :mod:`cising.syzygies` asks it for relations, the only runs that build
-representation rows, which the reduction carries beside each S-vector.
-Other sums of polynomial multiples of vectors go through :func:`vec_combine`.
+One Buchberger engine (``_groebner_ints``) and one reduction routine
+(``_reduce_ints``) serve ideals (the rank-1 case) and free modules, on
+vectors ordered term over position: :func:`buchberger` interreduces the
+engine's rank-1 basis, and :mod:`cising.syzygies` asks it for relations,
+carried as rows beside each S-vector.  Other sums of polynomial multiples
+of vectors go through :func:`vec_combine`.
 
 Monomials are packed, one ``int`` each (Monagan and Pearce, J. Symb. Comp.
 46, 2011): a 16-bit field per variable and one for the weighted degree, each
@@ -25,18 +22,14 @@ lays out the fields).  Exponent tuples are taken and given only at the
 edge, and a bad one raises :class:`ValidationError`.
 
 Coefficients are ``fractions.Fraction`` in every input and output; there is
-no floating point (a ``float`` is refused).  Inside, products, reductions
-and quotient normal forms work fraction-free on each polynomial's cached
-integer form (:meth:`Poly.integer_form`): :func:`vec_combine`, ``Poly *
-Poly``, S-vectors and a quotient's normal forms sum ``int``\\s over one
-common denominator, and ``_reduce`` holds the vector being reduced as
-integers over one common scale; only the results are built as
-``Fraction``, and a remainder is handed the lead the reduction found.  Two
-monomial orders are supported: weight-compatible graded reverse
-lexicographic (``"grevlex"``, the default) and plain lexicographic
+no floating point (a ``float`` is refused).  Inside, everything works
+fraction-free on integer forms ``(d, {packed: int})``
+(:meth:`Poly.integer_form`), summed over one common denominator; the engine
+keeps its elements so, and a ``Fraction`` is built only for a polynomial a
+caller keeps.  Two monomial orders are supported: weight-compatible graded
+reverse lexicographic (``"grevlex"``, the default) and plain lexicographic
 (``"lex"``).  Everything is deterministic -- pair selection, reducer
-selection and output ordering follow fixed conventions spelled out in the
-docstrings.
+selection and output ordering follow fixed conventions in the docstrings.
 """
 
 import heapq
@@ -92,6 +85,9 @@ class PolyRing:
             raise ValidationError("need one weight per variable")
         if any(w < 1 for w in weights):
             raise ValidationError("weights must be positive integers")
+        if max(weights, default=0) > MAX_EXPONENT:
+            raise ValidationError(
+                f"weights must be at most {MAX_EXPONENT}, not {max(weights)}")
         if order not in ("grevlex", "lex"):
             raise ValidationError(f"unknown monomial order {order!r}")
         self.variables = variables
@@ -431,25 +427,14 @@ class Poly:
         return total
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        ring = self.ring
-        items = sorted(self._terms.items(), key=lambda kv: ring._key(kv[0]),
-                       reverse=True)
-        parts = []
-        for idx, (m, coeff) in enumerate(items):
-            mono = ring.format_exponent(ring._unpack(m))
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if mono:
-                body = mono if mag == 1 else f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            if idx == 0:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        ring, parts = self.ring, []
+        for m in sorted(self._terms, key=ring._key, reverse=True):
+            coeff, mono = self._terms[m], ring.format_exponent(ring._unpack(m))
+            mag = abs(coeff)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            sign = "-" if coeff < 0 else "+" if parts else ""
+            parts.append(f"{sign} {body}" if parts else sign + body)
+        return " ".join(parts) or "0"
 
     def __repr__(self):
         return f"Poly({self})"
@@ -512,51 +497,44 @@ def parse_poly(ring, text):
         pos += 1
         return tok
 
+    def at_op(op):
+        tok = peek()
+        return tok is not None and tok[0] == "op" and tok[1] == op
+
     def parse_varpow():
         tok = take("name", "a variable name")
         idx = ring._index.get(tok[1])
         if idx is None:
             raise ParseError(f"unknown variable {tok[1]!r} at position {tok[2]}")
         exponent = 1
-        nxt = peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
+        if at_op("^"):
             take("op", "'^'")
             exponent = int(take("int", "a nonnegative integer exponent")[1])
         return idx, exponent
 
     def parse_term():
-        nonlocal pos
         tok = peek()
         if tok is None:
             raise ParseError("expected a term at end of input")
-        coeff = ONE
-        expo = [0] * ring.nvars
+        coeff, expo = ONE, [0] * ring.nvars
         if tok[0] == "int":
             take("int", "an integer")
-            num = int(tok[1])
-            nxt = peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
+            coeff = Fraction(int(tok[1]))
+            if at_op("/"):
                 take("op", "'/'")
                 dtok = take("int", "a positive denominator")
-                den = int(dtok[1])
-                if den == 0:
+                if int(dtok[1]) == 0:
                     raise ParseError(f"zero denominator at position {dtok[2]}")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
-            while (nxt := peek()) is not None and nxt[0] == "op" and nxt[1] == "*":
-                take("op", "'*'")
-                idx, e = parse_varpow()
-                expo[idx] += e
+                coeff /= int(dtok[1])
         elif tok[0] == "name":
             idx, e = parse_varpow()
             expo[idx] += e
-            while (nxt := peek()) is not None and nxt[0] == "op" and nxt[1] == "*":
-                take("op", "'*'")
-                idx, e = parse_varpow()
-                expo[idx] += e
         else:
             raise ParseError(f"expected a term at position {tok[2]}, found {tok[1]!r}")
+        while at_op("*"):
+            take("op", "'*'")
+            idx, e = parse_varpow()
+            expo[idx] += e
         return tuple(expo), coeff
 
     terms = {}
@@ -600,16 +578,12 @@ def vec_lead(v):
     The winning term has the largest ring monomial; among components sharing
     that monomial the smallest index wins.  Returns None for the zero vector.
     """
-    best_key = None
     best = None
     for comp, p in enumerate(v):
-        if not p._terms:
-            continue
-        m, coeff = p._leading()
-        key = p.ring._key(m)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (comp, m, coeff)
+        if p._terms:
+            m, coeff = p._leading()
+            if best is None or p.ring._key(m) > p.ring._key(best[1]):
+                best = (comp, m, coeff)
     return best
 
 
@@ -622,8 +596,7 @@ class GroebnerBasis:
     basis: list
 
     def __post_init__(self):
-        # the basis as rank-1 reducers for _reduce, built once: a quotient
-        # ring takes many normal forms against the same basis
+        # rank-1 reducers, built once: a quotient takes many normal forms
         self._reducers = [[g] for g in self.basis]
         self._leads = [vec_lead(v) for v in self._reducers]
         self._forms = {}    # the reducers' integer forms, as _reduce uses them
@@ -634,9 +607,7 @@ class GroebnerBasis:
 
 def _check_cap(what, count, unit, cap):
     """Raise :class:`ResourceLimitError` when ``count``, the closed-form size
-    of work not yet done, is over the monomial ``cap`` (``None``: no cap);
-    the message reads "<what> has <count> <unit>, over the monomial cap
-    <cap>"."""
+    of work not yet done, is over the monomial ``cap`` (``None``: no cap)."""
     if cap is not None and count > cap:
         raise ResourceLimitError(
             f"{what} has {count} {unit}, over the monomial cap {cap}")
@@ -669,6 +640,25 @@ def _reducer_form(g, comp, lt):
     return d, next(f * terms[lt] for k, f, terms in parts if k == comp), parts
 
 
+def _integer_vector(v):
+    """``(scale, cur)``: the polynomial vector ``v`` times one positive
+    ``scale``, one fresh ``{packed: int}`` per component."""
+    integer = [p.integer_form() for p in v]
+    scale = lcm(*(d for d, _ in integer))
+    return scale, [{e: c * (scale // d) for e, c in terms.items()}
+                   for d, terms in integer]
+
+
+def _monic(cur, comp, expo):
+    """``(d, ints)``: ``cur`` (``{packed: int}``s) over its term at ``expo``
+    in component ``comp`` as ``ints / d``, ``d > 0`` coprime to the ints."""
+    a = cur[comp][expo]
+    g = gcd(a, *(c for t in cur for c in t.values()))
+    if a < 0:
+        g = -g
+    return a // g, cur if g == 1 else [{e: c // g for e, c in t.items()} for t in cur]
+
+
 def _reduce(ring, v, reducers, leads=None, budget=None, forms=None, width=None):
     """Fully reduce the components ``< width`` (default: all) of the module
     vector ``v`` by ``reducers``, scanned in order (first divisor wins).
@@ -680,36 +670,37 @@ def _reduce(ring, v, reducers, leads=None, budget=None, forms=None, width=None):
     charged, so carrying unit vectors (reducers ``[g_k | e_k]``) leaves
     minus the cofactors there.  ``leads`` are the :func:`vec_lead`\\s of
     the reducers' first ``width`` components when the caller has them.
-    Each step charges ``budget`` the number of reduced terms left.
-
-    Terms are taken largest first (term over position) from a heap of ints,
-    a live term's negated sort key above its component.  A step only adds
-    terms below the one it removes, so an entry whose term has since
-    cancelled is skipped when popped.  The arithmetic is fraction-free
-    (:func:`_reduce_ints`, the core the engine calls): the vector is held
-    as integers over one positive ``scale`` and each reducer ``g`` as its
-    :func:`_reducer_form`, kept in ``forms``, which a caller may keep while
-    its reducers stay the same.  A step on the term ``a / scale`` by a
-    reducer with integer lead ``lc`` sets ``v <- (lc/h) * v - (a/h) * x^m *
-    d * g`` with ``h = gcd(a, lc)`` (signs moved so that ``scale`` grows by
-    ``|lc/h|``, and only when that is not 1); ``scale`` never shrinks, as
-    dividing the content out at each growth timed slower.  The output is
-    built by :func:`_from_ints`, each remainder component handed its lead
-    (the first term to leave the heap), every zero the ring's one zero.
+    Each step charges ``budget`` the number of reduced terms left.  This is
+    the polynomial entry to :func:`_reduce_ints`; the reducers'
+    :func:`_reducer_form`\\s go in ``forms``, which a caller may keep.
     """
     width = len(v) if width is None else width
     if leads is None:
         leads = [vec_lead(g[:width]) for g in reducers]
-    integer = [p.integer_form() for p in v]
-    scale = lcm(*(d for d, _ in integer))
-    cur = [{e: c * (scale // d) for e, c in terms.items()} for d, terms in integer]
-    return _reduce_ints(ring, scale, cur, reducers, leads, budget,
-                        {} if forms is None else forms, width)
+    forms = {} if forms is None else forms
+    for k, lead in enumerate(leads):
+        if lead is not None and k not in forms:
+            forms[k] = _reducer_form(reducers[k], lead[0], lead[1])
+    scale, cur = _reduce_ints(ring, *_integer_vector(v), forms, leads, budget, width)
+    return [_from_ints(ring, scale, t, next(iter(t), None) if k < width else None)
+            for k, t in enumerate(cur)]
 
 
-def _reduce_ints(ring, scale, cur, reducers, leads, budget, forms, width):
+def _reduce_ints(ring, scale, cur, forms, leads, budget, width):
     """:func:`_reduce` of the vector ``cur / scale``, one ``{packed: int}``
-    per component (taken over and changed)."""
+    per component (taken over and changed), by the reducers whose
+    :func:`_reducer_form`\\s are ``forms[k]``.  Returns ``(scale, out)``:
+    the result is ``out / scale``, and each remainder component of ``out``
+    lists its lead first.
+
+    Terms are taken largest first (term over position) from a heap of ints,
+    a live term's negated sort key above its component; an entry whose term
+    has since cancelled is skipped when popped.  A step on the term ``a /
+    scale`` by a reducer ``g`` with integer lead ``lc`` sets ``v <- (lc/h) *
+    v - (a/h) * x^m * d * g`` with ``h = gcd(a, lc)`` (signs moved so that
+    ``scale`` grows by ``|lc/h|``, and only when that is not 1); ``scale``
+    never shrinks, as dividing the content out at each growth timed slower.
+    """
     guard, low = ring._guard, ring._low
     bits = (width - 1).bit_length()
     cmask = (1 << bits) - 1
@@ -737,10 +728,7 @@ def _reduce_ints(ring, scale, cur, reducers, leads, budget, forms, width):
             rem[comp][expo] = a
             del cur[comp][expo]
             continue
-        form = forms.get(hit)
-        if form is None:
-            form = forms[hit] = _reducer_form(reducers[hit], comp, lt)
-        _, lc, parts = form
+        _, lc, parts = forms[hit]
         shift = expo - lt
         h = gcd(a, lc)
         mult, b = lc // h, a // h
@@ -769,19 +757,15 @@ def _reduce_ints(ring, scale, cur, reducers, leads, budget, forms, width):
                         del terms[e]
         if budget is not None:
             budget.charge(sum(map(len, cur[:width])))
-    zero = ring._zero
-    return ([_from_ints(ring, scale, r, next(iter(r))) if r else zero for r in rem]
-            + [_from_ints(ring, scale, t) if t else zero for t in cur[width:]])
+    return scale, rem + cur[width:]
 
 
 def vec_combine(ring, n, terms):
     """``sum(q * v for q, v in terms)`` over length-``n`` vectors of
-    polynomials, summed fraction-free: the product of a multiplier and an
-    entry, read from their :meth:`Poly.integer_form`\\s ``d_q * q`` and
-    ``d_p * p``, is added up in ``int``\\s over one common denominator ``D``,
-    the lcm of the ``d_q * d_p``, in one dict per component.  A zero
-    multiplier or entry is skipped, and each nonzero sum becomes one
-    ``Fraction(c, D)``."""
+    polynomials, summed fraction-free: each product of a multiplier and an
+    entry, from their :meth:`Poly.integer_form`\\s, is added up in
+    ``int``\\s over one common denominator ``D``, one dict per component,
+    and each nonzero sum becomes one ``Fraction(c, D)``."""
     acc = [{} for _ in range(n)]
     parts = []
     for q, v in terms:
@@ -848,15 +832,7 @@ def _s_pair(ring, n, ei, ej, fi, fj):
     return den, acc
 
 
-def _scaled(p, num, den):
-    """``p * (num / den)`` for ints, one ``Fraction`` (one gcd) per term of
-    :meth:`Poly.integer_form`; the lead is kept."""
-    d, terms = p.integer_form()
-    return Poly._of(p.ring, {m: Fraction(c * num, d * den) for m, c in terms.items()},
-                    p._lead)
-
-
-def _groebner(ring, columns, budget, relations=None, seeds=()):
+def _groebner_ints(ring, columns, budget, relations=None, seeds=()):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation rows on relations runs.
 
@@ -871,45 +847,38 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
     (Buchberger's product criterion).  The product criterion fails for
     module vectors, and every pair a criterion drops would still owe its
     relation, so longer vectors and relations runs reduce every pair.
-    Returns ``(basis, representation)``: monic basis vectors, not
-    interreduced, and (None unless ``relations`` is given) rows with
-    ``basis[i] == sum_k representation[i][k] * columns[k]`` componentwise
-    modulo the span of ``seeds``.  The nonzero ``seeds`` enter the basis
-    after the columns with zero representation rows: the basis spans the
-    columns and the seeds, and the rows track only the columns.
+    Returns ``(elements, leads)``: per basis vector (monic, not
+    interreduced) its element ``(d, ints)``, components ``ints[k] / d``,
+    then on relations runs its row, with ``basis[i] == sum_k
+    representation[i][k] * columns[k]`` modulo the span of the nonzero
+    ``seeds`` (which enter after the columns with zero rows), and its
+    :func:`vec_lead`.  :func:`_split` builds the polynomials.
 
     Each element is one reducer, lifted to ``basis[k] + representation[k]``
-    on relations runs (Moeller, Mora and Traverso, ISSAC 1992), its
-    :func:`_reducer_form` built once.  A pair's S-vector is summed from the
-    two forms (:func:`_s_pair`) and reduced with the row part carried: the
-    carried ``row`` is ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]``
-    (``q`` the cofactors), a new element's row, or, when the S-vector is
-    zero or reduces to zero, the relation ``sum_k row[k] * columns[k] ==
-    0`` modulo the seeds, which a dict passed as ``relations`` receives as
-    ``(i, j) -> row``.  So every same-component pair but those that added
-    an element (whose relation is zero) gives its relation.
+    on relations runs (Moeller, Mora and Traverso, ISSAC 1992), made monic
+    by dividing its ``int``\\s by their lead once (:func:`_monic`).  A
+    pair's S-vector is summed from the two :func:`_reducer_form`\\s
+    (:func:`_s_pair`) and reduced with the row part carried: the carried
+    ``row`` is ``mi * reps[i] - mj * reps[j] - sum_k q_k * reps[k]`` (``q``
+    the cofactors), a new element's row, or, when the S-vector is zero or
+    reduces to zero, the relation ``sum_k row[k] * columns[k] == 0`` modulo
+    the seeds, which a dict passed as ``relations`` receives as ``(i, j) ->
+    row`` of polynomials.  So every same-component pair but those that
+    added an element (whose relation is zero) gives its relation.
     """
-    basis, reps, leads, heap = [], [], [], []
-    lifted = []   # basis[k], plus reps[k] on relations runs: the reducers
-    forms = {}    # the reducers' integer forms, one per element for the run
+    elements, leads, heap = [], [], []
+    forms = []    # the elements' reducer forms, one per element for the run
     pending = {}  # (j, i) -> lcm of the pair's leads; the heap may hold more
     prune = relations is None and all(len(c) == 1 for c in columns)
     track = relations is not None
+    rows = len(columns) if track else 0
 
-    def add_element(v, rep):
-        comp, expo, coeff = vec_lead(v)
-        if coeff != 1:
-            # 1 / coeff is d / n for the lead's integer form n / d
-            d, terms = v[comp].integer_form()
-            v = [_scaled(p, d, terms[expo]) for p in v]
-            if rep is not None:
-                rep = [_scaled(r, d, terms[expo]) for r in rep]
-        basis.append(v)
-        reps.append(rep)
-        lifted.append(v + rep if track else v)
-        budget.charge(sum(len(p._terms) for p in v))
-        i = len(basis) - 1
-        forms[i] = _reducer_form(lifted[i], comp, expo)
+    def add_element(cur, comp, expo):
+        d, ints = _monic(cur, comp, expo)
+        elements.append((d, ints))
+        forms.append((d, d, [(k, 1, t) for k, t in enumerate(ints) if t]))
+        budget.charge(sum(map(len, ints[:len(ints) - rows])))
+        i = len(elements) - 1
         new = {}
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
@@ -931,34 +900,42 @@ def _groebner(ring, columns, budget, relations=None, seeds=()):
                 heapq.heappush(heap, (ring._degree(lcm), j, i))
         leads.append((comp, expo, ONE))
 
-    unit = [ring.zero() for _ in columns]
-    for k, c in enumerate(columns):
+    for k, c in enumerate(columns + list(seeds)):
         if not vec_is_zero(c):
-            add_element(c, unit[:k] + [ring.one()] + unit[k + 1:]
-                        if track else None)
-    for c in seeds:
-        if not vec_is_zero(c):
-            add_element(c, list(unit) if track else None)
+            scale, cur = _integer_vector(c)
+            # the unit row of an input column, a zero row for a seed
+            cur += [{0: scale} if j == k else {} for j in range(rows)]
+            add_element(cur, *vec_lead(c)[:2])
 
     while heap:
         _, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
-        rank = len(basis[i])
-        scale, cur = _s_pair(ring, len(lifted[i]), leads[i][1], leads[j][1],
-                             forms[i], forms[j])
+        n = len(elements[i][1])
+        rank = n - rows
+        scale, cur = _s_pair(ring, n, leads[i][1], leads[j][1], forms[i], forms[j])
         if any(cur[:rank]):
-            out = _reduce_ints(ring, scale, cur, lifted, leads, budget, forms, rank)
-        elif track:     # a zero S-vector: the relation is the carried part
-            out = [_from_ints(ring, scale, t) for t in cur]
-        else:
+            scale, cur = _reduce_ints(ring, scale, cur, forms, leads, budget, rank)
+        elif not track:
             continue
-        if not vec_is_zero(out[:rank]):
-            add_element(out[:rank], out[rank:] if track else None)
+        # each remainder component lists its lead first (term over position)
+        heads = [(ring._key(next(iter(t))), -k)
+                 for k, t in enumerate(cur[:rank]) if t]
+        if heads:
+            comp = -max(heads)[1]
+            add_element(cur, comp, next(iter(cur[comp])))
         elif track:
-            relations[i, j] = out[rank:]
+            relations[i, j] = [_from_ints(ring, scale, t) for t in cur[rank:]]
 
-    return basis, reps if track else None
+    return elements, leads
+
+
+def _split(ring, elements, rows):
+    """``(basis, representation)`` of the engine's ``elements``, each ending
+    in a row of length ``rows``, built as polynomials handed their leads."""
+    built = [[_from_ints(ring, d, t, max(t, key=ring._key, default=None))
+              for t in ints] for d, ints in elements]
+    return [v[:len(v) - rows] for v in built], [v[len(v) - rows:] for v in built]
 
 
 def normal_form(p, gb):
@@ -986,7 +963,7 @@ def module_normal_form(ring, v, gb):
 def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     """Reduced Groebner basis of the ideal the generators span.
 
-    The basis is :func:`_groebner`'s on rank-1 vectors: pairs are pruned by
+    The basis is :func:`_groebner_ints`'s on rank-1 vectors: pairs are pruned by
     Buchberger's product criterion and the Gebauer-Moeller chain criteria,
     and the rest are taken lowest weighted lcm degree first, ties by the
     pair's indices.  The returned basis is monic, fully interreduced, and
@@ -999,22 +976,30 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
     for g in generators:
         if g.ring != ring:
             raise ValidationError("generators from different rings")
-    vectors, _ = _groebner(ring, [[g] for g in generators],
-                           _MonomialBudget(max_monomials))
+    elements, leads = _groebner_ints(ring, [[g] for g in generators],
+                                     _MonomialBudget(max_monomials))
 
-    # interreduce: prune elements whose lead is divisible by another lead,
-    # then tail-reduce each survivor against the others; tail reduction
-    # keeps the leads, so the survivors stay in ascending lead order
+    # interreduce the integer forms: prune elements whose lead another lead
+    # divides, then tail-reduce each survivor (leads kept, so still in
+    # ascending order) against the others, and build only those
     final = []
-    for [g] in sorted(vectors, key=lambda v: ring._key(v[0]._leading()[0])):
-        if not any(ring._divides(h._lead, g._lead) for h in final):
-            final.append(g)
-    for idx in range(len(final)):
-        # a None lead keeps the element itself out of its reducers
-        reducers = [[g] for g in final]
-        leads = [None if k == idx else vec_lead(v) for k, v in enumerate(reducers)]
-        final[idx] = _reduce(ring, reducers[idx], reducers, leads)[0]
-    return GroebnerBasis(ring=ring, basis=final)
+    for k in sorted(range(len(elements)), key=lambda k: ring._key(leads[k][1])):
+        if not any(ring._divides(leads[h][1], leads[k][1]) for h in final):
+            final.append(k)
+    leads = [leads[k] for k in final]
+    forms = [(d, d, [(0, 1, t)]) for d, [t] in (elements[k] for k in final)]
+    basis, guard = [], ring._guard
+    for idx, (d, _, [(_, _, t)]) in enumerate(forms):
+        lt = leads[idx][1]
+        # tail-reduce by the others (its own lead None) if one divides a term
+        if any(((m | guard) - o) & guard == guard for m in t for _, o, _ in leads
+               if o != lt):
+            others = leads[:idx] + [None] + leads[idx + 1:]
+            _, r = _reduce_ints(ring, d, [dict(t)], forms, others, None, 1)
+            d, [t] = _monic(r, 0, lt)    # the lead is kept
+            forms[idx] = d, d, [(0, 1, t)]
+        basis.append(_from_ints(ring, d, t, lt))
+    return GroebnerBasis(ring=ring, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,14 +1010,13 @@ def buchberger(generators, max_monomials=DEFAULT_MAX_MONOMIALS):
 class RingPresentation:
     """A graded quotient of a weighted polynomial ring by an ideal.
 
-    The ideal's Groebner basis is computed on construction; normal forms and
-    standard-monomial counts are then exact and deterministic.  Two caches
+    The ideal's Groebner basis is computed on construction.  Two caches
     live as long as the presentation and fill as they are asked: the normal
     form of each monomial as its integer form ``(d, {packed: int})``, which
-    the normal forms and encoders sum in ``int``\\s over one common
-    denominator (the normal form is unique and linear), and the packed
-    standard monomials of each degree.  ``max_monomials`` caps the Groebner
-    computation and every degree whose standard monomials are listed.
+    the normal forms and encoders sum (the normal form is linear), and the
+    packed standard monomials of each degree.  ``max_monomials`` caps the
+    Groebner computation and every degree whose standard monomials are
+    listed.
     """
 
     __slots__ = ("ring", "ideal", "gb", "max_monomials", "_monomial_nf",
@@ -1058,11 +1042,12 @@ class RingPresentation:
         return f"RingPresentation({self.ring!r} mod ({gens}))"
 
     def normal_form(self, p):
-        """Normal form of ``p``, summed from the cached normal forms of its
-        monomials: the normal form is linear, so no monomial is reduced
-        twice."""
-        if not p._terms:
-            return p
+        """Normal form of ``p``, built from :meth:`_integer_normal_form`."""
+        return _from_ints(self.ring, *self._integer_normal_form(p)) if p._terms else p
+
+    def _integer_normal_form(self, p):
+        """The normal form of ``p`` as ``(d > 0, {packed: int})``, summed
+        from the cached normal forms of its monomials (it is linear)."""
         dp, terms = p.integer_form()
         parts = [(c, self._monomial_normal_form(m)) for m, c in terms.items()]
         den = lcm(*(d for _, (d, _) in parts))
@@ -1071,7 +1056,7 @@ class RingPresentation:
             c *= den // d
             for e, a in nf.items():
                 acc[e] = acc.get(e, 0) + c * a
-        return _from_ints(self.ring, den * dp, {e: c for e, c in acc.items() if c})
+        return den * dp, {e: c for e, c in acc.items() if c}
 
     def encode_multiples(self, coords, entries, degree):
         """``coords.encode`` of the normal form of ``x^m * sum(label * poly

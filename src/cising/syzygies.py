@@ -1,13 +1,11 @@
 """Groebner bases and syzygies for free modules over a polynomial ring.
 
-An element of a rank-``r`` free module is a plain list of ``r`` polynomials.
-The order on module terms is term-over-position: ring monomials are compared
-first, ties broken toward the smaller component index.  Everything is exact
-and deterministic.  The Buchberger engine and the reduction routine live in
-:mod:`cising.polyring`, which runs them on ideals as the rank-1 case and
-owns the normal form of a module vector (:func:`module_normal_form`, bound
-here too); this module validates columns and extracts syzygies from the
-engine's output.
+An element of a rank-``r`` free module is a plain list of ``r`` polynomials,
+ordered term over position: ring monomials first, ties toward the smaller
+component index.  Everything is exact and deterministic.  The Buchberger
+engine and the reduction live in :mod:`cising.polyring`, as does the normal
+form of a module vector (:func:`module_normal_form`, bound here too); this
+module validates columns and reads syzygies off the engine's run.
 
 Syzygies come from Schreyer's theorem (Eisenbud, *Commutative Algebra*,
 Thm. 15.10): the S-pair relations of a Groebner basis, pushed down to the
@@ -19,14 +17,16 @@ out.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError
 from .polyring import (
     DEFAULT_MAX_MONOMIALS,
     Poly,
     PolyRing,
-    _groebner,
+    _groebner_ints,
     _MonomialBudget,
+    _split,
     module_normal_form,
     vec_is_zero,
 )
@@ -52,18 +52,25 @@ class ModuleGroebnerBasis:
     the syzygy extraction pairs every member.
     ``representation[i][k]`` are polynomials with
     ``basis[i] == sum_k representation[i][k] * generators[k]`` componentwise,
-    modulo the ``f * e_k`` that :func:`module_buchberger` seeds.
+    modulo the ``f * e_k`` that :func:`module_buchberger` seeds.  Both are
+    built from ``elements``, the engine's integer forms, when first read.
     ``relations`` maps each pair ``(i, j)`` whose leads share a component,
     except those that added a basis element, to the relation it gives among
-    the generators (see :func:`cising.polyring._groebner`).
+    the generators (see :func:`cising.polyring._groebner_ints`).
     """
 
     ring: PolyRing
     rank: int
     generators: list
-    basis: list
-    representation: list
+    elements: list = field(repr=False)
     relations: dict = field(default_factory=dict)
+
+    basis = property(lambda self: self._built[0])
+    representation = property(lambda self: self._built[1])
+
+    @cached_property
+    def _built(self):
+        return _split(self.ring, self.elements, len(self.generators))
 
 
 def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
@@ -74,7 +81,7 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     Pair selection is deterministic: only pairs whose leads share a
     component are formed, lowest weighted lcm degree first, ties by index.
     Every such pair is reduced, columns of length 1 included, since each
-    owes its relation (see :func:`cising.polyring._groebner`).  Each
+    owes its relation (see :func:`cising.polyring._groebner_ints`).  Each
     ``f * e_k`` (``f`` nonzero, then ``k``) is seeded after the columns.
     """
     columns = _validate_columns(ring, rank, columns)
@@ -83,11 +90,10 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
              for [f] in _validate_columns(ring, 1, ([f] for f in modulo))
              if not f.is_zero() for row in range(rank)]
     relations = {}
-    basis, reps = _groebner(ring, columns, _MonomialBudget(max_monomials),
-                            relations=relations, seeds=seeds)
+    elements, _ = _groebner_ints(ring, columns, _MonomialBudget(max_monomials),
+                                 relations=relations, seeds=seeds)
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
-                               basis=basis, representation=reps,
-                               relations=relations)
+                               elements=elements, relations=relations)
 
 
 def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
@@ -106,11 +112,8 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     """
     gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials,
                            modulo=modulo)
-    result = [relation for _, relation in sorted(gb.relations.items())
-              if not vec_is_zero(relation)]
-    for k, c in enumerate(gb.generators):
-        if vec_is_zero(c):
-            unit = [ring.zero()] * len(gb.generators)
-            unit[k] = ring.one()
-            result.append(unit)
-    return result
+    m = len(gb.generators)
+    return ([relation for _, relation in sorted(gb.relations.items())
+             if not vec_is_zero(relation)]
+            + [[ring.one() if j == k else ring.zero() for j in range(m)]
+               for k, c in enumerate(gb.generators) if vec_is_zero(c)])

@@ -6,7 +6,12 @@ of each workload the same way, so a change of answer fails tier-1 too.  A
 round on seed 2 checks the oracles on other coefficients (there are no pins
 for it), so caches and certificates meet more than one set of inputs.  Two
 traced rounds of each workload must record the same counts, as ``run.py
---trace 1`` requires of its traced rounds.
+--trace 1`` requires of its traced rounds, and a seed-1 round must record
+the counts pinned in ``tests/golden/bench_counts.json``: the calls of each
+traced function and what it counts (bases, relations, offered and kept
+columns, accepted rows, matrix cells, report bytes), so a change that keeps
+the answers also keeps the algebraic work that gives them, or repins on
+purpose.
 """
 
 import importlib.util
@@ -27,6 +32,8 @@ def load_runner():
 
 RUNNER = load_runner()
 PINS = json.loads((BENCH / "pins.json").read_text())
+COUNTS = json.loads((Path(__file__).resolve().parent / "golden"
+                     / "bench_counts.json").read_text())
 
 
 PINNED_SEED = RUNNER.workloads.DEFAULT_SEED
@@ -59,3 +66,12 @@ def test_traced_rounds_repeat_their_counts(workload, tmp_path):
         summaries.append(RUNNER.counts_only(tracer.summary()))
     assert summaries[0], f"{workload}: the traced round recorded nothing"
     assert summaries[1] == summaries[0]
+
+
+@pytest.mark.parametrize("workload", RUNNER.workloads.WORKLOADS)
+def test_traced_round_does_the_pinned_work(workload, tmp_path):
+    cli, jobs, paths = RUNNER.setup(workload, PINNED_SEED, tmp_path)
+    with RUNNER.Tracer() as tracer:
+        result = RUNNER.run_round(cli, jobs, paths, PINS[workload], tracer)
+    assert result["failures"] == [], f"{workload}: {result['failures']}"
+    assert RUNNER.counts_only(tracer.summary()) == COUNTS[workload]

@@ -487,8 +487,7 @@ REFUSED_BY_VALIDATE = {
         "weighted degree at most 32767"),
     "weight_over_cap": ("tower", {
         "variables": ["x"], "weights": [40000], "map": ["x"]},
-        "map[0]: exponent (1,) is not 1 nonnegative integers of weighted "
-        "degree at most 32767"),
+        "weights must be at most 32767, not 40000"),
     "dg_degree_far_negative": ("minimize", {
         "variables": ["s"], "weights": [2],
         "dg": {"degrees": [-10**9, 0], "matrix": [["0", "0"], ["0", "0"]]}},

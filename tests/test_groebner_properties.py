@@ -23,7 +23,7 @@ from cising.polyring import (
     ONE,
     PolyRing,
     RingPresentation,
-    _groebner,
+    _integer_vector,
     _MonomialBudget,
     _reduce,
     buchberger,
@@ -37,6 +37,8 @@ from cising.syzygies import (
     syzygies,
     vec_is_zero,
 )
+
+from engine_run import _groebner
 
 # the package re-exports the function ``syzygies`` under the module's name
 syzygies_module = importlib.import_module("cising.syzygies")
@@ -228,6 +230,17 @@ def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
     return basis, reps
 
 
+def all_pairs_engine(ring, columns, budget, relations=None, seeds=()):
+    """``all_pairs_groebner`` handed over as ``_groebner_ints`` hands over
+    its run: each basis vector's ``(d, ints)``, its components over one
+    denominator, followed by its representation row on relations runs, and
+    its lead."""
+    basis, reps = all_pairs_groebner(ring, columns, budget, relations, seeds)
+    rows = reps if relations is not None else [[] for _ in basis]
+    return ([_integer_vector(v + row) for v, row in zip(basis, rows)],
+            [vec_lead(v) for v in basis])
+
+
 @st.composite
 def homogeneous_polys(draw, ring, degree, max_terms=3):
     monomials = ring.monomials_of_degree(degree)
@@ -383,7 +396,7 @@ def test_ideal_engine_against_all_pairs_reference(case):
     all_pairs_groebner(ring, columns, expected_budget)
     assert budget.used <= expected_budget.used
 
-    with patch.object(polyring, "_groebner", all_pairs_groebner):
+    with patch.object(polyring, "_groebner_ints", all_pairs_engine):
         expected_gb = buchberger([c[0] for c in columns])
     gb = buchberger([c[0] for c in columns])
     assert gb.basis == expected_gb.basis
@@ -411,7 +424,7 @@ def test_module_engine_matches_all_pairs_reference(case):
         assert _groebner(ring, columns, _MonomialBudget(None))[0] == \
             all_pairs_groebner(ring, columns, _MonomialBudget(None))[0]
 
-    with patch.object(syzygies_module, "_groebner", all_pairs_groebner):
+    with patch.object(syzygies_module, "_groebner_ints", all_pairs_engine):
         expected_syzygies = syzygies(ring, rank, columns)
     assert syzygies(ring, rank, columns) == expected_syzygies
 
@@ -481,12 +494,12 @@ XYZ = RINGS[1]
 
 
 def spy_on_engine(monkeypatch):
-    """Record the lead exponents (unpacked) of every S-vector ``_groebner``
+    """Record the lead exponents (unpacked) of every S-vector ``_groebner_ints``
     (``_s_pair``) and the all-pairs loop (``s_vector``) form, and count the
     reductions each of them runs (``_reduce_ints`` and
     ``reduce_with_cofactors``)."""
-    calls = {"_groebner": [], "all_pairs_groebner": []}
-    reductions = {"_groebner": 0, "all_pairs_groebner": 0}
+    calls = {"_groebner_ints": [], "all_pairs_groebner": []}
+    reductions = {"_groebner_ints": 0, "all_pairs_groebner": 0}
 
     def record_pair(original, at):
         # the packed leads are the arguments at ``at`` and ``at + 1``
@@ -519,8 +532,8 @@ def test_product_criterion_skips_coprime_leads(monkeypatch):
     calls, reductions = spy_on_engine(monkeypatch)
     buchberger([XYZ.parse("x^3"), XYZ.parse("y^3")])
     buchberger([XYZ.parse("x^3 - y"), XYZ.parse("y^3 - x")])
-    assert calls["_groebner"] == []
-    assert reductions["_groebner"] == 0
+    assert calls["_groebner_ints"] == []
+    assert reductions["_groebner_ints"] == 0
 
 
 def test_chain_criterion_drops_a_pair_the_all_pairs_loop_reduces(monkeypatch):
@@ -536,8 +549,8 @@ def test_chain_criterion_drops_a_pair_the_all_pairs_loop_reduces(monkeypatch):
     assert basis == reference
     assert [v[0].lm for v in basis] == [(1, 0, 1), xy, yz2]
     assert {xy, yz2} in calls["all_pairs_groebner"]
-    assert {xy, yz2} not in calls["_groebner"]
-    assert (reductions["_groebner"], reductions["all_pairs_groebner"]) == (2, 3)
+    assert {xy, yz2} not in calls["_groebner_ints"]
+    assert (reductions["_groebner_ints"], reductions["all_pairs_groebner"]) == (2, 3)
 
 
 def test_product_criterion_is_off_on_modules(monkeypatch):
@@ -546,7 +559,7 @@ def test_product_criterion_is_off_on_modules(monkeypatch):
     columns = [[XYZ.parse("x"), XYZ.parse("z")], [XYZ.parse("y"), XYZ.zero()]]
     calls, reductions = spy_on_engine(monkeypatch)
     mgb = module_buchberger(XYZ, 2, columns)
-    assert reductions["_groebner"] == 1
+    assert reductions["_groebner_ints"] == 1
     assert [vec_lead(v)[0] for v in mgb.basis] == [0, 0, 1]
     assert mgb.basis[2] == [XYZ.zero(), XYZ.parse("y*z")]
     for s in syzygies(XYZ, 2, columns):
@@ -568,7 +581,7 @@ def test_relation_pass_reduces_no_pair_the_engine_reduced_to_zero(monkeypatch):
     calls, reductions = spy_on_engine(monkeypatch)
     mgb = module_buchberger(XYZ, 2, columns)
     assert list(mgb.relations) == [(2, 3)]
-    assert len(calls["_groebner"]) == reductions["_groebner"] == 2
+    assert len(calls["_groebner_ints"]) == reductions["_groebner_ints"] == 2
     found = syzygies(XYZ, 2, columns)
     assert found == expected == [mgb.relations[2, 3]]
 
@@ -584,13 +597,13 @@ def test_relations_run_forms_in_flight_the_pair_the_f_criterion_drops(
     xy, yz2 = (1, 1, 0), (0, 1, 2)
     calls, _ = spy_on_engine(monkeypatch)
     _groebner(XYZ, columns, _MonomialBudget(None))
-    assert {xy, yz2} not in calls["_groebner"]
-    del calls["_groebner"][:]
+    assert {xy, yz2} not in calls["_groebner_ints"]
+    del calls["_groebner_ints"][:]
     relations = {}
     _groebner(XYZ, columns, _MonomialBudget(None), relations)
     all_pairs_groebner(XYZ, columns, _MonomialBudget(None), {})
-    assert {xy, yz2} in calls["_groebner"]
-    assert calls["_groebner"] == calls["all_pairs_groebner"]
+    assert {xy, yz2} in calls["_groebner_ints"]
+    assert calls["_groebner_ints"] == calls["all_pairs_groebner"]
     # (0, 1) added y*z^2 + z^3, so it records nothing
     assert sorted(relations) == [(0, 2), (1, 2)]
     for row in relations.values():
@@ -602,7 +615,7 @@ def test_relations_run_forms_in_flight_the_pair_the_f_criterion_drops(
 
 def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
     """``syzygies`` reads its relations off the engine: every S-vector of a
-    call, on ideals and on modules, is formed inside ``_groebner``, and no
+    call, on ideals and on modules, is formed inside ``_groebner_ints``, and no
     module but ``polyring`` calls a reduction."""
     callers = {"_s_pair": [], "_reduce": [], "_reduce_ints": []}
 
@@ -622,7 +635,7 @@ def test_no_s_vector_is_formed_outside_the_engine(monkeypatch):
     syzygies(XYZ, 2, [[XYZ.parse("x"), XYZ.parse("y")],
                       [XYZ.parse("y"), XYZ.parse("z")]])
     assert callers["_s_pair"] and set(callers["_s_pair"]) == {
-        ("cising.polyring", "_groebner")}
+        ("cising.polyring", "_groebner_ints")}
     assert callers["_reduce_ints"]
     assert {module for calls in callers.values() for module, _ in calls} == {
         "cising.polyring"}

@@ -2,12 +2,12 @@
 
 A ring presentation sums its cached monomial normal forms in ``int``\\s over
 one common denominator (``normal_form``, ``encode_multiples``), checked here
-against the Groebner basis's own ``normal_form``; the Buchberger engine keeps
-each reducer's integer form for a whole run, checked against the same run
-with every form rebuilt on each reduction.  The ideals have non-monic
-generators with rational, non-integer coefficients on grevlex, lex and
-weighted rings, so denominators above 1 reach every sum: the benchmark
-inputs are all integer.
+against the Groebner basis's own ``normal_form``; the Buchberger engine builds
+each reducer's integer form from its ``int``\\s once for a whole run, checked
+against the same run with every form rebuilt from polynomials on each
+reduction.  The ideals have non-monic generators with rational, non-integer
+coefficients on grevlex, lex and weighted rings, so denominators above 1
+reach every sum: the benchmark inputs are all integer.
 """
 
 from fractions import Fraction
@@ -22,14 +22,16 @@ from cising.polyring import (
     Poly,
     PolyRing,
     RingPresentation,
-    _groebner,
     _MonomialBudget,
     _reduce,
     _reduce_ints,
+    _reducer_form,
     normal_form,
     normal_form_with_cofactors,
     vec_combine,
 )
+
+from engine_run import _groebner
 
 PROPERTY = settings(max_examples=60)
 RINGS = [PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"], order="lex"),
@@ -149,10 +151,19 @@ def engine_runs(draw):
     return ring, columns, seeds
 
 
-def rebuilding_reduce(ring, scale, cur, reducers, leads, budget, forms, width):
+def rebuilding_reduce(ring, scale, cur, forms, leads, budget, width):
     """The engine's reduction with no reducer form kept from an earlier
-    call."""
-    return _reduce_ints(ring, scale, cur, reducers, leads, budget, {}, width)
+    call: each is rebuilt by ``_reducer_form`` from a fresh polynomial
+    vector, whose component ``k`` is ``f * t / d`` for each part ``(k, f,
+    t)`` of the kept form ``(d, lc, parts)``."""
+    rebuilt = []
+    for (d, _, parts), (comp, lt, _) in zip(forms, leads):
+        vector = [ring.zero()] * len(cur)
+        for k, f, t in parts:
+            vector[k] = Poly(ring, {ring._unpack(e): Fraction(f * c, d)
+                                    for e, c in t.items()})
+        rebuilt.append(_reducer_form(vector, comp, lt))
+    return _reduce_ints(ring, scale, cur, rebuilt, leads, budget, width)
 
 
 @PROPERTY

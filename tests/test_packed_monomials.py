@@ -84,6 +84,14 @@ def test_the_largest_exponent_is_accepted_and_the_next_refused(ring):
             ring.monomial(top)
 
 
+def test_a_weight_over_the_limit_is_refused_with_the_ring():
+    """A weight over the limit would make every monomial in its variable
+    fail to pack, so the ring refuses it and names it."""
+    assert PolyRing(["x", "y"], weights=[1, MAX_EXPONENT]).monomial((0, 1)).lm == (0, 1)
+    with pytest.raises(ValidationError, match="at most 32767, not 40000"):
+        PolyRing(["x", "y"], weights=[1, 40000])
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_a_product_over_the_limit_is_refused(ring):
     top = [MAX_EXPONENT // w for w in ring.weights]
