@@ -15,7 +15,9 @@ rejected (pointwise invariants at a rational zero live in
 :mod:`cising.tangentlie` instead).
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import (
@@ -162,13 +164,23 @@ class FreeResolution:
         return all(p.constant_coefficient() == 0
                    for cols in self.differentials for col in cols for p in col)
 
+    @cached_property
+    def composites(self):
+        """``composites[i - 1]``: d_i applied to each column of d_{i+1}, in
+        the ambient ring (i = 1..length-1), built once and read by both
+        :func:`_assert_resolution` and :func:`eisenbud_ops`."""
+        return [[vec_combine(self.rp.ring, len(self.twists[i - 1]),
+                             zip(v, self.differentials[i - 1]))
+                 for v in self.differentials[i]]
+                for i in range(1, self.length)]
+
 
 # ---------------------------------------------------------------------------
 # graded slices and minimal generating sets
 # ---------------------------------------------------------------------------
 
 
-def minimal_generators(rp, twists, columns):
+def minimal_generators(rp, twists, columns, *, counts=None):
     """Minimal homogeneous generating set of the span of ``columns``.
 
     Returns ``(kept_columns, degrees)``.  The kept columns are a subset of
@@ -180,6 +192,12 @@ def minimal_generators(rp, twists, columns):
     columns by standard monomials, encoded in normal form by
     :meth:`RingPresentation.encode_multiples`.  Offered columns are read
     as integer normal forms; only the kept ones are built as polynomials.
+
+    ``counts``, when given, maps each degree to the number of minimal
+    generators known to lie there (Tate's, in :func:`minimal_resolution`).
+    Degrees it does not list are skipped, and a degree stops once it has
+    kept that many columns: every later one is then dependent.  A degree
+    that keeps fewer is the caller's to refuse.
     """
     ring, cols = rp.ring, []
     for j, column in enumerate(columns):
@@ -189,8 +207,11 @@ def minimal_generators(rp, twists, columns):
             cols.append((d, j, nf))
     accepted = []
     for e in sorted({d for d, _, _ in cols}):
+        want = None if counts is None else counts.get(e, 0)
+        if want == 0:
+            continue
         coords = GradedSlice(rp, ((k, e - t) for k, t in enumerate(twists)))
-        span = IncrementalSpan()
+        span, start = IncrementalSpan(), len(accepted)
         # the kept columns of lower degree generate what all of them do
         for d, _, v in accepted:
             for vec in rp.encode_multiples(coords, enumerate(v), e - d):
@@ -202,6 +223,8 @@ def minimal_generators(rp, twists, columns):
             if span.add({coords.index[k][m]: c * (den // dk)
                          for k, (dk, t) in enumerate(nf) for m, c in t.items()}):
                 accepted.append((d, j, [_from_ints(ring, *f) for f in nf]))
+                if len(accepted) - start == want:
+                    break
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
 
 
@@ -266,6 +289,64 @@ def _require_graded_ci(rp):
             "the quotient is not a complete intersection presented this way")
 
 
+def _order_below_two(rp):
+    """``(j, order)`` for the first ideal generator ``f_j`` (1-indexed) with
+    a term of order below 2 at the origin, or None when every one lies in
+    the square of the maximal ideal."""
+    for j, f in enumerate(rp.ideal):
+        for expo in f.terms:
+            if sum(expo) < 2:
+                return j + 1, sum(expo)
+    return None
+
+
+def _tate_betti(rp, twists, relations, length):
+    """Tate's graded Betti numbers of the residue field, as one Counter
+    ``{degree: count}`` per step ``0..length``, when the presentation (after
+    :func:`_cancel_units`) is the residue field and every ``f_j`` lies in
+    m^2; otherwise None.
+
+    The presentation is the residue field when it has one generator and
+    its relations include a nonzero multiple of every variable.  Over
+    S/(f) with f a regular sequence in m^2, Tate's complex resolves it
+    minimally (Tate, Illinois J. Math. 1, 1957), so step ``i`` has the
+    coefficient of ``s^i`` in ``t^twist prod_i (1 + s t^(w_i)) / prod_j
+    (1 - s^2 t^(deg f_j))``.
+    """
+    ring = rp.ring
+    variables = {tuple(int(k == v) for k in range(ring.nvars))
+                 for v in range(ring.nvars)}
+    if (len(twists) != 1 or _order_below_two(rp) is not None
+            or not variables <= {next(iter(p.terms)) for [p] in relations
+                                 if len(p.terms) == 1}):
+        return None
+    betti = [Counter() for _ in range(length + 1)]
+    betti[0][twists[0]] = 1
+    for w in ring.weights:      # times 1 + s t^w, top step first
+        for i in range(length, 0, -1):
+            betti[i].update({e + w: n for e, n in betti[i - 1].items()})
+    for f in rp.ideal:          # over 1 - s^2 t^d, bottom step first
+        d = f.homogeneous_degree()
+        for i in range(2, length + 1):
+            betti[i].update({e + d: n for e, n in betti[i - 2].items()})
+    return betti
+
+
+def _generators(rp, twists, columns, tate, step):
+    """:func:`minimal_generators` of ``columns`` for resolution step
+    ``step``, bounded by Tate's counts ``tate[step]`` when ``tate`` is not
+    None; a degree that keeps fewer raises :class:`InvariantError`."""
+    if tate is None:
+        return minimal_generators(rp, twists, columns)
+    kept, degrees = minimal_generators(rp, twists, columns, counts=tate[step])
+    if short := sorted(tate[step] - Counter(degrees)):
+        e = short[0]
+        raise InvariantError(
+            f"resolution step {step} has {degrees.count(e)} generators in "
+            f"degree {e}, Tate's count is {tate[step][e]}: the kernel missed one")
+    return kept, degrees
+
+
 def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
                        max_monomials=DEFAULT_MAX_MONOMIALS):
     """Minimal graded free resolution of ``module`` out to step ``length``.
@@ -275,6 +356,15 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
     of the previous differential and extracts a minimal generating set, so
     the bases -- and therefore the differential matrices -- are
     deterministic.
+
+    When the module is the residue field and every ``f_j`` lies in m^2
+    (see :func:`_tate_betti`), Tate's closed-form Betti numbers bound each
+    step: the syzygies stop at the top degree of the next step
+    (``syzygies(..., cap=)``) and :func:`minimal_generators` at its counts.
+    The output is the unbounded one, as neither drops a column the minimal
+    set would keep, and a step that falls short of Tate's count raises
+    :class:`InvariantError`, which checks exactness there.  Every other
+    input takes the unbounded path.
     """
     length = int(length)
     if length < 0:
@@ -284,7 +374,9 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
     _require_graded_ci(rp)
 
     twists0, relations = _cancel_units(rp, module.twists, module.relations)
-    current, degrees = minimal_generators(rp, twists0, relations)
+    # step 1's counts are read even when length is 0
+    tate = _tate_betti(rp, twists0, relations, max(length, 1))
+    current, degrees = _generators(rp, twists0, relations, tate, 1)
     twists = [twists0]
     differentials = []
     for i in range(1, length + 1):
@@ -296,13 +388,16 @@ def minimal_resolution(rp, module, length, max_width=DEFAULT_MAX_WIDTH,
         twists.append(degrees)
         if i == length:
             break
-        if not current:
+        if not current or (tate is not None and not tate[i + 1]):
             current, degrees = [], []
             continue
-        # the kernel over the quotient: syzygies of the columns modulo f
+        # the kernel over the quotient: syzygies of the columns modulo f,
+        # through the top degree of step i + 1 when Tate's numbers bound it
+        cap = None if tate is None else [max(tate[i + 1]) - t
+                                         for t in twists[i - 1]]
         kernel = syzygies(rp.ring, len(twists[i - 1]), current,
-                          max_monomials=max_monomials, modulo=rp.ideal)
-        current, degrees = minimal_generators(rp, twists[i], kernel)
+                          max_monomials=max_monomials, modulo=rp.ideal, cap=cap)
+        current, degrees = _generators(rp, twists[i], kernel, tate, i + 1)
 
     resolution = FreeResolution(rp=rp, twists=twists, differentials=differentials)
     _assert_resolution(resolution)
@@ -314,11 +409,8 @@ def _assert_resolution(res):
     if not res.is_minimal():
         raise InvariantError("resolution differential has a unit entry")
     rp = res.rp
-    for i in range(1, res.length):
-        outer = res.differentials[i - 1]
-        for v in res.differentials[i]:
-            composite = vec_combine(rp.ring, len(res.twists[i - 1]),
-                                    zip(v, outer))
+    for i, composites in enumerate(res.composites, 1):
+        for composite in composites:
             for s in composite:
                 if not rp.normal_form(s).is_zero():
                     raise InvariantError(
@@ -381,29 +473,24 @@ def eisenbud_ops(rp, resolution):
     otherwise a :class:`ReduceVariablesError` asks for the linear variables
     to be eliminated first.
     """
-    for j, f in enumerate(rp.ideal):
-        for expo in f.terms:
-            if sum(expo) < 2:
-                raise ReduceVariablesError(
-                    f"ideal generator {j + 1} has a term of order {sum(expo)} "
-                    "at the origin; eliminate the linear variables before "
-                    "constructing the operators")
+    low = _order_below_two(rp)
+    if low is not None:
+        raise ReduceVariablesError(
+            f"ideal generator {low[0]} has a term of order {low[1]} "
+            "at the origin; eliminate the linear variables before "
+            "constructing the operators")
     c = len(rp.ideal)
     betti = resolution.betti
-    length = resolution.length
-    # the differentials' entries are ambient polynomials: their own lifts
-    lifted = resolution.differentials
 
     operators = [[] for _ in range(c)]
     lifts = [[] for _ in range(c)]
     solvers = {}
-    for i in range(max(0, length - 1)):
+    # the differentials' entries are ambient polynomials: their own lifts,
+    # so the composites are the resolution's own
+    for i, composites in enumerate(resolution.composites):
         # cofs[cidx][r][j]: entry (r, cidx) of the composite over the f_j
-        cofs = []
-        for cidx, v in enumerate(lifted[i + 1]):
-            composite = vec_combine(rp.ring, betti[i], zip(v, lifted[i]))
-            cofs.append([_ideal_cofactors(rp, entry, solvers)
-                         for entry in composite])
+        cofs = [[_ideal_cofactors(rp, entry, solvers) for entry in composite]
+                for composite in composites]
         for j in range(c):
             tcols = [[cf[j] for cf in column] for column in cofs]
             operators[j].append(Mat([[p.constant_coefficient() for p in col]

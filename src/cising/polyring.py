@@ -832,7 +832,7 @@ def _s_pair(ring, n, ei, ej, fi, fj):
     return den, acc
 
 
-def _groebner_ints(ring, columns, budget, relations=None, seeds=()):
+def _groebner_ints(ring, columns, budget, relations=None, seeds=(), *, cap=None):
     """Module Groebner basis of the span of ``columns`` (lists of polynomials,
     ordered term over position), with representation rows on relations runs.
 
@@ -865,6 +865,13 @@ def _groebner_ints(ring, columns, budget, relations=None, seeds=()):
     the seeds, which a dict passed as ``relations`` receives as ``(i, j) ->
     row`` of polynomials.  So every same-component pair but those that
     added an element (whose relation is zero) gives its relation.
+
+    ``cap[k]``, when given, is the largest weighted lcm degree of a pair
+    formed in component ``k``.  On input homogeneous for twists ``t``, with
+    ``cap[k] == D - t[k]``, the elements and relations of twisted degree at
+    most ``D`` are the uncapped run's, in the same order: a vector above
+    ``D`` divides no term at or below it, and its index only shifts later
+    ones up.
     """
     elements, leads, heap = [], [], []
     forms = []    # the elements' reducer forms, one per element for the run
@@ -895,9 +902,12 @@ def _groebner_ints(ring, columns, budget, relations=None, seeds=()):
                    if not any(o != lcm and divides(o, lcm) for o in new)
                    and not any(leads[j][1] + expo == lcm for j in js)}
         for lcm, js in new.items():
+            degree = ring._degree(lcm)
+            if cap is not None and degree > cap[comp]:
+                continue
             for j in js:
                 pending[j, i] = lcm
-                heapq.heappush(heap, (ring._degree(lcm), j, i))
+                heapq.heappush(heap, (degree, j, i))
         leads.append((comp, expo, ONE))
 
     for k, c in enumerate(columns + list(seeds)):

@@ -74,7 +74,7 @@ class ModuleGroebnerBasis:
 
 
 def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
-                      modulo=()):
+                      modulo=(), *, cap=None):
     """Module Groebner basis of the span of ``columns`` inside ``R^rank``,
     plus ``modulo`` (polynomials) times ``R^rank``.
 
@@ -83,6 +83,8 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     Every such pair is reduced, columns of length 1 included, since each
     owes its relation (see :func:`cising.polyring._groebner_ints`).  Each
     ``f * e_k`` (``f`` nonzero, then ``k``) is seeded after the columns.
+    ``cap[k]``, when given, bounds the weighted lcm degree of the pairs
+    formed in component ``k`` (see :func:`cising.polyring._groebner_ints`).
     """
     columns = _validate_columns(ring, rank, columns)
     zero = ring.zero()
@@ -91,13 +93,13 @@ def module_buchberger(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
              if not f.is_zero() for row in range(rank)]
     relations = {}
     elements, _ = _groebner_ints(ring, columns, _MonomialBudget(max_monomials),
-                                 relations=relations, seeds=seeds)
+                                 relations=relations, seeds=seeds, cap=cap)
     return ModuleGroebnerBasis(ring=ring, rank=rank, generators=columns,
                                elements=elements, relations=relations)
 
 
 def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
-             modulo=()):
+             modulo=(), *, cap=None):
     """Generators of the syzygy module of ``columns`` over ``R/(modulo)``.
 
     Returns nonzero vectors ``s`` of length ``len(columns)`` with
@@ -109,9 +111,15 @@ def syzygies(ring, rank, columns, max_monomials=DEFAULT_MAX_MONOMIALS,
     down to the same vector; such repeats are kept (a caller after a
     minimal set drops them as dependent columns).  The reductions behind them all
     charge the one ``max_monomials`` budget of the engine run.
+
+    Truncated syzygies: on columns homogeneous for twists ``t`` of the rank
+    components, ``cap = [D - t_k for t_k in t]`` forms no pair above
+    twisted degree ``D``.  The relations are then exactly those of the
+    uncapped call of twisted degree at most ``D``, in the same order
+    (then the unit vectors, which the cap leaves alone).
     """
     gb = module_buchberger(ring, rank, columns, max_monomials=max_monomials,
-                           modulo=modulo)
+                           modulo=modulo, cap=cap)
     m = len(gb.generators)
     return ([relation for _, relation in sorted(gb.relations.items())
              if not vec_is_zero(relation)]

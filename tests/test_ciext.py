@@ -392,6 +392,23 @@ def test_operator_lift_independence():
         assert operators == reference.operators
 
 
+def test_ext_builds_each_composite_once(monkeypatch):
+    """The d∘d check and the operators read the same composites
+    d_i∘d_{i+1}, built once per resolution: one ``vec_combine`` per column
+    of d_{i+1}, i = 1..length-1."""
+    calls = []
+    original = cising.ciext.vec_combine
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    rp = presentation(["x", "y", "z"], ["x^2 + y*z", "y^2 - x*z"])
+    monkeypatch.setattr(cising.ciext, "vec_combine", spy)
+    ext = ext_module(rp, residue_field_module(rp), 5)
+    assert len(calls) == sum(ext.resolution.betti[2:]) > 0
+
+
 def _compose_columns(outer, target_rank, inner):
     """Columns of outer . inner over the ambient ring."""
     zero = None

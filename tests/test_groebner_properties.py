@@ -23,6 +23,7 @@ from cising.polyring import (
     ONE,
     PolyRing,
     RingPresentation,
+    _groebner_ints,
     _integer_vector,
     _MonomialBudget,
     _reduce,
@@ -174,10 +175,12 @@ def reduce_with_cofactors(ring, v, reducers, leads, budget):
     return out[:len(v)], [-q for q in out[len(v):]]
 
 
-def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
+def all_pairs_groebner(ring, columns, budget, relations=None, seeds=(),
+                       cap=None):
     """The engine before the Gebauer-Moeller update: every pair whose leads
     share a component is reduced, lowest weighted lcm degree first, ties by
-    index.  ``relations`` receives the relation of every pair whose S-vector
+    index, except those over ``cap[k]`` in component ``k`` when ``cap`` is
+    given.  ``relations`` receives the relation of every pair whose S-vector
     is zero or reduces to zero, so with it in place ``syzygies`` reads every
     pair's relation off the all-pairs loop.  The nonzero ``seeds`` follow
     the columns into the basis with zero representation rows."""
@@ -198,8 +201,10 @@ def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
         i = len(basis) - 1
         for j, (jcomp, jexpo, _) in enumerate(leads):
             if jcomp == comp:
-                lcm = map(max, ring._unpack(jexpo), ring._unpack(expo))
-                heapq.heappush(pairs, (ring.wdeg(tuple(lcm)), j, i))
+                lcm = ring.wdeg(tuple(map(max, ring._unpack(jexpo),
+                                          ring._unpack(expo))))
+                if cap is None or lcm <= cap[comp]:
+                    heapq.heappush(pairs, (lcm, j, i))
         leads.append((comp, expo, ONE))
 
     unit = [ring.zero() for _ in columns]
@@ -230,12 +235,14 @@ def all_pairs_groebner(ring, columns, budget, relations=None, seeds=()):
     return basis, reps
 
 
-def all_pairs_engine(ring, columns, budget, relations=None, seeds=()):
+def all_pairs_engine(ring, columns, budget, relations=None, seeds=(), *,
+                     cap=None):
     """``all_pairs_groebner`` handed over as ``_groebner_ints`` hands over
     its run: each basis vector's ``(d, ints)``, its components over one
     denominator, followed by its representation row on relations runs, and
     its lead."""
-    basis, reps = all_pairs_groebner(ring, columns, budget, relations, seeds)
+    basis, reps = all_pairs_groebner(ring, columns, budget, relations, seeds,
+                                     cap)
     rows = reps if relations is not None else [[] for _ in basis]
     return ([_integer_vector(v + row) for v, row in zip(basis, rows)],
             [vec_lead(v) for v in basis])
@@ -485,6 +492,69 @@ def test_seeds_give_the_run_on_the_seeded_columns_cut_to_the_inputs(case, data):
     expected += [[ring.one() if j == k else zero for j in range(m)]
                  for k, c in enumerate(columns) if vec_is_zero(c)]
     assert syzygies(ring, rank, columns, modulo=modulo) == expected
+
+
+@st.composite
+def twisted_inputs(draw):
+    """A ring from ``REFERENCE_RINGS``, a twist in -1..1 per component of a
+    rank 1 to 3, 1 to 4 columns homogeneous of twisted degree 1 to 3 (entry
+    ``k`` of degree ``d - twists[k]``, zero when that is negative), their
+    twisted degrees, and 0 to 2 forms of degree 1 or 2 to seed as
+    ``f * e_k``."""
+    ring = draw(st.sampled_from(REFERENCE_RINGS))
+    twists = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    columns = [[draw(homogeneous_polys(ring, d - t)) if d >= t else ring.zero()
+                for t in twists] for d in degrees]
+    modulo = [draw(homogeneous_polys(ring, draw(st.integers(1, 2))))
+              for _ in range(draw(st.integers(0, 2)))]
+    return ring, twists, columns, degrees, modulo
+
+
+@settings(max_examples=100)
+@given(twisted_inputs(), st.integers(0, 5))
+def test_capped_run_is_the_uncapped_run_through_the_cap(case, top):
+    """With ``cap[k] = top - twists[k]`` the engine forms no pair above
+    twisted degree ``top``.  Its elements are the uncapped run's less those
+    added above ``top``, and its relations, in pair order, are those at or
+    below ``top``; so ``syzygies`` gives the uncapped relations through
+    ``top``, in order, then the unit vectors of zero columns.  The budget is
+    never charged more, and the all-pairs reference under the same cap
+    gives the same elements and relations."""
+    ring, twists, columns, degrees, modulo = case
+    rank, zero = len(twists), ring.zero()
+    cap = [top - t for t in twists]
+    seeds = [[f if k == row else zero for k in range(rank)]
+             for f in modulo if not f.is_zero() for row in range(rank)]
+    budget, capped_budget = _MonomialBudget(None), _MonomialBudget(None)
+    relations, capped_relations = {}, {}
+    elements, leads = _groebner_ints(ring, columns, budget, relations, seeds)
+    capped, _ = _groebner_ints(ring, columns, capped_budget, capped_relations,
+                               seeds, cap=cap)
+    reference_relations = {}
+    assert all_pairs_engine(ring, columns, _MonomialBudget(None),
+                            reference_relations, seeds, cap=cap)[0] == capped
+    assert reference_relations == capped_relations
+
+    def twisted(comp, expo):
+        return ring._degree(expo) + twists[comp]
+
+    inputs = sum(not vec_is_zero(c) for c in columns + seeds)
+    assert capped == [element for k, (element, (comp, expo, _))
+                      in enumerate(zip(elements, leads))
+                      if k < inputs or twisted(comp, expo) <= top]
+    below = [row for (i, j), row in sorted(relations.items())
+             if twisted(leads[i][0], ring._lcm(leads[i][1], leads[j][1])) <= top]
+    assert [row for _, row in sorted(capped_relations.items())] == below
+    assert capped_budget.used <= budget.used
+
+    def kept(z):
+        k = next(k for k, p in enumerate(z) if not p.is_zero())
+        return (vec_is_zero(columns[k])
+                or z[k].homogeneous_degree() + degrees[k] <= top)
+
+    assert syzygies(ring, rank, columns, modulo=modulo, cap=cap) == \
+        [z for z in syzygies(ring, rank, columns, modulo=modulo) if kept(z)]
 
 
 # The criteria fire on ideals and stay off on modules

@@ -11,6 +11,7 @@ decomposition of an ideal element over the generators, which the degree-2
 operators read, rebuilds the element and keeps its constant parts.
 """
 
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -18,13 +19,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cising import ciext
 from cising.ciext import (
     _ideal_cofactors,
     cyclic_module,
     minimal_resolution,
     residue_field_module,
 )
-from cising.errors import ResourceLimitError
+from cising.errors import InvariantError, ResourceLimitError
 from cising.exactq import Mat, rank
 from cising.polyring import (
     PolyRing,
@@ -51,15 +53,23 @@ def homogeneous_polys(draw, ring, degree, max_terms=3):
 
 
 @st.composite
-def resolutions(draw):
+def quotients(draw):
     """A quotient by 1 or 2 homogeneous forms of degree 2 or 3 forming a
-    regular sequence, the residue field or a cyclic module by 1 or 2 forms
-    of degree 1 or 2, and its minimal resolution to step ``LENGTH``."""
+    regular sequence, and their degrees."""
     ring = draw(st.sampled_from(RINGS))
     degrees = [draw(st.integers(2, 3)) for _ in range(draw(st.integers(1, 2)))]
     gens = [draw(homogeneous_polys(ring, d)) for d in degrees]
     assume(is_regular_sequence(ring, gens))
-    rp = RingPresentation(ring, gens)
+    return RingPresentation(ring, gens), degrees
+
+
+@st.composite
+def resolutions(draw):
+    """A quotient from ``quotients``, the residue field or a cyclic module
+    by 1 or 2 forms of degree 1 or 2, and its minimal resolution to step
+    ``LENGTH``."""
+    rp, degrees = draw(quotients())
+    ring = rp.ring
     if draw(st.booleans()):
         module = residue_field_module(rp)
     else:
@@ -181,6 +191,125 @@ def test_betti_numbers_satisfy_the_hilbert_series_identity(case):
                           for i, twists in enumerate(res.twists)
                           for t in twists if t <= e)
         assert alternating == module_hilbert(rp, module, e)
+
+
+# Tate's bound on the residue field
+# ---------------------------------------------------------------------------
+
+
+def in_m_squared(rp):
+    return all(sum(expo) >= 2 for f in rp.ideal for expo in f.terms)
+
+
+def unbounded(rp, module, length):
+    """The resolution with Tate's bound patched away."""
+    with patch.object(ciext, "_tate_betti", return_value=None):
+        return minimal_resolution(rp, module, length)
+
+
+@PROPERTY
+@given(quotients(), st.sampled_from([-2, -1, 1, 2]))
+def test_bounded_resolution_of_the_residue_field_is_the_unbounded_one(
+        case, twist):
+    """When every f_j lies in m^2, Tate's Betti numbers bound the
+    resolution of a twisted residue field; its twists and differentials are
+    then exactly those of the unbounded resolution, and its Betti numbers
+    are Tate's.  A weighted form with a single-variable term (c_2) takes
+    the unbounded path."""
+    rp, _ = case
+    module = residue_field_module(rp, twist)
+    res = minimal_resolution(rp, module, LENGTH + 1)
+    expected = unbounded(rp, module, LENGTH + 1)
+    assert res.twists == expected.twists
+    assert res.differentials == expected.differentials
+    tate = ciext._tate_betti(rp, [twist], module.relations, LENGTH + 1)
+    assert (tate is not None) == in_m_squared(rp)
+    if tate is not None:
+        assert [Counter(t) for t in res.twists] == tate
+
+
+def spy_on_bounds(monkeypatch):
+    """Record the ``cap`` of every ``syzygies`` call and the ``counts`` of
+    every ``minimal_generators`` call that ``minimal_resolution`` makes."""
+    seen = {"cap": [], "counts": []}
+
+    def spy(name, key):
+        original = getattr(ciext, name)
+
+        def recorded(*args, **kwargs):
+            seen[key].append(kwargs.get(key))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(ciext, name, recorded)
+
+    spy("syzygies", "cap")
+    spy("minimal_generators", "counts")
+    return seen
+
+
+TWO_QUADRICS = RingPresentation(RINGS[0], [RINGS[0].parse("x^2 + y*z"),
+                                           RINGS[0].parse("y^2 - x*z")])
+LINEAR_TERM = RingPresentation(RINGS[2], [RINGS[2].parse("c_2 + a*b"),
+                                          RINGS[2].parse("a^2")])
+
+
+@pytest.mark.parametrize("rp, module, bounded", [
+    pytest.param(TWO_QUADRICS, residue_field_module(TWO_QUADRICS, 1), True,
+                 id="residue-field"),
+    pytest.param(TWO_QUADRICS, cyclic_module(TWO_QUADRICS, RINGS[0].gens()),
+                 True, id="module-listing-the-variables"),
+    pytest.param(TWO_QUADRICS, cyclic_module(TWO_QUADRICS,
+                                             [RINGS[0].parse("x*y")]),
+                 False, id="cyclic-module"),
+    pytest.param(LINEAR_TERM, residue_field_module(LINEAR_TERM), False,
+                 id="single-variable-term"),
+])
+def test_only_the_residue_field_over_m_squared_is_bounded(
+        monkeypatch, rp, module, bounded):
+    """The residue field, also as a cyclic module by the variables, passes
+    Tate's bound to every step; a cyclic module that is not the residue
+    field, or an f_j with a single-variable term (c_2 of weight 2), passes
+    none, and so takes the unbounded path exactly."""
+    seen = spy_on_bounds(monkeypatch)
+    res = minimal_resolution(rp, module, LENGTH + 1)
+    assert seen["cap"] and len(seen["counts"]) == LENGTH + 1
+    for value in seen["cap"] + seen["counts"]:
+        assert (value is not None) == bounded
+    monkeypatch.undo()
+    expected = unbounded(rp, module, LENGTH + 1)
+    assert (res.twists, res.differentials) == \
+        (expected.twists, expected.differentials)
+
+
+@pytest.mark.parametrize("rp, degree", [
+    pytest.param(RingPresentation(PolyRing(["x"]), [PolyRing(["x"]).parse("x^2")]),
+                 2, id="dual-numbers"),
+    pytest.param(TWO_QUADRICS, 2, id="two-quadrics"),
+])
+def test_a_kernel_that_misses_a_generator_is_refused(monkeypatch, rp, degree):
+    """A ``syzygies`` that drops the first relation of the kernel of d_1,
+    at the degree of the generators of step 2, leaves that step short of
+    Tate's count; the resolution raises, naming the step and the degree."""
+    original = ciext.syzygies
+    calls = []
+
+    def faulty(*args, **kwargs):
+        relations = original(*args, **kwargs)
+        calls.append(1)
+        return relations[1:] if len(calls) == 1 else relations
+
+    monkeypatch.setattr(ciext, "syzygies", faulty)
+    with pytest.raises(InvariantError,
+                       match=f"step 2 has .* in degree {degree}, Tate's"):
+        minimal_resolution(rp, residue_field_module(rp), LENGTH)
+
+
+@pytest.mark.parametrize("rp", [TWO_QUADRICS, LINEAR_TERM],
+                         ids=["bounded", "unbounded"])
+def test_a_resolution_of_length_zero_is_the_generators_alone(rp):
+    """Length 0 (a ``resolve`` job of degree 0) has no differential, though
+    the bounded path reads Tate's counts of step 1 to pick the generators."""
+    res = minimal_resolution(rp, residue_field_module(rp, 1), 0)
+    assert (res.twists, res.differentials) == ([[1]], [])
 
 
 @st.composite
