@@ -89,9 +89,13 @@ def chevalley_cochain(lie):
     a = lie.fiber.g1_dim
     b = lie.fiber.g2_dim
     ring = PolyRing([f"y{k + 1}" for k in range(a)])
-    y = ring.gens()
-    differentials = [sum((y[k] * y[l] * (HALF * lie.bracket[k][l][j])
-                          for k in range(a) for l in range(a)), ring.zero())
+    # one term y_k y_l per pair k <= l: the bracket is symmetric, so the
+    # (k, l) and (l, k) halves of the sum over all pairs add up to B_kl
+    pairs = [(k, l, tuple((t == k) + (t == l) for t in range(a)))
+             for k in range(a) for l in range(k, a)]
+    differentials = [Poly(ring, {expo: lie.bracket[k][l][j] * HALF if k == l
+                                 else lie.bracket[k][l][j]
+                                 for k, l, expo in pairs})
                      for j in range(b)]
     ce = ChevalleyComplex(even_ring=ring, differentials=differentials)
     if extract_bracket(ce) != lie.bracket:

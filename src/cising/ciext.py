@@ -441,9 +441,8 @@ def _ideal_cofactors(rp, p, solvers):
         source = GradedSlice(ring, [(j, e - f.homogeneous_degree())
                                     for j, f in enumerate(rp.ideal) if f])
         columns = coords.images(source, lambda j: [(0, rp.ideal[j])])
-        solvers[e] = coords, source, solver(Mat.from_columns(
-            [[v.get(c, 0) for c in range(len(coords))] for v in columns],
-            len(coords)))
+        solvers[e] = coords, source, solver(Mat.from_columns(columns,
+                                                             len(coords)))
     coords, source, solve = solvers[e]
     b = coords.encode([(0, p)])
     x = solve([b.get(c, 0) for c in range(len(coords))])

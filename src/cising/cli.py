@@ -18,6 +18,7 @@ internal cross-check failed.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -643,7 +644,7 @@ def run_job(command, path, options=None):
     exit codes and stderr messages.  A run refuses, with
     :class:`ValidationError`, every job that ``validate`` would flag.
     """
-    options = options or build_parser().parse_args([command, "--", path])
+    options = options or _parser().parse_args([command, "--", path])
     data, digest = load_job(path)
     job = Job(data, command, options)
     if command == "validate":
@@ -719,6 +720,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The command-line parser, built on first use and shared by every call
+    after it: each ``parse_args`` starts a fresh namespace from the
+    defaults, so no flag carries over from one call to the next."""
+    return build_parser()
+
+
 # the exit code of each error main reports; any other error is a bug
 _EXIT_CODES = {
     ParseError: 1, ValidationError: 1,
@@ -731,7 +740,7 @@ _EXIT_CODES = {
 
 def main(argv=None):
     try:
-        options = build_parser().parse_args(argv)
+        options = _parser().parse_args(argv)
         code, rendered = run_job(options.command, options.jobfile, options)
     except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)

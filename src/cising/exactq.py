@@ -5,11 +5,12 @@ point, no tolerances.  :class:`IncrementalSpan` is the only elimination
 routine: it keeps a subspace as sparse primitive integer rows in echelon
 form, each row pivoting on its first nonzero column, and reads out the
 reduced echelon form in ``Fraction``s on demand.  ``rref``, ``rank``,
-``kernel_basis``, ``cokernel_presentation`` and ``solve`` are built on it,
-and the dense :class:`Mat` is kept for small fixed-size maps (tangent
-fibers, snake diagrams, operators on Ext).  The routines are deterministic
-by convention, and downstream code leans on those conventions, so they are
-contract rather than accident:
+``kernel_basis``, ``cokernel_presentation`` and ``solve`` hand it the
+sparse rows (or columns) of a :class:`Mat`, the small fixed-size maps of
+tangent fibers, snake diagrams and operators on Ext, stored as rows of
+their nonzero entries only.  The routines are deterministic by convention,
+and downstream code leans on those conventions, so they are contract
+rather than accident:
 
 * the pivots are those of the unique reduced row echelon form: a column is
   a pivot exactly when it is independent of the columns before it;
@@ -31,18 +32,20 @@ ONE = Fraction(1)
 
 
 class Mat:
-    """Dense rational matrix, row-major.
+    """Rational matrix stored as sparse rows.
 
-    The shape is stored explicitly so matrices with zero rows or zero
-    columns stay well formed (they show up as soon as a kernel or cokernel
-    is trivial).
+    Row ``i`` is a ``{column: Fraction}`` dict with no zero entries; that is
+    the only representation.  ``rows`` is the dense row-major list, built on
+    read (for rendering and for callers that index it): writing into it does
+    not change the matrix.  The shape is stored explicitly so matrices with
+    zero rows or zero columns stay well formed (they show up as soon as a
+    kernel or cokernel is trivial).
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, rows, ncols=None):
-        rows = [[e if isinstance(e, Fraction) else Fraction(e) for e in row]
-                for row in rows]
+        rows = [list(row) for row in rows]
         if rows:
             if ncols is None:
                 ncols = len(rows[0])
@@ -51,72 +54,114 @@ class Mat:
                     raise ValueError("ragged matrix rows")
         elif ncols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self.rows = rows
+        self._rows = [_sparse(enumerate(row)) for row in rows]
         self.nrows = len(rows)
         self.ncols = ncols
 
     @classmethod
+    def _of(cls, rows, ncols):
+        """The matrix on sparse ``rows`` (``{column: Fraction}`` dicts with
+        no zero entries, taken as they are and not copied)."""
+        m = cls.__new__(cls)
+        m._rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
+
+    @classmethod
     def zero(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return cls._of([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
+        return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        """Assemble a matrix from a list of column vectors."""
-        for col in columns:
-            if len(col) != nrows:
+        """Assemble a matrix from column vectors: each a sequence of length
+        ``nrows``, or a sparse ``{row: value}`` mapping."""
+        rows = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            if isinstance(col, dict):
+                if not all(0 <= i < nrows for i in col):
+                    raise ValueError("column entry outside the row count")
+                entries = col.items()
+            elif len(col) != nrows:
                 raise ValueError("column length does not match row count")
-        return cls([[col[i] for col in columns] for i in range(nrows)],
-                   len(columns))
+            else:
+                entries = enumerate(col)
+            for i, a in _sparse(entries).items():
+                rows[i][j] = a
+        return cls._of(rows, len(columns))
+
+    @property
+    def rows(self):
+        return [[row.get(j, ZERO) for j in range(self.ncols)]
+                for row in self._rows]
+
+    def entry(self, i, j):
+        return self._rows[i].get(j, ZERO)
 
     def column(self, j):
-        return [row[j] for row in self.rows]
+        return [row.get(j, ZERO) for row in self._rows]
+
+    def sparse_columns(self):
+        """The columns as ``{row: Fraction}`` dicts with no zero entries."""
+        columns = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, a in row.items():
+                columns[j][i] = a
+        return columns
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         out = []
-        for row in self.rows:
-            acc = [ZERO] * other.ncols
-            for a, orow in zip(row, other.rows):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return Mat(out, other.ncols)
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other._rows[k].items():
+                    acc[j] = acc.get(j, ZERO) + a * b
+            out.append({j: s for j, s in acc.items() if s})
+        return Mat._of(out, other.ncols)
 
     def vec(self, v):
-        """Matrix times column vector, over the nonzero entries of ``v``."""
+        """Matrix times column vector, over the nonzero entries of each row."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
-        for row in self.rows:
+        for row in self._rows:
             s = ZERO
-            for j, x in support:
-                a = row[j]
-                if a:
+            for j, a in row.items():
+                x = v[j]
+                if x:
                     s += a * x
             out.append(s)
         return out
 
     def is_zero(self):
-        return all(e == 0 for row in self.rows for e in row)
+        return not any(self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.nrows, self.ncols,
-                     tuple(tuple(row) for row in self.rows)))
+                     tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols}, {self.rows!r})"
+
+
+def _sparse(entries):
+    """``{index: Fraction}`` from ``(index, value)`` pairs, each value made a
+    ``Fraction`` before the zeros are dropped."""
+    out = {}
+    for c, e in entries:
+        if not isinstance(e, Fraction):
+            e = Fraction(e)
+        if e:
+            out[c] = e
+    return out
 
 
 def _eliminate(v, rows):
@@ -240,30 +285,28 @@ def rref(m):
     order; zero rows follow the pivot rows.  The reduced form of a row space
     is unique, so it does not depend on the order the rows are reduced in.
     """
-    rows = span_of(m.rows).rows
+    rows = span_of(m._rows).rows
     pivots = sorted(rows)
-    reduced = [[rows[p].get(c, ZERO) for c in range(m.ncols)] for p in pivots]
-    reduced += [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
-    return Mat(reduced, m.ncols), pivots
+    reduced = [rows[p] for p in pivots]
+    reduced += [{} for _ in range(m.nrows - len(pivots))]
+    return Mat._of(reduced, m.ncols), pivots
 
 
 def rank(m):
-    return span_of(m.rows).dim
+    return span_of(m._rows).dim
 
 
 def _free_basis(rows, n):
-    """One vector per non-pivot coordinate ``f`` of the reduced ``rows``:
-    1 at ``f``, minus the ``f`` entry of each row at that row's pivot."""
-    basis = []
-    for f in range(n):
-        if f in rows:
-            continue
-        v = [ZERO] * n
-        v[f] = ONE
-        for p, row in rows.items():
-            v[p] = -row.get(f, ZERO)
-        basis.append(v)
-    return basis
+    """One sparse vector per non-pivot coordinate ``f`` of the reduced
+    ``rows``, in coordinate order: 1 at ``f``, minus the ``f`` entry of each
+    row at that row's pivot.  A reduced row is 0 at every other pivot, so
+    each of its other entries sits at a non-pivot coordinate."""
+    basis = {f: {f: ONE} for f in range(n) if f not in rows}
+    for p, row in rows.items():
+        for c, a in row.items():
+            if c != p:
+                basis[c][p] = -a
+    return list(basis.values())
 
 
 def kernel_basis(m):
@@ -272,7 +315,8 @@ def kernel_basis(m):
     One vector per non-pivot column: that free coordinate is 1, pivot
     coordinates are filled from the reduced form, everything else is 0.
     """
-    return _free_basis(span_of(m.rows).rows, m.ncols)
+    return [[v.get(c, ZERO) for c in range(m.ncols)]
+            for v in _free_basis(span_of(m._rows).rows, m.ncols)]
 
 
 def cokernel_presentation(m):
@@ -283,8 +327,8 @@ def cokernel_presentation(m):
     (reduced from the columns of ``m``), in coordinate order.  ``q``
     restricted to those coordinates is the identity, so it is onto.
     """
-    columns = span_of(m.column(j) for j in range(m.ncols)).rows
-    return Mat(_free_basis(columns, m.nrows), m.nrows)
+    columns = span_of(m.sparse_columns()).rows
+    return Mat._of(_free_basis(columns, m.nrows), m.nrows)
 
 
 def solver(m):
@@ -293,23 +337,27 @@ def solver(m):
     coordinate of the solution, any other row a condition ``b`` must meet."""
     n = m.ncols
     span = IncrementalSpan()
-    for i, row in enumerate(m.rows):
-        v = dict(enumerate(row))
+    for i, row in enumerate(m._rows):
+        v = dict(row)
         v[n + i] = ONE
         span.add(v)
-    # each row's identity part, as (index into b, coefficient)
-    combos = [(p, [(c - n, a) for c, a in row.items() if c >= n])
-              for p, row in span.rows.items()]
+    # the identity parts by index into b: i -> [(pivot, coefficient)]
+    uses = {}
+    for p, row in span.rows.items():
+        for c, a in row.items():
+            if c >= n:
+                uses.setdefault(c - n, []).append((p, a))
 
     def solve_one(b):
         if len(b) != m.nrows:
             raise ValueError("right-hand side length does not match row count")
+        sums = {}
+        for i, y in enumerate(b):
+            if y and i in uses:
+                for p, a in uses[i]:
+                    sums[p] = sums.get(p, ZERO) + a * y
         x = [ZERO] * n
-        for p, combo in combos:
-            s = ZERO
-            for i, a in combo:
-                if b[i]:
-                    s += a * b[i]
+        for p, s in sums.items():
             if p < n:
                 x[p] = s
             elif s:

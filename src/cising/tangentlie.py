@@ -75,23 +75,56 @@ class TangentLieAlgebra:
     bracket: list
 
 
+def _partials_at(poly, point):
+    """The first partials of ``poly`` at ``point`` as a sparse row
+    ``{i: Fraction}`` and its second partials as sparse symmetric rows, from
+    one pass over its terms.
+
+    A term ``c x^e`` gives ``d/dx_i`` the value ``c e_i z^(e - 1_i)`` and
+    ``d2/dx_i dx_j`` the value ``c e_i (e_j - [i = j]) z^(e - 1_i - 1_j)``.
+    The term's value leaves out the coordinates where ``z`` is 0; a partial
+    gets a share only when it uses up the exponents there exactly, and it
+    divides out each other coordinate it lowers.
+    """
+    grad, upper = {}, {}
+    for expo, coeff in poly.terms.items():
+        support = [i for i, e in enumerate(expo) if e]
+        at_zero = sum(expo[i] for i in support if not point[i])
+        if at_zero > 2:
+            continue
+        value = coeff
+        for i in support:
+            if point[i]:
+                value *= point[i] ** expo[i]
+        for t, i in enumerate(support):
+            zi = point[i]
+            di = value * expo[i] / zi if zi else value * expo[i]
+            left = at_zero - (not zi)
+            if not left:
+                grad[i] = grad.get(i, ZERO) + di
+            for j in support[t:]:
+                zj, ej = point[j], expo[j] - (i == j)
+                if ej and left == (not zj):
+                    upper[i, j] = (upper.get((i, j), ZERO)
+                                   + (di * ej / zj if zj else di * ej))
+    hessian = [{} for _ in point]
+    for (i, j), h in upper.items():
+        if h:
+            hessian[i][j] = hessian[j][i] = h
+    return {i: d for i, d in grad.items() if d}, hessian
+
+
 def tangent_fiber(polys, point):
-    """The fiber at a rational zero, from one pass over the first partials:
-    each is evaluated for the Jacobian and differentiated once more for the
-    Hessians, each unordered second partial evaluated once (partials
-    commute)."""
+    """The fiber at a rational zero: the Jacobian and the Hessians read off
+    in one pass over each polynomial's terms."""
     ring, point = _validate_map(polys, point)
     n = ring.nvars
     jacobian, hessians = [], []
     for p in polys:
-        firsts = [p.diff(i) for i in range(n)]
-        jacobian.append([f.subs(point) for f in firsts])
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = firsts[i].diff(j).subs(point)
-        hessians.append(Mat(rows, n))
-    jac = Mat(jacobian, n)
+        grad, hessian = _partials_at(p, point)
+        jacobian.append(grad)
+        hessians.append(Mat._of(hessian, n))
+    jac = Mat._of(jacobian, n)
     return TangentComplexFiber(point=point, jacobian=jac, hessians=hessians,
                                kernel=kernel_basis(jac),
                                projection=cokernel_presentation(jac))
@@ -110,14 +143,17 @@ def hessian_direct(fiber):
     ``u, v``.  The diagonal carries the full second derivative.
     """
     k = fiber.kernel
-    bracket = []
-    for u in k:
+    supports = [[(i, x) for i, x in enumerate(u) if x] for u in k]
+    bracket = [[None] * len(k) for _ in k]
+    for a, u in enumerate(k):
         # each Hessian applied to u once: H is symmetric, so
-        # v . (H u) == sum_{i,j} u_i v_j H_ij
+        # v . (H u) == sum_{i,j} u_i v_j H_ij == u . (H v)
         hu = [h.vec(u) for h in fiber.hessians]
-        bracket.append([fiber.projection.vec(
-            [sum((x * y for x, y in zip(v, w) if x), ZERO) for w in hu])
-            for v in k])
+        for b in range(a, len(k)):
+            value = fiber.projection.vec(
+                [sum((y * w[j] for j, y in supports[b] if w[j]), ZERO)
+                 for w in hu])
+            bracket[a][b], bracket[b][a] = value, list(value)
     return bracket
 
 
@@ -128,10 +164,9 @@ def _sym_pairs(n):
 def _split(r, s):
     """The split short exact row ``k^r -> k^(r+s) -> k^s``: inclusion of the
     first ``r`` coordinates, projection onto the last ``s``."""
-    inclusion = Mat([[ONE if i == j else ZERO for j in range(r)]
-                     for i in range(r + s)], r)
-    onto = Mat([[ONE if j == r + i else ZERO for j in range(r + s)]
-                for i in range(s)], r + s)
+    inclusion = Mat._of([{i: ONE} for i in range(r)]
+                        + [{} for _ in range(s)], r)
+    onto = Mat._of([{r + i: ONE} for i in range(s)], r + s)
     return inclusion, onto
 
 
@@ -151,32 +186,32 @@ class DiffOpFiber:
 
 
 def diffop_fiber(fiber):
-    """Build the six-space diagram from the fiber's first and second
-    partials."""
+    """Build the six-space diagram, sparse, from the fiber's first and
+    second partials."""
     jac, hessians = fiber.jacobian, fiber.hessians
     n, m = jac.ncols, jac.nrows
     spairs, tpairs = _sym_pairs(n), _sym_pairs(m)
     tdim = len(tpairs)
-    columns = [jac.column(i) for i in range(n)]
+    tindex = {pair: t for t, pair in enumerate(tpairs)}
+    columns = jac.sparse_columns()
 
     def sym_image_column(i, j):
         """Coefficients of the symmetric square of the Jacobian on the
-        product of source coordinates i and j; zero entries of the Jacobian
-        contribute no product."""
-        ci, cj = columns[i], columns[j]
-        col = []
-        for (k, l) in tpairs:
-            s = ci[k] * cj[l] if ci[k] and cj[l] else ZERO
-            if k != l and ci[l] and cj[k]:
-                s += ci[l] * cj[k]
-            col.append(s)
+        product of source coordinates i and j, over the nonzero entries of
+        the two Jacobian columns."""
+        col = {}
+        for k, a in columns[i].items():
+            for l, b in columns[j].items():
+                t = tindex[(k, l) if k <= l else (l, k)]
+                col[t] = col.get(t, ZERO) + a * b
         return col
 
     # each symmetric-square column is gamma's and the lower block of beta's
     gamma_cols = [sym_image_column(i, j) for (i, j) in spairs]
-    middle_cols = [c + [ZERO] * tdim for c in columns]
-    middle_cols += [[h.rows[i][j] for h in hessians] + col
-                    for (i, j), col in zip(spairs, gamma_cols)]
+    middle_cols = columns + [
+        {c: h.entry(i, j) for c, h in enumerate(hessians)}
+        | {m + t: a for t, a in col.items()}
+        for (i, j), col in zip(spairs, gamma_cols)]
     return DiffOpFiber(source_pairs=spairs,
                        top=_split(n, len(spairs)),
                        bottom=_split(m, tdim),

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
+import cising.cli
 import cising.polyring
 import cising.tangentlie
-from cising.cli import main
+from cising.cli import build_parser, main
 from cising.polyring import PolyRing
 
 JOBS = pathlib.Path(__file__).parent / "jobs"
@@ -412,6 +413,30 @@ def test_window_flag_overrides(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["result"]["window"] == [6, 10]
+
+
+def test_flags_do_not_carry_over_between_calls(capsys, monkeypatch):
+    # one parser serves every call; each parse starts from the defaults
+    built = []
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cising.cli, "build_parser", spy)
+    cising.cli._parser.cache_clear()
+    ext = str(JOBS / "ext_dual_numbers.json")
+    resolve = str(JOBS / "resolve_two_quadrics.json")
+    golden = (GOLDEN_DIR / "ext_dual_numbers.json").read_text()
+    code, out, _ = run_cli(capsys, "ext", ext, "--degree", "9", "--format",
+                           "json")
+    assert code == 0 and out != golden
+    assert run_cli(capsys, "ext", ext, "--format", "json")[:2] == (0, golden)
+    assert run_cli(capsys, "resolve", resolve, "--max-monomials", "4")[0] == 3
+    golden = (GOLDEN_DIR / "resolve_two_quadrics.json").read_text()
+    assert run_cli(capsys, "resolve", resolve, "--format", "json")[:2] == (
+        0, golden)
+    assert built == [1]
 
 
 # Malformed jobs that validate flags. A run must refuse each with exit 1 and a
