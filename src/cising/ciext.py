@@ -18,7 +18,6 @@ rejected (pointwise invariants at a rational zero live in
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .errors import (
     GradingError,
@@ -36,7 +35,6 @@ from .polyring import (
     PolyRing,
     RingPresentation,
     _check_cap,
-    _from_ints,
     _is_regular_given_basis,
     vec_combine,
     vec_is_zero,
@@ -54,21 +52,17 @@ FG_WINDOW = "WindowFG"
 FG_NOT = "NotFGWithinWindow"
 
 
-def _column_degree(ring, twists, column, what):
-    """Common degree of a homogeneous column of integer forms, or None
-    when it is zero.
+def _column_degree(twists, column, what):
+    """Common degree of a homogeneous column, or None when it is zero.
 
     Entry ``i`` of a degree-``d`` column must be homogeneous of degree
     ``d - twists[i]``.
     """
     degree = None
-    for i, (den, terms) in enumerate(column):
-        if not terms:
+    for i, p in enumerate(column):
+        if p.is_zero():
             continue
-        degrees = set(map(ring._degree, terms))
-        if len(degrees) > 1:    # the entry's own GradingError names it
-            _from_ints(ring, den, terms).homogeneous_degree()
-        d = twists[i] + degrees.pop()
+        d = twists[i] + p.homogeneous_degree()
         if degree is None:
             degree = d
         elif degree != d:
@@ -102,10 +96,9 @@ class GradedModulePresentation:
                 if not isinstance(p, Poly) or p.ring != rp.ring:
                     raise ValidationError(
                         "relation entries must be polynomials in the ring")
-                nf.append(rp._integer_normal_form(p))
-            degrees.append(_column_degree(rp.ring, twists, nf,
-                                          f"relation column {j + 1}"))
-            cleaned.append([_from_ints(rp.ring, *f) for f in nf])
+                nf.append(rp.normal_form(p))
+            degrees.append(_column_degree(twists, nf, f"relation column {j + 1}"))
+            cleaned.append(nf)
         self.rp = rp
         self.twists = twists
         self.relations = cleaned
@@ -126,10 +119,6 @@ def residue_field_module(rp, twist=0):
 def cyclic_module(rp, gens):
     """The quotient of the ring by the given elements, one degree-0 generator."""
     return GradedModulePresentation(rp, [0], [[g] for g in gens])
-
-
-def free_module(rp, twists):
-    return GradedModulePresentation(rp, twists, [])
 
 
 @dataclass
@@ -190,8 +179,9 @@ def minimal_generators(rp, twists, columns, *, counts=None):
     nonzero.  Columns that are zero in the quotient are dropped.  The
     lower-degree part of degree ``e`` is spanned by the multiples of kept
     columns by standard monomials, encoded in normal form by
-    :meth:`RingPresentation.encode_multiples`.  Offered columns are read
-    as integer normal forms; only the kept ones are built as polynomials.
+    :meth:`RingPresentation.encode_multiples`; each offered column is
+    normal-formed once by :meth:`RingPresentation.normal_form` and encoded
+    by :meth:`GradedSlice.encode`, and a kept column is that normal form.
 
     ``counts``, when given, maps each degree to the number of minimal
     generators known to lie there (Tate's, in :func:`minimal_resolution`).
@@ -199,10 +189,10 @@ def minimal_generators(rp, twists, columns, *, counts=None):
     kept that many columns: every later one is then dependent.  A degree
     that keeps fewer is the caller's to refuse.
     """
-    ring, cols = rp.ring, []
+    cols = []
     for j, column in enumerate(columns):
-        nf = [rp._integer_normal_form(p) for p in column]
-        d = _column_degree(ring, twists, nf, f"column {j + 1}")
+        nf = [rp.normal_form(p) for p in column]
+        d = _column_degree(twists, nf, f"column {j + 1}")
         if d is not None:
             cols.append((d, j, nf))
     accepted = []
@@ -219,10 +209,8 @@ def minimal_generators(rp, twists, columns, *, counts=None):
         for d, j, nf in cols:
             if d != e:
                 continue
-            den = lcm(*(dk for dk, _ in nf))
-            if span.add({coords.index[k][m]: c * (den // dk)
-                         for k, (dk, t) in enumerate(nf) for m, c in t.items()}):
-                accepted.append((d, j, [_from_ints(ring, *f) for f in nf]))
+            if span.add(coords.encode(enumerate(nf))):
+                accepted.append((d, j, nf))
                 if len(accepted) - start == want:
                     break
     return [v for _, _, v in accepted], [d for d, _, _ in accepted]
@@ -307,18 +295,22 @@ def _tate_betti(rp, twists, relations, length):
     m^2; otherwise None.
 
     The presentation is the residue field when it has one generator and
-    its relations include a nonzero multiple of every variable.  Over
-    S/(f) with f a regular sequence in m^2, Tate's complex resolves it
-    minimally (Tate, Illinois J. Math. 1, 1957), so step ``i`` has the
-    coefficient of ``s^i`` in ``t^twist prod_i (1 + s t^(w_i)) / prod_j
-    (1 - s^2 t^(deg f_j))``.
+    the linear parts of its relations span every variable: the relations
+    lie in m (no unit is left), f in m^2 leaves linear parts alone under
+    normal forms, so by graded Nakayama they generate m.  Over S/(f) with
+    f a regular sequence in m^2, Tate's complex resolves it minimally
+    (Tate, Illinois J. Math. 1, 1957), so step ``i`` has the coefficient
+    of ``s^i`` in ``t^twist prod_i (1 + s t^(w_i)) / prod_j (1 - s^2
+    t^(deg f_j))``.
     """
     ring = rp.ring
-    variables = {tuple(int(k == v) for k in range(ring.nvars))
+    if len(twists) != 1 or _order_below_two(rp) is not None:
+        return None
+    variables = {tuple(int(k == v) for k in range(ring.nvars)): v
                  for v in range(ring.nvars)}
-    if (len(twists) != 1 or _order_below_two(rp) is not None
-            or not variables <= {next(iter(p.terms)) for [p] in relations
-                                 if len(p.terms) == 1}):
+    linear = span_of({variables[e]: c for e, c in p.terms.items()
+                      if e in variables} for [p] in relations)
+    if linear.dim != ring.nvars:
         return None
     betti = [Counter() for _ in range(length + 1)]
     betti[0][twists[0]] = 1
@@ -448,8 +440,11 @@ def _ideal_cofactors(rp, p, solvers):
     x = solve([b.get(c, 0) for c in range(len(coords))])
     if x is None:
         raise InvariantError("entry expected to lie in the ideal")
-    return [Poly._of(ring, {m: x[i] for m, i in source.index.get(j, {}).items()
-                            if x[i]}) for j in range(len(rp.ideal))]
+    cofactors = [{} for _ in rp.ideal]
+    for (j, expo), c in zip(source, x):
+        if c:
+            cofactors[j][expo] = c
+    return [Poly(ring, terms) for terms in cofactors]
 
 
 def eisenbud_ops(rp, resolution):

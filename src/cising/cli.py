@@ -288,7 +288,7 @@ class Job:
             # well-formed input that the computation refuses (exit 2)
             self.dg = err
 
-    def _integer(self, data, key, label, low, high, default):
+    def _bounded_int(self, data, key, label, low, high, default):
         """The field ``key`` if it is an integer in ``low..high``."""
         value = data.get(key)
         if value is None:
@@ -302,9 +302,10 @@ class Job:
         return default
 
     def _parse_parameters(self, data, command):
-        self.degree = self._integer(data, "degree", "degree", 0, _MAX_DEGREE,
-                                    _DEGREE_DEFAULTS.get(command, 10))
-        self.n = self._integer(data, "n", "n =", 1, _MAX_N, 2)
+        self.degree = self._bounded_int(data, "degree", "degree", 0,
+                                        _MAX_DEGREE,
+                                        _DEGREE_DEFAULTS.get(command, 10))
+        self.n = self._bounded_int(data, "n", "n =", 1, _MAX_N, 2)
         window = data.get("window")
         self.window = default_window(self.degree)
         if window is None:

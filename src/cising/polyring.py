@@ -1052,12 +1052,12 @@ class RingPresentation:
         return f"RingPresentation({self.ring!r} mod ({gens}))"
 
     def normal_form(self, p):
-        """Normal form of ``p``, built from :meth:`_integer_normal_form`."""
-        return _from_ints(self.ring, *self._integer_normal_form(p)) if p._terms else p
-
-    def _integer_normal_form(self, p):
-        """The normal form of ``p`` as ``(d > 0, {packed: int})``, summed
-        from the cached normal forms of its monomials (it is linear)."""
+        """Normal form of ``p``, summed from the cached normal forms of its
+        monomials (it is linear) in ``int``\\s over one common denominator
+        and built once, with its integer form; a zero ``p`` comes back as
+        it is."""
+        if not p._terms:
+            return p
         dp, terms = p.integer_form()
         parts = [(c, self._monomial_normal_form(m)) for m, c in terms.items()]
         den = lcm(*(d for _, (d, _) in parts))
@@ -1066,7 +1066,7 @@ class RingPresentation:
             c *= den // d
             for e, a in nf.items():
                 acc[e] = acc.get(e, 0) + c * a
-        return den * dp, {e: c for e, c in acc.items() if c}
+        return _from_ints(self.ring, den * dp, {e: c for e, c in acc.items() if c})
 
     def encode_multiples(self, coords, entries, degree):
         """``coords.encode`` of the normal form of ``x^m * sum(label * poly

@@ -130,11 +130,6 @@ def tangent_fiber(polys, point):
                                projection=cokernel_presentation(jac))
 
 
-def jacobian_at(polys, point):
-    """Jacobian matrix at a rational zero: row j holds the partials of f_j."""
-    return tangent_fiber(polys, point).jacobian
-
-
 def hessian_direct(fiber):
     """Bracket by direct contraction of second partials with kernel vectors.
 

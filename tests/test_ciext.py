@@ -25,7 +25,6 @@ from cising.ciext import (
     eisenbud_ops,
     ext_module,
     fg_check,
-    free_module,
     hstar_dims,
     minimal_generators,
     minimal_resolution,
@@ -286,7 +285,7 @@ def test_zero_module_resolves_to_nothing():
 
 def test_free_module_resolution_stops():
     rp = presentation(["x"], ["x^2"])
-    res = minimal_resolution(rp, free_module(rp, [0, 2]), 3)
+    res = minimal_resolution(rp, GradedModulePresentation(rp, [0, 2], []), 3)
     assert res.betti == [2, 0, 0, 0]
 
 

@@ -1,13 +1,15 @@
 """The Groebner engine keeps its elements as integer forms and builds a
 polynomial only for what a caller keeps.
 
-``buchberger`` builds exactly its reduced basis, ``syzygies`` builds no
-basis or representation polynomial of the module Groebner basis behind it,
-and ``minimal_generators`` builds only the columns it keeps: checked with a
-spy on ``Poly`` construction and against the ``Poly``-path
-``minimal_generators`` it replaced, kept here as the reference.  The
-decomposition over the ideal generators that the Eisenbud operators read is
-checked against the one that re-packed every monomial.
+``buchberger`` builds exactly its reduced basis and ``syzygies`` builds no
+basis or representation polynomial of the module Groebner basis behind it:
+checked with a spy on ``Poly`` construction.  ``minimal_generators``
+normal-forms each offered column once through the public
+``RingPresentation.normal_form`` and encodes the multiples of its kept
+columns in ``int`` arithmetic (``encode_multiples``); it is checked
+against the reference written out below, which has no degree counts.
+The decomposition over the ideal generators that the Eisenbud operators
+read is checked against the one that re-packed every monomial.
 """
 
 from fractions import Fraction
@@ -132,9 +134,9 @@ def poly_path_column_degree(twists, column, what):
 
 
 def poly_path_minimal_generators(rp, twists, columns):
-    """``minimal_generators`` as it was before the integer normal forms:
-    every offered column normal-formed into polynomials, checked by their
-    degrees and encoded by ``GradedSlice.encode``."""
+    """``minimal_generators`` with no degree counts, written out as the
+    reference: every offered column normal-formed into polynomials, checked
+    by their degrees and encoded by ``GradedSlice.encode``."""
     cols = []
     for j, column in enumerate(columns):
         nf = [rp.normal_form(p) for p in column]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from cising import ciext
 from cising.ciext import (
+    GradedModulePresentation,
     _ideal_cofactors,
     cyclic_module,
     minimal_resolution,
@@ -278,6 +279,77 @@ def test_only_the_residue_field_over_m_squared_is_bounded(
     expected = unbounded(rp, module, LENGTH + 1)
     assert (res.twists, res.differentials) == \
         (expected.twists, expected.differentials)
+
+
+@st.composite
+def forms_in_m_squared(draw, ring, degree):
+    """Zero or a homogeneous form of ``degree`` with no linear term."""
+    monomials = [e for e in ring.monomials_of_degree(degree) if sum(e) >= 2]
+    if not monomials or not draw(st.booleans()):
+        return ring.zero()
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=2,
+                           unique=True))
+    return sum((ring.monomial(e, draw(coefficients)) for e in chosen),
+               ring.zero())
+
+
+@st.composite
+def linear_changes(draw, span_all=True):
+    """A quotient by forms in m^2, and the relations of a one-generator
+    presentation: an invertible linear change of the variables (within each
+    weight, so each relation is homogeneous), each relation plus a form in
+    m^2 or not, then up to two quadrics in m^2.  With ``span_all`` false one
+    changed variable is left out, so the linear parts span n - 1 of them."""
+    rp, _ = draw(quotients())
+    assume(in_m_squared(rp))
+    ring = rp.ring
+    relations = []
+    for w in sorted(set(ring.weights)):
+        block = [v for v, wv in enumerate(ring.weights) if wv == w]
+        matrix = [[draw(st.integers(-2, 2)) for _ in block] for _ in block]
+        assume(rank(Mat(matrix)) == len(block))
+        for row in matrix:
+            relations.append(sum(
+                (ring.monomial(tuple(int(k == v) for k in range(ring.nvars)), c)
+                 for v, c in zip(block, row)),
+                draw(forms_in_m_squared(ring, w))))
+    if not span_all:
+        del relations[draw(st.integers(0, len(relations) - 1))]
+    relations += draw(st.lists(forms_in_m_squared(ring, 2), max_size=2))
+    return rp, [[p] for p in relations]
+
+
+@PROPERTY
+@given(linear_changes(), st.sampled_from([-1, 0, 2]))
+def test_a_linear_change_of_the_variables_presents_the_residue_field(
+        case, twist):
+    """Relations whose linear parts span every variable present the
+    residue field: its resolution takes Tate's bound at every kernel step
+    and has the twists of ``residue_field_module``."""
+    rp, columns = case
+    caps = []
+    original = ciext.syzygies
+
+    def recorded(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return original(*args, **kwargs)
+
+    module = GradedModulePresentation(rp, [twist], columns)
+    with patch.object(ciext, "syzygies", recorded):
+        res = minimal_resolution(rp, module, LENGTH)
+    assert caps and None not in caps
+    assert res.twists == minimal_resolution(
+        rp, residue_field_module(rp, twist), LENGTH).twists
+
+
+@PROPERTY
+@given(linear_changes(span_all=False), st.sampled_from([-1, 0, 2]))
+def test_linear_parts_short_of_a_variable_are_not_the_residue_field(
+        case, twist):
+    rp, columns = case
+    module = GradedModulePresentation(rp, [twist], columns)
+    twists, relations = ciext._cancel_units(rp, module.twists, module.relations)
+    assert ciext._tate_betti(rp, twists, relations, LENGTH) is None
 
 
 @pytest.mark.parametrize("rp, degree", [

@@ -10,7 +10,6 @@ from cising.polyring import Poly, PolyRing
 from cising.tangentlie import (
     hessian_direct,
     hessian_snake,
-    jacobian_at,
     tangent_fiber,
     tangent_lie,
 )
@@ -29,18 +28,19 @@ def origin(n):
 
 def test_jacobian_single_variable():
     polys = pmap(["x"], ["x"])
-    assert jacobian_at(polys, origin(1)) == Mat([[1]])
+    assert tangent_fiber(polys, origin(1)).jacobian == Mat([[1]])
 
 
 def test_jacobian_at_offset_point():
     polys = pmap(["x", "y"], ["x^2 - y", "y^2 - x"])
-    assert jacobian_at(polys, [F(1), F(1)]) == Mat([[2, -1], [-1, 2]])
+    assert (tangent_fiber(polys, [F(1), F(1)]).jacobian
+            == Mat([[2, -1], [-1, 2]]))
 
 
 def test_jacobian_rejects_off_locus_point():
     polys = pmap(["x"], ["x^2"])
     with pytest.raises(OffLocusError) as err:
-        jacobian_at(polys, [F(1)])
+        tangent_fiber(polys, [F(1)])
     assert "f_1" in str(err.value)
 
 
